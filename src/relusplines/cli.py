@@ -23,7 +23,7 @@ from .core import (
     Tolerances,
     knot_bound,
 )
-from .evaluate import eval_network, eval_spline, probe_grid
+from .evaluate import equivalence_error, eval_network, eval_spline, probe_grid
 from .normalize import positive_scale_normalize
 from .serialization import (
     SchemaError,
@@ -38,6 +38,7 @@ from .serialization import (
     write_csv,
 )
 from .synth import (
+    _missing_prescribed,
     hierarchy_from_flat,
     prescribed_knots,
     synth_three_hidden,
@@ -133,15 +134,9 @@ def _cmd_synth(args) -> int:
             net = synth_three_hidden(hierarchy, opts, tol, rng=rng)
         wanted = prescribed_knots(hierarchy)
 
-    spline = dnn_to_spline(net, tol)
-    active = np.array([x for x, _ in active_knots(spline, tol)])
-    missing = [
-        float(x)
-        for x in wanted
-        if active.size == 0 or np.min(np.abs(active - x)) > 1e-9
-    ]
-    if missing:
-        print(f"inactive prescribed knots: {missing}", file=sys.stderr)
+    missing = _missing_prescribed(dnn_to_spline(net, tol), wanted, tol)
+    if missing.size:
+        print(f"inactive prescribed knots: {missing.tolist()}", file=sys.stderr)
         return 5
     dump_json(args.out, network_to_obj(net))
     print(f"prescribed knots active: {len(wanted)}/{len(wanted)}")
@@ -149,8 +144,6 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    tol = _tolerances(args)
-    del tol  # evaluation itself is tolerance-free; flags accepted for symmetry
     model = detect_and_load(args.file)
     if args.start >= args.stop:
         raise SchemaError("--from must be strictly below --to")
@@ -173,9 +166,7 @@ def _cmd_verify(args) -> int:
     spline = spline_from_obj(load_json(args.spline)) if args.spline else recomputed
     merged = np.unique(np.concatenate((recomputed.knots, spline.knots)))
     grid = probe_grid(merged, margin=2.0, per_interval=3) if merged.size else probe_grid(merged)
-    f = eval_network(net, grid)
-    s = eval_spline(spline, grid)
-    error = float(np.max(np.abs(f - s) / (1.0 + np.abs(f)))) if grid.size else 0.0
+    error = equivalence_error(net, spline, grid)
     observed = len(active_knots(recomputed, tol))
     bound = knot_bound(net.widths)
     ok = error <= tol.eval_tol and observed <= bound
@@ -237,7 +228,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, required=True, metavar="N")
     p.add_argument("-o", "--out", default=None, help="CSV file (default stdout)")
     p.add_argument("--header", action="store_true", help="write a t,value header row")
-    _add_tol_flags(p)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("verify", help="check a network against a spline and the knot bound")

@@ -1,13 +1,14 @@
 """Exact translation between ReLU networks and their spline form.
 
-The deep-to-spline direction walks the layers.  After the first layer each
-hidden unit is a spline over a shared knot vector; pushing the bundle
-through ReLU plus the next affine layer keeps a hinge where the unit is
-positive, zeroes it where the unit is negative, splits it where the unit
-vanishes exactly, and inserts a new hinge wherever an affine piece crosses
-zero inside its interval.  Crossings are located as -eta/mu from the
-per-interval form, so all knot arithmetic is closed form; no sampling or
-fitting is involved.
+The deep-to-spline direction walks the layers.  The first layer turns each
+unit into one hinge (``_unit_hinges``), so every layer-2 unit is a spline
+over a shared knot vector.  Each later layer is one ``layer_transfer`` step
+on the whole bundle, and ``sigma_compose`` is that step on a one-member
+bundle.  The step keeps a hinge where the unit is positive, zeroes it where
+the unit is negative, splits it where the unit vanishes exactly, and
+inserts a new hinge wherever an affine piece crosses zero inside its
+interval.  Crossings are located as -eta/mu from the per-interval form, so
+all knot arithmetic is closed form; no sampling or fitting is involved.
 
 Sign decisions use tol.zero_tol.  A unit value at a knot counts as zero
 when |f(x)| <= zero_tol * (1 + |mu x|), which keeps the test meaningful
@@ -24,7 +25,6 @@ from .core import (
     DegenerateFirstLayerError,
     DimensionMismatchError,
     Layer,
-    PiecewiseForm,
     ReluNetwork,
     SplineBundle,
     Tolerances,
@@ -41,13 +41,28 @@ __all__ = [
 ]
 
 
+def _unit_hinges(a1, b1, A2, c2, b2, zero_tol: float):
+    """Layer-2 units sum_k A2[:, k] relu(a1[k] t + b1[k]) + c2 t + b2 as hinges.
+
+    A unit with a1[k] > 0 hinges at -b1[k]/a1[k] with column A2[:, k] a1[k].
+    One with a1[k] < 0 hinges at the same spot with column -A2[:, k] a1[k]
+    and folds its left-side affine part into (q1s, q0s).  Dead units
+    (|a1[k]| <= zero_tol) only add A2[:, k] relu(b1[k]) to q0s.  Returns the
+    live units' knots, unsorted, with their columns, q1s and q0s.
+    """
+    live = np.abs(a1) > zero_tol
+    knots = -b1[live] / a1[live]
+    columns = A2[:, live] * np.abs(a1[live])[None, :]
+    q1s = c2 - A2 @ np.where(live, np.maximum(-a1, 0.0), 0.0)
+    q0s = b2 + A2 @ np.where(live, np.where(a1 < 0, b1, 0.0), np.maximum(b1, 0.0))
+    return knots, columns, q1s, q0s
+
+
 def shallow_to_spline(c2, b2, a1, a2, b1, tol: Tolerances = DEFAULT_TOL) -> CplSpline:
     """Spline of c2 t + b2 + sum_k a2[k] relu(a1[k] t + b1[k]), canonical.
 
-    Units with a1[k] > 0 hinge at -b1[k]/a1[k] with coefficient a2[k] a1[k].
-    Units with a1[k] < 0 hinge at the same spot with coefficient -a2[k] a1[k]
-    and fold their left-side affine part into (q1, q0).  Flat units
-    (|a1[k]| <= zero_tol) only shift q0.
+    Each unit becomes one hinge as in :func:`dnn_to_spline`'s first layer;
+    flat units (|a1[k]| <= zero_tol) only shift q0.
     """
     a1 = np.atleast_1d(np.asarray(a1, dtype=float))
     a2 = np.atleast_1d(np.asarray(a2, dtype=float))
@@ -57,75 +72,10 @@ def shallow_to_spline(c2, b2, a1, a2, b1, tol: Tolerances = DEFAULT_TOL) -> CplS
     for name, arr in (("a1", a1), ("a2", a2), ("b1", b1)):
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"{name} contains non-finite entries")
-    q1 = float(c2)
-    q0 = float(b2)
-    knots: list[float] = []
-    coeffs: list[float] = []
-    for a, w, b in zip(a1, a2, b1):
-        if abs(a) <= tol.zero_tol:
-            q0 += w * max(b, 0.0)
-            continue
-        knots.append(-b / a)
-        coeffs.append(w * abs(a))
-        if a < 0:
-            q1 += a * w
-            q0 += b * w
-    return canonicalize(CplSpline(q1, q0, np.array(knots), np.array(coeffs)), tol)
-
-
-def _require_increasing(knots: np.ndarray):
-    if np.any(np.diff(knots) <= 0):
-        raise ValueError("expected strictly increasing knots")
-
-
-def _value_classes(knots, mu, eta, zero_tol: float) -> np.ndarray:
-    """-1/0/+1 class of the spline value at each knot.
-
-    The value at knot v is taken from the piece left of it; the zero band
-    scales with |mu v x_v| so that cancellation does not flip signs.
-    """
-    scaled = mu[:-1] * knots
-    values = scaled + eta[:-1]
-    zero = np.abs(values) <= zero_tol * (1.0 + np.abs(scaled))
-    return np.where(zero, 0, np.sign(values)).astype(int)
-
-
-def _zero_crossings(knots, mu, eta, classes, zero_tol: float):
-    """Hinges created where an affine piece crosses zero inside its interval.
-
-    A crossing on interval v is accepted exactly when the sign classes at
-    its two ends are strictly opposite (the ends at +-inf take the sign of
-    the adjacent slope), which rules out double counting next to a knot
-    that already classified as zero.
-    """
-    n = knots.shape[0]
-    xs: list[float] = []
-    cs: list[float] = []
-    for v in range(n + 1):
-        slope = mu[v]
-        if abs(slope) <= zero_tol:
-            continue
-        left = (-1 if slope > 0 else 1) if v == 0 else classes[v - 1]
-        right = (1 if slope > 0 else -1) if v == n else classes[v]
-        if left * right == -1:
-            xs.append(-eta[v] / slope)
-            cs.append(abs(slope))
-    return np.array(xs), np.array(cs)
-
-
-def _composed_tail(q1: float, q0: float, zero_tol: float) -> tuple[float, float]:
-    """(q1, q0) of relu(f) left of every breakpoint of f."""
-    if abs(q1) <= zero_tol:
-        return 0.0, max(q0, 0.0)
-    if q1 < 0:
-        return q1, q0
-    return 0.0, 0.0
-
-
-def _composed_knot_coeffs(coeffs, mu, classes) -> np.ndarray:
-    """Hinge coefficients of relu(f) at f's own knots, by value class."""
-    split = np.maximum(mu[1:], 0.0) + np.maximum(-mu[:-1], 0.0)
-    return np.where(classes > 0, coeffs, np.where(classes == 0, split, 0.0))
+    knots, columns, q1s, q0s = _unit_hinges(
+        a1, b1, a2[None, :], np.array([float(c2)]), np.array([float(b2)]), tol.zero_tol
+    )
+    return canonicalize(CplSpline(q1s[0], q0s[0], knots, columns[0]), tol)
 
 
 def sigma_compose(f: CplSpline, tol: Tolerances = DEFAULT_TOL) -> CplSpline:
@@ -135,28 +85,9 @@ def sigma_compose(f: CplSpline, tol: Tolerances = DEFAULT_TOL) -> CplSpline:
     splits, and each of the n + 1 affine pieces contributes at most one
     zero crossing.
     """
-    _require_increasing(f.knots)
-    form = PiecewiseForm.from_spline(f)
-    classes = _value_classes(f.knots, form.mu, form.eta, tol.zero_tol)
-    q1, q0 = _composed_tail(f.q1, f.q0, tol.zero_tol)
-    kept = _composed_knot_coeffs(f.coeffs, form.mu, classes)
-    cross_x, cross_c = _zero_crossings(f.knots, form.mu, form.eta, classes, tol.zero_tol)
-    raw = CplSpline(
-        q1,
-        q0,
-        np.concatenate((f.knots, cross_x)),
-        np.concatenate((kept, cross_c)),
-    )
-    return canonicalize(raw, tol)
-
-
-def _effective_width(a1, b1, zero_tol: float, merge_tol: float) -> int:
-    """Units that survive dropping dead ones and collapsing shared hinges."""
-    live = np.abs(a1) > zero_tol
-    if not np.any(live):
-        return 0
-    hinges = np.sort(-b1[live] / a1[live])
-    return 1 + int(np.sum(np.diff(hinges) > merge_tol))
+    bundle = SplineBundle(f.knots, [f.q1], [f.q0], f.coeffs.reshape(1, -1))
+    out = layer_transfer(bundle, [[1.0]], [0.0], [0.0], tol)
+    return canonicalize(out.member(0), tol)
 
 
 def first_layer_canonicalize(
@@ -173,26 +104,21 @@ def first_layer_canonicalize(
     first = net.layers[0]
     second = net.layers[1]
     a1 = first.A[:, 0]
-    b1 = first.b
     n1 = a1.shape[0]
-    if np.any(np.abs(a1) <= tol.zero_tol):
-        raise DegenerateFirstLayerError(
-            f"first layer has dead units; effective width "
-            f"{_effective_width(a1, b1, tol.zero_tol, tol.merge_tol)} of {n1}",
-            _effective_width(a1, b1, tol.zero_tol, tol.merge_tol),
-        )
-    hinges = -b1 / a1
+    hinges, columns, c2, b2 = _unit_hinges(
+        a1, first.b, second.A, second.c, second.b, tol.zero_tol
+    )
     order = np.argsort(hinges, kind="stable")
     knots = hinges[order]
-    if np.any(np.diff(knots) <= tol.merge_tol):
+    distinct = np.diff(knots) > tol.merge_tol
+    if knots.shape[0] < n1 or not np.all(distinct):
+        problem = "dead units" if knots.shape[0] < n1 else "coinciding hinges"
+        # units left after dropping dead ones and collapsing shared hinges
+        width = 1 + int(np.sum(distinct)) if knots.size else 0
         raise DegenerateFirstLayerError(
-            f"first layer has coinciding hinges; effective width "
-            f"{_effective_width(a1, b1, tol.zero_tol, tol.merge_tol)} of {n1}",
-            _effective_width(a1, b1, tol.zero_tol, tol.merge_tol),
+            f"first layer has {problem}; effective width {width} of {n1}", width
         )
-    scaled = (second.A * np.abs(a1)[None, :])[:, order]
-    c2 = second.c - second.A @ np.maximum(-a1, 0.0)
-    b2 = second.b + second.A @ np.where(a1 < 0, b1, 0.0)
+    scaled = columns[:, order]
     rewritten = ReluNetwork(
         (
             Layer(np.ones((n1, 1)), -knots),
@@ -263,85 +189,58 @@ def layer_transfer(
             raise ValueError(f"{name} contains non-finite entries")
 
     knots = bundle.knots
-    n_old = knots.shape[0]
-    m = bundle.width
-    kept = np.empty((m, n_old))
-    new_coords: list[float] = []
-    new_columns: list[np.ndarray] = []
-    tails = np.empty((m, 2))
-    for j in range(m):
-        member = bundle.member(j)
-        form = PiecewiseForm.from_spline(member)
-        classes = _value_classes(knots, form.mu, form.eta, tol.zero_tol)
-        kept[j] = _composed_knot_coeffs(member.coeffs, form.mu, classes)
-        cross_x, cross_c = _zero_crossings(knots, form.mu, form.eta, classes, tol.zero_tol)
-        for x, w in zip(cross_x, cross_c):
-            new_coords.append(float(x))
-            new_columns.append(A[:, j] * w)
-        tails[j] = _composed_tail(member.q1, member.q0, tol.zero_tol)
+    coeffs = bundle.coeff_matrix
+    q1, q0 = bundle.q1s, bundle.q0s
+    zero_tol = tol.zero_tol
+    # piecewise form of every member: slope mu[j, v], intercept eta[j, v]
+    mu = np.column_stack((q1, q1[:, None] + np.cumsum(coeffs, axis=1)))
+    eta = np.column_stack((q0, q0[:, None] - np.cumsum(coeffs * knots, axis=1)))
 
-    # tails already carry the zero-band classification of each member's q1,
-    # so both halves of the linear part stay consistent with the crossings
-    q1s = c + A @ tails[:, 0]
-    q0s = b + A @ tails[:, 1]
+    # -1/0/+1 class of each member at each knot, from the piece left of it;
+    # the zero band scales with |mu x| so that cancellation does not flip signs
+    scaled = mu[:, :-1] * knots
+    values = scaled + eta[:, :-1]
+    classes = np.where(np.abs(values) <= zero_tol * (1.0 + np.abs(scaled)), 0.0, np.sign(values))
 
-    coords = np.concatenate((knots, np.array(new_coords)))
-    is_new = np.concatenate((np.zeros(n_old, bool), np.ones(len(new_coords), bool)))
-    old_cols = A @ kept
-    if new_columns:
-        columns = np.column_stack([old_cols, np.column_stack(new_columns)])
-    else:
-        columns = old_cols
+    # hinge coefficients of relu(f_j) at the shared knots
+    split = np.maximum(mu[:, 1:], 0.0) + np.maximum(-mu[:, :-1], 0.0)
+    kept = np.where(classes > 0, coeffs, np.where(classes == 0, split, 0.0))
+
+    # a piece crosses zero inside its interval exactly when the classes at
+    # its two ends are strictly opposite (the ends at +-inf take the sign of
+    # the adjacent slope), which rules out double counting next to a knot
+    # that already classified as zero
+    slope_signs = np.sign(mu)
+    left = np.column_stack((-slope_signs[:, 0], classes))
+    right = np.column_stack((classes, slope_signs[:, -1]))
+    members, pieces = np.nonzero((np.abs(mu) > zero_tol) & (left * right == -1))
+    slopes = mu[members, pieces]
+    cross_x = -eta[members, pieces] / slopes
+
+    # relu(f_j) left of every knot: f_j itself if falling, relu(q0) if flat
+    falling = q1 < -zero_tol
+    tail_q1 = np.where(falling, q1, 0.0)
+    tail_q0 = np.where(falling, q0, np.where(np.abs(q1) <= zero_tol, np.maximum(q0, 0.0), 0.0))
+
+    coords = np.concatenate((knots, cross_x))
+    is_new = np.arange(coords.shape[0]) >= knots.shape[0]
+    columns = np.column_stack((A @ kept, A[:, members] * np.abs(slopes)))
     merged_x, merged_cols = _merge_columns(coords, is_new, columns, tol)
-    return SplineBundle(merged_x, q1s, q0s, merged_cols)
-
-
-def _second_layer_bundle(net: ReluNetwork, tol: Tolerances) -> SplineBundle:
-    """Bundle of the layer-2 units, built unit by unit.
-
-    Going through shallow_to_spline per unit also covers degenerate first
-    layers (dead units, shared hinges), which merely shrink the knot set.
-    """
-    first = net.layers[0]
-    second = net.layers[1]
-    a1 = first.A[:, 0]
-    members = [
-        shallow_to_spline(second.c[j], second.b[j], a1, second.A[j], first.b, tol)
-        for j in range(second.out_width)
-    ]
-    if members:
-        coords = np.concatenate([s.knots for s in members])
-        owners = np.concatenate([np.full(s.n_knots, j) for j, s in enumerate(members)])
-        weights = np.concatenate([s.coeffs for s in members])
-    else:
-        coords, weights = np.empty(0), np.empty(0)
-        owners = np.empty(0, int)
-    columns = np.zeros((len(members), coords.shape[0]))
-    columns[owners, np.arange(coords.shape[0])] = weights
-    merged_x, merged_cols = _merge_columns(
-        coords, np.ones(coords.shape[0], bool), columns, tol
-    )
-    return SplineBundle(
-        merged_x,
-        np.array([s.q1 for s in members]),
-        np.array([s.q0 for s in members]),
-        merged_cols,
-    )
+    return SplineBundle(merged_x, c + A @ tail_q1, b + A @ tail_q0, merged_cols)
 
 
 def dnn_to_spline(net: ReluNetwork, tol: Tolerances = DEFAULT_TOL) -> CplSpline:
     """Canonical spline equal to the network everywhere."""
     first = net.layers[0]
     second = net.layers[1]
-    if net.depth == 2:
-        return shallow_to_spline(
-            second.c[0], second.b[0], first.A[:, 0], second.A[0], first.b, tol
-        )
-    bundle = _second_layer_bundle(net, tol)
+    hinges, columns, q1s, q0s = _unit_hinges(
+        first.A[:, 0], first.b, second.A, second.c, second.b, tol.zero_tol
+    )
+    knots, columns = _merge_columns(hinges, np.ones(hinges.shape[0], bool), columns, tol)
+    bundle = SplineBundle(knots, q1s, q0s, columns)
     for layer in net.layers[2:]:
         bundle = layer_transfer(bundle, layer.A, layer.c, layer.b, tol)
-    out = bundle.member(0)
-    return canonicalize(out, tol)
+    return canonicalize(bundle.member(0), tol)
 
 
 def spline_to_shallow(spline: CplSpline) -> ReluNetwork:

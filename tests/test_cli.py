@@ -66,6 +66,14 @@ class TestEval:
         assert code == 2
         assert "error:" in err
 
+    def test_tolerance_flags_rejected(self, tmp_path):
+        # evaluation uses no tolerances, so the flags are unknown arguments
+        path = self.spline_file(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main(["eval", str(path), "--from", "0", "--to", "1", "--samples", "2",
+                  "--tol-zero", "1e-8"])
+        assert info.value.code == 2
+
     def test_csv_is_bit_stable(self, tmp_path, capsys):
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"

@@ -210,7 +210,72 @@ class TestFirstLayerCanonicalize:
         assert info.value.effective_width == 1
 
 
+def looped_layer_transfer(bundle, A, c, b, tol=rs.DEFAULT_TOL):
+    """Reference layer step, member by member and piece by piece."""
+    A = np.asarray(A, dtype=float)
+    knots = bundle.knots
+    n = knots.shape[0]
+    zero_tol = tol.zero_tol
+    kept = np.zeros((bundle.width, n))
+    tails = np.zeros((bundle.width, 2))
+    coords, new_columns = list(knots), []
+    for j in range(bundle.width):
+        form = rs.PiecewiseForm.from_spline(bundle.member(j))
+        mu, eta = form.mu, form.eta
+        classes = []
+        for v, x in enumerate(knots):
+            value = mu[v] * x + eta[v]
+            zero = abs(value) <= zero_tol * (1.0 + abs(mu[v] * x))
+            classes.append(0 if zero else np.sign(value))
+            if classes[v] > 0:
+                kept[j, v] = bundle.coeff_matrix[j, v]
+            elif classes[v] == 0:
+                kept[j, v] = max(mu[v + 1], 0.0) + max(-mu[v], 0.0)
+        for v, slope in enumerate(mu):
+            if abs(slope) <= zero_tol:
+                continue
+            left = -np.sign(slope) if v == 0 else classes[v - 1]
+            right = np.sign(slope) if v == n else classes[v]
+            if left * right == -1:
+                coords.append(-eta[v] / slope)
+                new_columns.append(A[:, j] * abs(slope))
+        q1, q0 = bundle.q1s[j], bundle.q0s[j]
+        if abs(q1) <= zero_tol:
+            tails[j] = (0.0, max(q0, 0.0))
+        elif q1 < 0:
+            tails[j] = (q1, q0)
+    columns = np.column_stack([A @ kept] + [col[:, None] for col in new_columns])
+    is_new = np.arange(len(coords)) >= n
+    merged_x, merged_cols = rs.transfer._merge_columns(coords, is_new, columns, tol)
+    return rs.SplineBundle(merged_x, c + A @ tails[:, 0], b + A @ tails[:, 1], merged_cols)
+
+
 class TestLayerTransfer:
+    def test_matches_member_by_member_loop(self):
+        # integer data puts many members exactly at zero on a knot
+        rng = np.random.default_rng(53)
+        for trial in range(200):
+            m, n, k = (int(v) for v in rng.integers((1, 0, 1), (5, 8, 4)))
+            integer = trial % 2 == 1
+
+            def draw(shape):
+                if integer:
+                    return rng.integers(-2, 3, shape).astype(float)
+                return rng.uniform(-2, 2, shape)
+
+            knots = np.arange(float(n)) if integer else np.sort(rng.uniform(-5, 5, n))
+            bundle = rs.SplineBundle(knots, draw(m), draw(m), draw((m, n)))
+            A, c, b = draw((k, m)), draw(k), draw(k)
+            fast = rs.layer_transfer(bundle, A, c, b)
+            slow = looped_layer_transfer(bundle, A, c, b)
+            np.testing.assert_array_equal(fast.knots, slow.knots)
+            np.testing.assert_array_equal(fast.coeff_matrix, slow.coeff_matrix)
+            # A @ tails may sum its at most 4 terms of size <= 4 in another
+            # order, which moves the result by at most 2 * 3 * 16 eps
+            eps = np.finfo(float).eps
+            np.testing.assert_allclose(fast.q1s, slow.q1s, rtol=0, atol=96 * eps)
+            np.testing.assert_allclose(fast.q0s, slow.q0s, rtol=0, atol=96 * eps)
+
     def test_single_member_matches_sigma_compose(self):
         rng = np.random.default_rng(37)
         for _ in range(25):
@@ -283,6 +348,38 @@ class TestDnnToSpline:
             grid = rs.probe_grid(s.knots, margin=5.0, per_interval=3)
             assert rs.equivalence_error(net, s, grid) <= 1e-8
             assert s.n_knots <= rs.knot_bound(net.widths)
+
+    def test_degenerate_first_layers(self):
+        # dead units with b1 > 0 and b1 < 0, two units sharing the hinge at 1,
+        # and a negative-slope unit hinging at 2
+        first_layers = [
+            ([0.0, 0.0, 1.0, 2.0, -1.5, 0.5], [1.5, -0.7, -1.0, -2.0, 3.0, 1.0]),
+            ([0.0, 1.0], [2.0, 0.5]),
+            ([0.0, 0.0], [1.0, -1.0]),
+            ([3.0, 3.0, -1.0], [-3.0, -3.0, 1.0]),
+            ([-1.0, -2.0, 0.0], [1.0, 4.0, -2.0]),
+        ]
+        rng = np.random.default_rng(47)
+        for a1, b1 in first_layers:
+            n1 = len(a1)
+            hinges = [-b / a for a, b in zip(a1, b1) if a != 0.0]
+            for _ in range(10):
+                n2 = int(rng.integers(1, 4))
+                net = rs.ReluNetwork(
+                    (
+                        rs.Layer(np.reshape(a1, (n1, 1)), b1),
+                        rs.Layer(rng.uniform(-2, 2, (n2, n1)), rng.uniform(-2, 2, n2),
+                                 rng.uniform(-1, 1, n2)),
+                        rs.Layer(rng.uniform(-2, 2, (1, n2)), rng.uniform(-1, 1, 1),
+                                 rng.uniform(-1, 1, 1)),
+                    )
+                )
+                s = rs.dnn_to_spline(net)
+                assert s.is_canonical()
+                grid = rs.probe_grid(np.unique(np.concatenate((s.knots, hinges))),
+                                     margin=5.0, per_interval=3)
+                assert rs.equivalence_error(net, s, grid) <= rs.DEFAULT_TOL.eval_tol
+                assert s.n_knots <= rs.knot_bound(net.widths)
 
 
 class TestSplineToShallow:
