@@ -1,7 +1,13 @@
 """Forward evaluation and function-level comparison.
 
 ``eval_network`` and ``eval_spline`` accept a scalar or a 1-D array of
-points and return the matching shape.  Because both representations are
+points and return the matching shape.  ``eval_spline`` uses the piecewise
+form anchored at each interval's left knot (the value there plus slope
+times offset), found with ``searchsorted``: O((P + K) log K) time and
+O(P + K) memory for P points and K knots.  Its rounding error follows
+the spline's values and slopes between the first knot and the point,
+not the hinge terms of a sum of hinges, which can be far larger and
+cancel.  Because both representations are
 continuous piecewise-linear, two of them agree everywhere as soon as they
 agree on every knot, one interior point per interval and one point beyond
 each outermost knot; ``probe_grid`` produces exactly such a grid.
@@ -35,10 +41,20 @@ def eval_network(net: ReluNetwork, t):
 
 
 def eval_spline(spline: CplSpline, t):
-    """Value of the spline at t (scalar or 1-D array)."""
+    """Value of the spline at t (scalar or 1-D array).
+
+    Raw splines (unsorted or repeated knots, zero coefficients) are
+    accepted.  Left of the first knot the value is q1 t + q0; the values
+    at the knots are accumulated rightwards from x_0.
+    """
     points, scalar = _as_points(t)
-    hinges = np.maximum(points[:, None] - spline.knots[None, :], 0.0)
-    values = spline.q1 * points + spline.q0 + hinges @ spline.coeffs
+    order = np.argsort(spline.knots, kind="stable")
+    # piece 0 is the left tail, anchored at 0; piece i + 1 starts at the i-th knot
+    anchors = np.concatenate(([0.0], spline.knots[order]))
+    slopes = spline.q1 + np.concatenate(([0.0], spline.coeffs[order])).cumsum()
+    at_anchor = np.concatenate(([spline.q0], slopes[:-1] * (anchors[1:] - anchors[:-1]))).cumsum()
+    piece = np.searchsorted(anchors[1:], points, side="right")
+    values = at_anchor[piece] + slopes[piece] * (points - anchors[piece])
     return float(values[0]) if scalar else values
 
 

@@ -263,12 +263,18 @@ def prescribed_knots(h: KnotHierarchy) -> np.ndarray:
 
 
 def _missing_prescribed(spline: CplSpline, prescribed, tol: Tolerances) -> np.ndarray:
-    """Prescribed knots with no active knot within the activity tolerance."""
-    active = spline.knots[np.abs(spline.coeffs) > tol.zero_tol]
+    """Prescribed knots with no active knot within the activity tolerance.
+
+    The nearest active knot is one of the two sorted neighbours, and
+    rounding |p - x| is monotone in x, so checking both gives the minimum
+    over all active knots bit for bit.
+    """
+    active = np.sort(spline.knots[np.abs(spline.coeffs) > tol.zero_tol])
+    fenced = np.concatenate(([-np.inf], active, [np.inf]))
     prescribed = np.asarray(prescribed, dtype=float)
-    if active.size == 0:
-        return prescribed
-    gaps = np.min(np.abs(prescribed[:, None] - active[None, :]), axis=1)
+    right = np.searchsorted(fenced, prescribed)
+    # fenced[right - 1] < p <= fenced[right], so both gaps are non-negative
+    gaps = np.minimum(prescribed - fenced[right - 1], fenced[right] - prescribed)
     return prescribed[gaps > ACTIVITY_TOL]
 
 

@@ -86,6 +86,23 @@ def fourteen_hierarchy() -> rs.KnotHierarchy:
     return rs.hierarchy_from_flat(FOURTEEN_KNOTS, 2, 2, 2)
 
 
+def sawtooth_network(depth: int) -> rs.ReluNetwork:
+    """Width-2 network computing the tent map T(z) = 2 relu(z) - 4 relu(z - 1/2)
+    composed ``depth`` times: 2^depth + 1 knots at j / 2^depth, zero outside [0, 1]."""
+    tent = np.array([[2.0, -4.0]])
+    b = np.array([0.0, -0.5])
+    layers = [rs.Layer([[1.0], [1.0]], b)]
+    layers += [rs.Layer(np.repeat(tent, 2, axis=0), b, np.zeros(2)) for _ in range(depth - 1)]
+    layers.append(rs.Layer(tent, [0.0], [0.0]))
+    return rs.ReluNetwork(tuple(layers))
+
+
+def sawtooth_closed_form(depth: int, ts) -> np.ndarray:
+    """Value j mod 2 at j / 2^depth, linear in between, zero outside [0, 1]."""
+    count = 2**depth
+    return np.interp(ts, np.arange(count + 1) / count, np.arange(count + 1) % 2.0)
+
+
 def random_network(rng: np.random.Generator) -> rs.ReluNetwork:
     """Depth 2-4, hidden widths 1-4, all parameters uniform in [-2, 2]."""
     depth = int(rng.integers(2, 5))

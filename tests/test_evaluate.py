@@ -1,5 +1,8 @@
 """Forward evaluation and grid comparison."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +10,23 @@ from hypothesis import strategies as st
 
 import relusplines as rs
 
-from helpers import net_max_knots, net_nine_knots, random_canonical_spline
+from helpers import (
+    net_max_knots,
+    net_nine_knots,
+    random_canonical_spline,
+    sawtooth_closed_form,
+    sawtooth_network,
+)
+
+
+@st.composite
+def raw_splines(draw):
+    """Unsorted knots, often repeated (a few shared values), some zero coefficients."""
+    knot = st.one_of(st.sampled_from([-3.0, -0.5, 0.0, 1.25, 4.0]), st.floats(-10, 10))
+    knots = draw(st.lists(knot, max_size=12))
+    coeff = st.one_of(st.just(0.0), st.floats(-10, 10))
+    coeffs = draw(st.lists(coeff, min_size=len(knots), max_size=len(knots)))
+    return rs.CplSpline(draw(st.floats(-10, 10)), draw(st.floats(-10, 10)), knots, coeffs)
 
 
 class TestEvalNetwork:
@@ -52,6 +71,39 @@ class TestEvalSpline:
             c * max(t - x, 0.0) for x, c in zip(s.knots, s.coeffs)
         )
         assert rs.eval_spline(s, t) == pytest.approx(direct, rel=1e-14, abs=1e-14)
+
+    @given(raw_splines(), st.lists(st.floats(-20, 20), max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_raw_spline_matches_hinge_sum(self, s, extra):
+        ts = np.concatenate((s.knots, extra, [0.0]))
+        values = rs.eval_spline(s, ts)
+        for t, value in zip(ts, values):
+            terms = [c * max(t - x, 0.0) for x, c in zip(s.knots, s.coeffs)]
+            direct = s.q1 * t + s.q0 + math.fsum(terms)
+            scale = 1.0 + sum(abs(term) for term in terms) + abs(s.q1 * t) + abs(s.q0)
+            assert abs(value - direct) <= 1e-12 * scale
+        np.testing.assert_array_equal(values, [rs.eval_spline(s, float(t)) for t in ts])
+
+
+class TestEvalSplineAtScale:
+    def test_sawtooth_memory_linear_and_values_exact(self):
+        # depth 14: 16385 knots; a points x knots temporary would take 262 MB
+        depth = 14
+        count = 2**depth
+        spline = rs.dnn_to_spline(sawtooth_network(depth))
+        assert spline.n_knots == count + 1
+        picks = np.arange(500) * 31
+        ts = np.concatenate(
+            (np.linspace(-0.25, 1.25, 1000), picks / count, (picks + 7.5) / count)
+        )
+        tracemalloc.start()
+        try:
+            values = rs.eval_spline(spline, ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6
+        np.testing.assert_allclose(values, sawtooth_closed_form(depth, ts), rtol=0, atol=1e-12)
 
 
 class TestProbeGrid:

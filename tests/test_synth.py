@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import relusplines as rs
+from relusplines.synth import _missing_prescribed
 
 from helpers import (
     FOURTEEN_KNOTS,
@@ -357,3 +358,41 @@ class TestHierarchyFromFlat:
             rs.hierarchy_from_flat(np.arange(1.0, 10.0), 2, 2)
         with pytest.raises(rs.InterlacingError):
             rs.hierarchy_from_flat([2.0, 1.0, 3.0, 4.0, 5.0], 1, 2)
+
+
+def brute_force_missing(spline: rs.CplSpline, prescribed: np.ndarray) -> np.ndarray:
+    """Prescribed knots farther than ACTIVITY_TOL from every active knot."""
+    active = spline.knots[np.abs(spline.coeffs) > rs.DEFAULT_TOL.zero_tol]
+    if active.size == 0:
+        return prescribed
+    gaps = np.min(np.abs(prescribed[:, None] - active[None, :]), axis=1)
+    return prescribed[gaps > rs.ACTIVITY_TOL]
+
+
+class TestMissingPrescribed:
+    def test_empty_active_set_misses_everything(self):
+        s = rs.CplSpline(1.0, 0.0, [0.0, 2.0], [0.0, 1e-12])
+        wanted = np.array([0.0, 2.0])
+        np.testing.assert_array_equal(_missing_prescribed(s, wanted, rs.DEFAULT_TOL), wanted)
+
+    def test_exactly_activity_tol_away_is_active(self):
+        s = rs.CplSpline(0.0, 0.0, [0.0, 1.0], [1.0, -1.0])
+        tol = rs.ACTIVITY_TOL
+        wanted = np.array([-tol, 0.5, 2 * tol, 1.0 + 0.5 * tol, 5.0])
+        missing = _missing_prescribed(s, wanted, rs.DEFAULT_TOL)
+        np.testing.assert_array_equal(missing, [0.5, 2 * tol, 5.0])
+
+    def test_matches_brute_force(self):
+        # unsorted raw knots with repeats and inactive ones; prescribed knots
+        # on, next to (ties, +-ACTIVITY_TOL) and beyond the active ones
+        rng = np.random.default_rng(89)
+        for _ in range(300):
+            k = int(rng.integers(0, 12))
+            knots = np.where(rng.uniform(size=k) < 0.3, 1.0, rng.uniform(-10, 10, k))
+            coeffs = np.where(rng.uniform(size=k) < 0.3, 0.0, rng.uniform(-1, 1, k))
+            s = rs.CplSpline(0.0, 0.0, knots, coeffs)
+            near = knots + rng.choice([0.0, 1.0, -1.0, 2.0, 0.5], k) * rs.ACTIVITY_TOL
+            wanted = np.concatenate((near, rng.uniform(-15, 15, 4)))
+            np.testing.assert_array_equal(
+                _missing_prescribed(s, wanted, rs.DEFAULT_TOL), brute_force_missing(s, wanted)
+            )
