@@ -28,7 +28,7 @@ from .core import (
     canonicalize,
     knot_bound,
 )
-from .evaluate import equivalence_error, eval_network, eval_spline, probe_grid
+from .evaluate import equivalence_error, eval_bundle, eval_network, eval_spline, probe_grid
 from .normalize import is_normalized, positive_scale_normalize
 from .serialization import (
     SchemaError,
@@ -93,6 +93,7 @@ __all__ = [
     "dump_json",
     "epsilon_select",
     "equivalence_error",
+    "eval_bundle",
     "eval_network",
     "eval_spline",
     "first_layer_canonicalize",

@@ -463,26 +463,17 @@ def canonicalize(spline: CplSpline, tol: Tolerances = DEFAULT_TOL) -> CplSpline:
     coefficients of magnitude <= zero_tol are removed.  Running it twice
     returns the second input bit for bit.
     """
-    n = spline.n_knots
-    if n == 0:
-        return CplSpline(spline.q1, spline.q0, np.empty(0), np.empty(0))
     order = np.argsort(spline.knots, kind="stable")
     xs = spline.knots[order]
-    cs = spline.coeffs[order]
-    out_x: list[float] = []
-    out_c: list[float] = []
-    i = 0
-    while i < n:
-        j = i + 1
-        while j < n and xs[j] - xs[j - 1] <= tol.merge_tol:
-            j += 1
-        # a singleton group must keep its coefficient bit for bit
-        coeff = cs[i] if j == i + 1 else float(np.sum(cs[i:j]))
-        if abs(coeff) > tol.zero_tol:
-            out_x.append(float(xs[i]))
-            out_c.append(float(coeff))
-        i = j
-    return CplSpline(spline.q1, spline.q0, np.array(out_x), np.array(out_c))
+    starts = np.diff(xs, prepend=-np.inf) > tol.merge_tol
+    n, n_groups = xs.shape[0], int(np.count_nonzero(starts))
+    # a leading zero slot per group makes reduceat return np.sum(group) bit for
+    # bit (a singleton its coefficient); alone it would sum c_0 + (c_1 + ...)
+    slotted = np.zeros(n + n_groups)
+    slotted[np.arange(n) + np.cumsum(starts)] = spline.coeffs[order]
+    sums = np.add.reduceat(slotted, np.flatnonzero(starts) + np.arange(n_groups))
+    keep = np.abs(sums) > tol.zero_tol
+    return CplSpline(spline.q1, spline.q0, xs[starts][keep], sums[keep])
 
 
 def knot_bound(widths) -> int:

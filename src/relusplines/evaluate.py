@@ -1,13 +1,14 @@
 """Forward evaluation and function-level comparison.
 
 ``eval_network`` and ``eval_spline`` accept a scalar or a 1-D array of
-points and return the matching shape.  ``eval_spline`` uses the piecewise
-form anchored at each interval's left knot (the value there plus slope
-times offset), found with ``searchsorted``: O((P + K) log K) time and
-O(P + K) memory for P points and K knots.  Its rounding error follows
-the spline's values and slopes between the first knot and the point,
-not the hinge terms of a sum of hinges, which can be far larger and
-cancel.  Because both representations are
+points and return the matching shape; ``eval_bundle`` returns one row per
+member of a ``SplineBundle``, and ``eval_spline`` is its one-row case.
+Both use the piecewise form anchored at each interval's left knot (the
+value there plus slope times offset), found with ``searchsorted``:
+O((P + K) log K) time and O(W (P + K)) memory for W members, P points and
+K knots.  The rounding error follows the spline's values and slopes
+between the first knot and the point, not the hinge terms of a sum of
+hinges, which can be far larger and cancel.  Because both representations are
 continuous piecewise-linear, two of them agree everywhere as soon as they
 agree on every knot, one interior point per interval and one point beyond
 each outermost knot; ``probe_grid`` produces exactly such a grid.
@@ -17,9 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import CplSpline, ReluNetwork
+from .core import CplSpline, ReluNetwork, SplineBundle
 
-__all__ = ["eval_network", "eval_spline", "probe_grid", "equivalence_error"]
+__all__ = ["eval_network", "eval_spline", "eval_bundle", "probe_grid", "equivalence_error"]
 
 
 def _as_points(t) -> tuple[np.ndarray, bool]:
@@ -40,6 +41,16 @@ def eval_network(net: ReluNetwork, t):
     return float(values[0]) if scalar else values
 
 
+def _eval_rows(knots, q1s, q0s, coeffs, points) -> np.ndarray:
+    """Row r: q1s[r] t + q0s[r] + sum_k coeffs[r, k] relu(t - knots[k]), knots sorted."""
+    # piece 0 is the left tail, anchored at 0; piece i + 1 starts at the i-th knot
+    anchors = np.concatenate(([0.0], knots))
+    slopes = q1s[:, None] + np.column_stack((np.zeros(q1s.shape[0]), coeffs)).cumsum(axis=1)
+    at_anchor = np.column_stack((q0s, slopes[:, :-1] * np.diff(anchors))).cumsum(axis=1)
+    piece = np.searchsorted(knots, points, side="right")
+    return at_anchor[:, piece] + slopes[:, piece] * (points - anchors[piece])
+
+
 def eval_spline(spline: CplSpline, t):
     """Value of the spline at t (scalar or 1-D array).
 
@@ -49,13 +60,17 @@ def eval_spline(spline: CplSpline, t):
     """
     points, scalar = _as_points(t)
     order = np.argsort(spline.knots, kind="stable")
-    # piece 0 is the left tail, anchored at 0; piece i + 1 starts at the i-th knot
-    anchors = np.concatenate(([0.0], spline.knots[order]))
-    slopes = spline.q1 + np.concatenate(([0.0], spline.coeffs[order])).cumsum()
-    at_anchor = np.concatenate(([spline.q0], slopes[:-1] * (anchors[1:] - anchors[:-1]))).cumsum()
-    piece = np.searchsorted(anchors[1:], points, side="right")
-    values = at_anchor[piece] + slopes[piece] * (points - anchors[piece])
+    q1s, q0s = np.array([spline.q1]), np.array([spline.q0])
+    values = _eval_rows(spline.knots[order], q1s, q0s, spline.coeffs[order][None, :], points)[0]
     return float(values[0]) if scalar else values
+
+
+def eval_bundle(bundle: SplineBundle, t) -> np.ndarray:
+    """Every member at t: shape (width,) for a scalar, (width, points) for
+    an array; row r is ``eval_spline(bundle.member(r), t)`` bit for bit."""
+    points, scalar = _as_points(t)
+    values = _eval_rows(bundle.knots, bundle.q1s, bundle.q0s, bundle.coeff_matrix, points)
+    return values[:, 0] if scalar else values
 
 
 def probe_grid(knots, margin: float = 1.0, per_interval: int = 1) -> np.ndarray:

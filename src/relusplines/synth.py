@@ -8,13 +8,21 @@ three-hidden-layer build additionally selects per-unit signs eps so that
 at every lower-level knot at least one third-layer unit is positive,
 keeping the knot alive through the last ReLU.
 
+Every step works on whole bundles.  The slope recursion runs over
+intervals for all units at once.  The three-hidden build converts its
+first three layers once: unit values and slopes at the lower-level knots
+(for the signs) are read off that layer-3 bundle, flipping its rows by
+eps gives the returned network's layer-3 bundle bit for bit, and each
+activity attempt, retries included, is one ``layer_transfer`` of it
+through the final row, which is exactly the last step of
+``dnn_to_spline`` on that network.
+
 Index convention: unit/knot positions in error messages and subsets (for
 example ``redundancy_residual``'s ``index_set``) are 0-based.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 
 import numpy as np
@@ -29,14 +37,15 @@ from .core import (
     InterlacingError,
     KnotHierarchy,
     Layer,
-    PiecewiseForm,
     ReluNetwork,
     SplineBundle,
     SynthesisOptions,
     Tolerances,
+    canonicalize,
 )
-from .evaluate import eval_spline
-from .transfer import dnn_to_spline, layer_transfer
+from .evaluate import eval_bundle
+# dnn_to_spline is not called here; bench/selftest.py reaches it as synth.dnn_to_spline
+from .transfer import _first_bundle, dnn_to_spline, layer_transfer  # noqa: F401
 
 __all__ = [
     "slopes_from_knots",
@@ -68,12 +77,17 @@ def slopes_from_knots(c_sign: float, level1, row) -> np.ndarray:
     z = np.atleast_1d(np.asarray(row, dtype=float))
     if z.shape[0] != x.shape[0] + 1:
         raise DimensionMismatchError("row must have one zero per interval of level1")
-    if np.any(z[:-1] >= x) or np.any(x >= z[1:]):
+    return _slope_rows(np.array([float(c_sign)]), x, z[None, :])[0]
+
+
+def _slope_rows(c_signs, x, zeros) -> np.ndarray:
+    """``slopes_from_knots`` for every row of ``zeros`` at once."""
+    if np.any(zeros[:, :-1] >= x) or np.any(x >= zeros[:, 1:]):
         raise InterlacingError("zeros must interlace level1 as row[v-1] < x_v < row[v]")
-    mu = np.empty(x.shape[0] + 1)
-    mu[0] = float(c_sign)
-    for v in range(1, mu.shape[0]):
-        mu[v] = mu[v - 1] * (x[v - 1] - z[v - 1]) / (x[v - 1] - z[v])
+    mu = np.empty(zeros.shape)
+    mu[:, 0] = c_signs
+    for v in range(1, mu.shape[1]):
+        mu[:, v] = mu[:, v - 1] * (x[v - 1] - zeros[:, v - 1]) / (x[v - 1] - zeros[:, v])
     return mu
 
 
@@ -82,14 +96,11 @@ def weights_from_slopes(mu) -> np.ndarray:
     return np.diff(np.asarray(mu, dtype=float), axis=-1)
 
 
-def _two_hidden_parts(h: KnotHierarchy):
-    """Source signs, layer-2 weights/biases shared by both deep builds."""
-    n2 = h.n2
-    c_signs = np.where(np.arange(1, n2 + 1) % 2 == 1, 1.0, -1.0)
-    mu = np.stack([slopes_from_knots(c_signs[j], h.level1, h.level2[j]) for j in range(n2)])
-    a2 = weights_from_slopes(mu)
-    b2 = -h.level2[:, 0] * c_signs
-    return c_signs, a2, b2
+def _two_hidden_layers(h: KnotHierarchy) -> tuple[Layer, Layer]:
+    """Layers 1 and 2 shared by both deep builds (source signs alternate)."""
+    c_signs = np.where(np.arange(1, h.n2 + 1) % 2 == 1, 1.0, -1.0)
+    a2 = weights_from_slopes(_slope_rows(c_signs, h.level1, h.level2))
+    return Layer(np.ones((h.n1, 1)), -h.level1), Layer(a2, -h.level2[:, 0] * c_signs, c_signs)
 
 
 def synth_two_hidden(
@@ -116,7 +127,6 @@ def synth_two_hidden(
             RuntimeWarning,
             stacklevel=2,
         )
-    c_signs, a2, b2 = _two_hidden_parts(h)
     if opts.a3 is None:
         magnitudes = np.ones(n2)
     else:
@@ -127,8 +137,7 @@ def synth_two_hidden(
     a3 = sign * np.where(np.arange(1, n2 + 1) % 2 == 0, 1.0, -1.0) * magnitudes
     return ReluNetwork(
         (
-            Layer(np.ones((n1, 1)), -h.level1),
-            Layer(a2, b2, c_signs),
+            *_two_hidden_layers(h),
             Layer(a3.reshape(1, n2), np.array([opts.b_out]), np.array([opts.c_out])),
         )
     )
@@ -160,8 +169,8 @@ def synth_two_hidden_no_source(
         )
     if np.any(np.diff(ks) <= 0):
         raise InterlacingError("knots must be strictly increasing and distinct")
-    x1 = ks[(n2 + 1) * np.arange(n1)]
-    zeros = np.stack([ks[(n2 + 1) * np.arange(n1) + j] for j in range(1, n2 + 1)])
+    blocks = ks.reshape(n1, n2 + 1)
+    x1, zeros = blocks[:, 0], blocks[:, 1:].T
     if opts.seeds is None:
         seeds = np.where(np.arange(1, n2 + 1) % 2 == 1, -1.0, 1.0)
     else:
@@ -170,10 +179,9 @@ def synth_two_hidden_no_source(
         seeds = opts.seeds
     if n1 > 1 and (np.all(seeds > 0) or np.all(seeds < 0)):
         raise ValueError("seeds need at least one sign change when n1 > 1")
+    # the slope recursion from interval 1 on, where the zeros interlace x1[1:]
     mu = np.zeros((n2, n1 + 1))
-    mu[:, 1] = seeds
-    for k in range(2, n1 + 1):
-        mu[:, k] = mu[:, k - 1] * (x1[k - 1] - zeros[:, k - 2]) / (x1[k - 1] - zeros[:, k - 1])
+    mu[:, 1:] = _slope_rows(seeds, x1[1:], zeros)
     a2 = weights_from_slopes(mu)
     b2 = seeds * (x1[0] - zeros[:, 0])
     if opts.a3 is None:
@@ -284,20 +292,16 @@ def _zero_sign_masks(bundle: SplineBundle, targets: np.ndarray, tol: Tolerances)
     At a knot where a unit vanishes exactly, the composed hinge coefficient
     is relu(slope after) + relu(-slope before); flipping the unit flips
     both slopes.  Targets are knots of the bundle, so slopes are read off
-    the piecewise form directly.
+    the bundle's slope matrix; a target that is not a knot (none within
+    merge_tol, or past the last one) allows neither sign.
     """
-    n_units = bundle.width
-    plus_ok = np.zeros((n_units, targets.shape[0]), dtype=bool)
-    minus_ok = np.zeros_like(plus_ok)
-    positions = np.searchsorted(bundle.knots, targets)
-    for r in range(n_units):
-        form = PiecewiseForm.from_spline(bundle.member(r))
-        for i, (t, pos) in enumerate(zip(targets, positions)):
-            if pos >= bundle.knots.shape[0] or abs(bundle.knots[pos] - t) > tol.merge_tol:
-                continue
-            before, after = form.mu[pos], form.mu[pos + 1]
-            plus_ok[r, i] = max(after, 0.0) + max(-before, 0.0) > tol.zero_tol
-            minus_ok[r, i] = max(-after, 0.0) + max(before, 0.0) > tol.zero_tol
+    q1s = bundle.q1s[:, None]
+    mu = np.column_stack((q1s, q1s + np.cumsum(bundle.coeff_matrix, axis=1)))
+    pos = np.searchsorted(bundle.knots, targets)
+    on_knot = np.abs(np.append(bundle.knots, np.inf)[pos] - targets) <= tol.merge_tol
+    before, after = mu[:, pos], mu[:, np.minimum(pos + 1, bundle.knots.shape[0])]
+    plus_ok = on_knot & (np.maximum(after, 0.0) + np.maximum(-before, 0.0) > tol.zero_tol)
+    minus_ok = on_knot & (np.maximum(-after, 0.0) + np.maximum(before, 0.0) > tol.zero_tol)
     return plus_ok, minus_ok
 
 
@@ -333,22 +337,20 @@ def synth_three_hidden(
             stacklevel=2,
         )
 
-    c_signs, a2, b2 = _two_hidden_parts(h)
     walls = h.level2[:, 0]
-    mu3 = np.stack([slopes_from_knots(1.0, walls, h.level3[r]) for r in range(n3)])
-    a3 = weights_from_slopes(mu3)
+    a3 = weights_from_slopes(_slope_rows(np.ones(n3), walls, h.level3))
     even = np.arange(1, n2 + 1) % 2 == 0
     c3 = 1.0 + a3[:, even].sum(axis=1)
     b3 = -h.level3[:, 0] - a3[:, even] @ walls[even]
 
-    layer2_bundle = SplineBundle(h.level1, c_signs, b2, a2)
-    bundle3 = layer_transfer(layer2_bundle, a3, c3, b3, tol)
-    targets = np.sort(np.concatenate((h.level1, h.level2.ravel())))
-    values = np.stack([eval_spline(bundle3.member(r), targets) for r in range(n3)])
-
+    first, second = _two_hidden_layers(h)
+    bundle3 = layer_transfer(_first_bundle(first, second, tol), a3, c3, b3, tol)
     if opts.eps is None:
+        targets = np.sort(np.concatenate((h.level1, h.level2.ravel())))
         try:
-            eps = epsilon_select(values, _zero_sign_masks(bundle3, targets, tol), tol)
+            eps = epsilon_select(
+                eval_bundle(bundle3, targets), _zero_sign_masks(bundle3, targets, tol), tol
+            )
         except CoverageError as err:
             warnings.warn(
                 f"greedy sign selection left knots uncovered ({err.uncovered}); "
@@ -362,11 +364,11 @@ def synth_three_hidden(
             raise DimensionMismatchError(f"eps must have length {n3}")
         eps = opts.eps
 
-    layers_fixed = (
-        Layer(np.ones((n1, 1)), -h.level1),
-        Layer(a2, b2, c_signs),
-        Layer(a3 * eps[:, None], b3 * eps, c3 * eps),
+    # eps flips rows exactly: this is dnn_to_spline's layer-3 bundle bit for bit
+    signed3 = SplineBundle(
+        bundle3.knots, eps * bundle3.q1s, eps * bundle3.q0s, eps[:, None] * bundle3.coeff_matrix
     )
+    layers_fixed = (first, second, Layer(a3 * eps[:, None], b3 * eps, c3 * eps))
     wanted = prescribed_knots(h)
     a4 = opts.a4 if opts.a4 is not None else -eps
     if opts.a4 is not None and opts.a4.shape[0] != n3:
@@ -374,13 +376,12 @@ def synth_three_hidden(
     attempts = 1 if opts.a4 is not None else 1 + _RETRY_BUDGET
     missing = wanted
     for _ in range(attempts):
-        net = ReluNetwork(
-            layers_fixed
-            + (Layer(a4.reshape(1, n3), np.array([opts.b_out]), np.array([opts.c_out])),)
-        )
-        missing = _missing_prescribed(dnn_to_spline(net, tol), wanted, tol)
+        last = Layer(a4.reshape(1, n3), np.array([opts.b_out]), np.array([opts.c_out]))
+        # dnn_to_spline's last step on the returned network
+        spline = canonicalize(layer_transfer(signed3, last.A, last.c, last.b, tol).member(0), tol)
+        missing = _missing_prescribed(spline, wanted, tol)
         if missing.size == 0:
-            return net
+            return ReluNetwork(layers_fixed + (last,))
         a4 = rng.choice([-1.0, 1.0], n3) * rng.uniform(0.5, 2.0, n3)
     raise ActivityError(
         f"prescribed knots {missing.tolist()} stayed inactive after retries", missing
@@ -406,27 +407,13 @@ def hierarchy_from_flat(knots, n1: int, n2: int, n3: int | None = None) -> KnotH
             f"expected {expected} knots for widths ({n1}, {n2}"
             + ("" if n3 is None else f", {n3}") + f"), got {ks.shape[0]}"
         )
-    level1 = np.empty(n1)
-    level2 = np.empty((n2, n1 + 1))
-    pos = 0
-    level3 = None
+    level3, body = None, ks
     if n3 is not None:
-        level3 = np.empty((n3, n2 + 1))
-        for j in range(n2 + 1):
-            level3[:, j] = ks[pos : pos + n3]
-            pos += n3
-            if j < n2:
-                level2[j, 0] = ks[pos]
-                pos += 1
-        level1[0] = ks[pos]
-        pos += 1
-        start = 1
-    else:
-        start = 0
-    for v in range(start, n1 + 1):
-        level2[:, v] = ks[pos : pos + n2]
-        pos += n2
-        if v < n1:
-            level1[v] = ks[pos]
-            pos += 1
+        # row j: level-3 column j, then level-2 knot j (level-1 knot 0 after the last)
+        head = ks[: (n3 + 1) * (n2 + 1)].reshape(n2 + 1, n3 + 1)
+        level3 = head[:, :n3].T
+        body = np.concatenate((head[:, n3], ks[head.size :]))
+    # row v: level-2 column v, then level-1 knot v (none after the last)
+    grid = np.append(body, np.nan).reshape(n1 + 1, n2 + 1)
+    level1, level2 = grid[:-1, n2], grid[:, :n2].T
     return KnotHierarchy(level1, level2, level3)

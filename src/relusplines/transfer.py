@@ -229,15 +229,18 @@ def layer_transfer(
     return SplineBundle(merged_x, c + A @ tail_q1, b + A @ tail_q0, merged_cols)
 
 
-def dnn_to_spline(net: ReluNetwork, tol: Tolerances = DEFAULT_TOL) -> CplSpline:
-    """Canonical spline equal to the network everywhere."""
-    first = net.layers[0]
-    second = net.layers[1]
+def _first_bundle(first: Layer, second: Layer, tol: Tolerances) -> SplineBundle:
+    """The layer-2 units as a bundle over the first layer's merged hinges."""
     hinges, columns, q1s, q0s = _unit_hinges(
         first.A[:, 0], first.b, second.A, second.c, second.b, tol.zero_tol
     )
     knots, columns = _merge_columns(hinges, np.ones(hinges.shape[0], bool), columns, tol)
-    bundle = SplineBundle(knots, q1s, q0s, columns)
+    return SplineBundle(knots, q1s, q0s, columns)
+
+
+def dnn_to_spline(net: ReluNetwork, tol: Tolerances = DEFAULT_TOL) -> CplSpline:
+    """Canonical spline equal to the network everywhere."""
+    bundle = _first_bundle(net.layers[0], net.layers[1], tol)
     for layer in net.layers[2:]:
         bundle = layer_transfer(bundle, layer.A, layer.c, layer.b, tol)
     return canonicalize(bundle.member(0), tol)

@@ -119,14 +119,32 @@ def random_network(rng: np.random.Generator) -> rs.ReluNetwork:
     return rs.ReluNetwork(tuple(layers))
 
 
+REJECTION_DRAWS = 100
+
+
 def random_flat_knots(
     rng: np.random.Generator, count: int, lo=-10.0, hi=10.0, min_gap=1e-2
 ) -> np.ndarray:
-    """Sorted knots with a minimum separation (redraw on near-collision)."""
-    while True:
+    """Sorted knots in [lo, hi], consecutive ones at least min_gap apart.
+
+    Draws uniformly and redraws on a near-collision, up to REJECTION_DRAWS
+    times (the suite needs at most 4).  After that, which happens when
+    (count - 1) min_gap nearly fills hi - lo, the spare room is spread at
+    random instead: sorted uniform offsets in [0, spare] plus min_gap
+    steps.  Raises ValueError when the knots cannot fit, or when rounding
+    at the very edge of fitting breaks the gap or the range.
+    """
+    spare = (hi - lo) - max(count - 1, 0) * min_gap
+    if spare < 0:
+        raise ValueError(f"{count} knots {min_gap} apart do not fit in [{lo}, {hi}]")
+    for _ in range(REJECTION_DRAWS):
         ks = np.sort(rng.uniform(lo, hi, count))
         if count < 2 or float(np.min(np.diff(ks))) >= min_gap:
             return ks
+    ks = lo + np.sort(rng.uniform(0.0, spare, count)) + min_gap * np.arange(count)
+    if float(np.min(np.diff(ks))) < min_gap or ks[-1] > hi:
+        raise ValueError(f"{count} knots {min_gap} apart only fit [{lo}, {hi}] up to rounding")
+    return ks
 
 
 def random_canonical_spline(
@@ -138,6 +156,12 @@ def random_canonical_spline(
     coeffs = rng.uniform(0.1, 2.0, n) * rng.choice([-1.0, 1.0], n)
     q1 = 0.0 if rng.uniform() < zero_q1_rate else float(rng.uniform(-2, 2))
     return rs.CplSpline(q1, float(rng.uniform(-2, 2)), knots, coeffs)
+
+
+def even_three_level(n1: int, n2: int, n3: int) -> rs.KnotHierarchy:
+    """Evenly spread knots on [-10, 10], arranged by position."""
+    count = n1 + n2 * (n1 + 1) + n3 * (n2 + 1)
+    return rs.hierarchy_from_flat(np.linspace(-10.0, 10.0, count), n1, n2, n3)
 
 
 def random_two_level(rng: np.random.Generator, n1: int, n2: int) -> rs.KnotHierarchy:

@@ -152,6 +152,57 @@ class TestCanonicalize:
         assert np.max(np.abs(before - after)) <= budget
 
 
+def looped_canonicalize(spline: rs.CplSpline, tol=rs.DEFAULT_TOL) -> rs.CplSpline:
+    """Reference: walk the sorted knots group by group."""
+    order = np.argsort(spline.knots, kind="stable")
+    xs, cs = spline.knots[order], spline.coeffs[order]
+    out_x, out_c = [], []
+    i, n = 0, xs.shape[0]
+    while i < n:
+        j = i + 1
+        while j < n and xs[j] - xs[j - 1] <= tol.merge_tol:
+            j += 1
+        coeff = cs[i] if j == i + 1 else float(np.sum(cs[i:j]))
+        if abs(coeff) > tol.zero_tol:
+            out_x.append(float(xs[i]))
+            out_c.append(float(coeff))
+        i = j
+    return rs.CplSpline(spline.q1, spline.q0, np.array(out_x), np.array(out_c))
+
+
+class TestCanonicalizeMatchesLoop:
+    def assert_same_bits(self, raw, tol=rs.DEFAULT_TOL):
+        got, want = rs.canonicalize(raw, tol), looped_canonicalize(raw, tol)
+        assert got.knots.tobytes() == want.knots.tobytes()
+        assert got.coeffs.tobytes() == want.coeffs.tobytes()
+        assert (got.q1, got.q0) == (want.q1, want.q0)
+
+    def test_empty_spline(self):
+        self.assert_same_bits(rs.CplSpline(1.5, -2.0, [], []))
+
+    def test_ties_chains_and_zero_sum_groups(self):
+        # repeated knots, chains of near-duplicates within merge_tol (about a
+        # tenth of the groups have 8 or more knots, where np.sum sums pairwise),
+        # groups that cancel exactly, and coefficients straddling zero_tol
+        rng = np.random.default_rng(107)
+        tol = rs.DEFAULT_TOL
+        for _ in range(300):
+            n = int(rng.integers(0, 60))
+            base = rng.choice([-2.0, 0.0, 1.0, 3.5], n) + rng.integers(0, 2, n) * 0.5
+            knots = base + rng.integers(0, 8, n) * 0.4 * tol.merge_tol
+            coeffs = rng.uniform(-1, 1, n) * 10.0 ** rng.integers(-12, 3, n)
+            coeffs[rng.uniform(size=n) < 0.1] = 0.0
+            if n >= 2:
+                knots[1], coeffs[1] = knots[0], -coeffs[0]
+            order = rng.permutation(n)
+            self.assert_same_bits(rs.CplSpline(0.3, -0.7, knots[order], coeffs[order]))
+
+    def test_zero_sum_group_vanishes(self):
+        raw = rs.CplSpline(0.0, 0.0, [1.0, 1.0, 1.0, 2.0], [0.5, 0.25, -0.75, 1.0])
+        assert rs.canonicalize(raw).knots.tolist() == [2.0]
+        self.assert_same_bits(raw)
+
+
 class TestKnotBound:
     @pytest.mark.parametrize(
         "widths,expected",

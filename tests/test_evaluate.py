@@ -85,6 +85,48 @@ class TestEvalSpline:
         np.testing.assert_array_equal(values, [rs.eval_spline(s, float(t)) for t in ts])
 
 
+def random_bundle(rng: np.random.Generator, width: int, n_knots: int) -> rs.SplineBundle:
+    """Bundle with some zero, some exactly cancelling and some tiny coefficients."""
+    knots = np.sort(rng.choice(np.linspace(-8.0, 8.0, 161), n_knots, replace=False))
+    coeffs = rng.uniform(-3, 3, (width, n_knots))
+    coeffs[rng.uniform(size=coeffs.shape) < 0.2] = 0.0
+    coeffs[rng.uniform(size=coeffs.shape) < 0.1] = 1e-12
+    if n_knots >= 2:
+        coeffs[:, 1] = -coeffs[:, 0]
+    return rs.SplineBundle(knots, rng.uniform(-2, 2, width), rng.uniform(-2, 2, width), coeffs)
+
+
+class TestEvalBundle:
+    def test_rows_equal_eval_spline_bit_for_bit(self):
+        rng = np.random.default_rng(113)
+        for _ in range(200):
+            bundle = random_bundle(rng, int(rng.integers(1, 7)), int(rng.integers(0, 25)))
+            # knots themselves, points between and on both sides, far past the last knot
+            ts = np.concatenate(
+                (bundle.knots, rng.uniform(-12, 12, 30), [-1e6, 1e6, 0.0])
+            )
+            values = rs.eval_bundle(bundle, ts)
+            assert values.shape == (bundle.width, ts.shape[0])
+            for r in range(bundle.width):
+                expected = rs.eval_spline(bundle.member(r), ts)
+                assert values[r].tobytes() == expected.tobytes()
+
+    def test_knotless_bundle_is_affine_per_member(self):
+        bundle = rs.SplineBundle([], [1.0, -2.0], [0.5, 3.0], np.empty((2, 0)))
+        np.testing.assert_array_equal(
+            rs.eval_bundle(bundle, [-1.0, 2.0]), [[-0.5, 2.5], [5.0, -1.0]]
+        )
+
+    def test_scalar_point_gives_one_value_per_member(self):
+        bundle = rs.SplineBundle([0.0], [0.0, 1.0], [0.0, 0.0], [[1.0], [-1.0]])
+        np.testing.assert_array_equal(rs.eval_bundle(bundle, 2.0), [2.0, 0.0])
+
+    def test_rejects_non_finite_points(self):
+        bundle = rs.SplineBundle([0.0], [0.0], [0.0], [[1.0]])
+        with pytest.raises(ValueError):
+            rs.eval_bundle(bundle, [0.0, np.nan])
+
+
 class TestEvalSplineAtScale:
     def test_sawtooth_memory_linear_and_values_exact(self):
         # depth 14: 16385 knots; a points x knots temporary would take 262 MB

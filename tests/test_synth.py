@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import relusplines as rs
-from relusplines.synth import _missing_prescribed
+import relusplines.synth as synth
+import relusplines.transfer as transfer
+from relusplines.synth import _missing_prescribed, _zero_sign_masks
 
 from helpers import (
     FOURTEEN_KNOTS,
@@ -23,6 +25,7 @@ from helpers import (
     THREE_C2,
     THREE_C3,
     THREE_EXTRA_KNOT,
+    even_three_level,
     fourteen_hierarchy,
     max15_hierarchy,
     random_flat_knots,
@@ -396,3 +399,221 @@ class TestMissingPrescribed:
             np.testing.assert_array_equal(
                 _missing_prescribed(s, wanted, rs.DEFAULT_TOL), brute_force_missing(s, wanted)
             )
+
+
+def looped_zero_sign_masks(bundle: rs.SplineBundle, targets: np.ndarray, tol=rs.DEFAULT_TOL):
+    """Reference: the masks member by member and target by target."""
+    plus_ok = np.zeros((bundle.width, targets.shape[0]), dtype=bool)
+    minus_ok = np.zeros_like(plus_ok)
+    positions = np.searchsorted(bundle.knots, targets)
+    for r in range(bundle.width):
+        form = rs.PiecewiseForm.from_spline(bundle.member(r))
+        for i, (t, pos) in enumerate(zip(targets, positions)):
+            if pos >= bundle.knots.shape[0] or abs(bundle.knots[pos] - t) > tol.merge_tol:
+                continue
+            before, after = form.mu[pos], form.mu[pos + 1]
+            plus_ok[r, i] = max(after, 0.0) + max(-before, 0.0) > tol.zero_tol
+            minus_ok[r, i] = max(-after, 0.0) + max(before, 0.0) > tol.zero_tol
+    return plus_ok, minus_ok
+
+
+class TestZeroSignMasks:
+    def test_matches_member_loop(self):
+        # slopes exactly zero or within zero_tol on either side of a knot;
+        # targets on the knots, left of them (within and beyond merge_tol,
+        # where searchsorted still finds the knot) and past the last one
+        rng = np.random.default_rng(131)
+        tol = rs.DEFAULT_TOL
+        for _ in range(300):
+            width, k = int(rng.integers(1, 6)), int(rng.integers(0, 12))
+            knots = np.sort(rng.choice(np.arange(-20.0, 21.0), k, replace=False))
+            q1s = rng.choice([0.0, 1e-11, -1.0, 2.0], width)
+            coeffs = rng.choice([0.0, 1e-11, -1e-11, 1.0, -1.0, 0.5], (width, k))
+            bundle = rs.SplineBundle(knots, q1s, rng.uniform(-1, 1, width), coeffs)
+            near = knots - rng.choice([0.0, 0.5, 2.0], k) * tol.merge_tol
+            targets = np.sort(np.concatenate((near, rng.uniform(-25, 25, 3), [30.0])))
+            got = _zero_sign_masks(bundle, targets, tol)
+            want = looped_zero_sign_masks(bundle, targets, tol)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+
+    def test_knotless_bundle_allows_no_sign(self):
+        bundle = rs.SplineBundle([], [1.0, -1.0], [0.0, 0.0], np.empty((2, 0)))
+        plus_ok, minus_ok = _zero_sign_masks(bundle, np.array([-1.0, 0.0, 2.0]), rs.DEFAULT_TOL)
+        assert plus_ok.shape == (2, 3) and not plus_ok.any() and not minus_ok.any()
+
+
+def reference_three_hidden(h, opts=None, tol=rs.DEFAULT_TOL, rng=None):
+    """Reference: the three-hidden build with one full conversion per attempt.
+
+    Layer 3 is evaluated member by member, the sign masks come from the
+    member loop above, and every attempt converts the whole network with
+    ``dnn_to_spline``; the attempts use ``rng`` exactly as the library does.
+    """
+    opts = opts or rs.SynthesisOptions()
+    rng = rng if rng is not None else np.random.default_rng(0)
+    n1, n2, n3 = h.n1, h.n2, h.n3
+    c_signs = np.where(np.arange(1, n2 + 1) % 2 == 1, 1.0, -1.0)
+    mu = np.stack([rs.slopes_from_knots(c_signs[j], h.level1, h.level2[j]) for j in range(n2)])
+    a2, b2 = rs.weights_from_slopes(mu), -h.level2[:, 0] * c_signs
+    walls = h.level2[:, 0]
+    mu3 = np.stack([rs.slopes_from_knots(1.0, walls, h.level3[r]) for r in range(n3)])
+    a3 = rs.weights_from_slopes(mu3)
+    even = np.arange(1, n2 + 1) % 2 == 0
+    c3 = 1.0 + a3[:, even].sum(axis=1)
+    b3 = -h.level3[:, 0] - a3[:, even] @ walls[even]
+    bundle3 = rs.layer_transfer(rs.SplineBundle(h.level1, c_signs, b2, a2), a3, c3, b3, tol)
+    if opts.eps is None:
+        targets = np.sort(np.concatenate((h.level1, h.level2.ravel())))
+        values = np.stack([rs.eval_spline(bundle3.member(r), targets) for r in range(n3)])
+        try:
+            eps = rs.epsilon_select(values, looped_zero_sign_masks(bundle3, targets, tol), tol)
+        except rs.CoverageError as err:
+            eps = err.partial
+    else:
+        eps = opts.eps
+    layers_fixed = (
+        rs.Layer(np.ones((n1, 1)), -h.level1),
+        rs.Layer(a2, b2, c_signs),
+        rs.Layer(a3 * eps[:, None], b3 * eps, c3 * eps),
+    )
+    wanted = rs.prescribed_knots(h)
+    a4 = opts.a4 if opts.a4 is not None else -eps
+    missing = wanted
+    for _ in range(1 if opts.a4 is not None else 33):
+        last = rs.Layer(a4.reshape(1, n3), np.array([opts.b_out]), np.array([opts.c_out]))
+        net = rs.ReluNetwork(layers_fixed + (last,))
+        missing = synth._missing_prescribed(rs.dnn_to_spline(net, tol), wanted, tol)
+        if missing.size == 0:
+            return net
+        a4 = rng.choice([-1.0, 1.0], n3) * rng.uniform(0.5, 2.0, n3)
+    raise rs.ActivityError("reference attempts exhausted", missing)
+
+
+def outcome_and_attempts(build, h, opts, seed, monkeypatch):
+    """Returned layers or inactive knots, plus every attempt's spline as bytes."""
+    attempts = []
+    checked = synth._missing_prescribed
+
+    def recording(spline, wanted, tol):
+        attempts.append((spline.q1, spline.q0, spline.knots.tobytes(), spline.coeffs.tobytes()))
+        return checked(spline, wanted, tol)
+
+    monkeypatch.setattr(synth, "_missing_prescribed", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            net = build(h, opts, rng=np.random.default_rng(seed))
+            result = [
+                (la.A.tobytes(), la.b.tobytes(), None if la.c is None else la.c.tobytes())
+                for la in net.layers
+            ]
+        except rs.ActivityError as err:
+            result = np.asarray(err.inactive).tobytes()
+    monkeypatch.setattr(synth, "_missing_prescribed", checked)
+    return result, attempts
+
+
+class TestThreeHiddenMatchesConversionLoop:
+    def assert_same(self, h, monkeypatch, opts=None, seed=0):
+        got = outcome_and_attempts(rs.synth_three_hidden, h, opts, seed, monkeypatch)
+        want = outcome_and_attempts(reference_three_hidden, h, opts, seed, monkeypatch)
+        assert got == want
+        return got
+
+    def test_random_hierarchies(self, monkeypatch):
+        # about two fifths of these run out of retries, the rest pass at once
+        rng = np.random.default_rng(97)
+        retried = 0
+        for seed in range(40):
+            n1, n2, n3 = (int(v) for v in rng.integers(1, 5, 3))
+            h = random_three_level(rng, n1, n2, n3)
+            _, attempts = self.assert_same(h, monkeypatch, seed=seed)
+            retried += len(attempts) > 1
+        assert retried >= 10
+
+    def test_options_and_retries(self, monkeypatch):
+        h = fourteen_hierarchy()
+        self.assert_same(h, monkeypatch)
+        self.assert_same(h, monkeypatch, rs.SynthesisOptions(eps=np.array([1.0, 1.0])), seed=3)
+        self.assert_same(h, monkeypatch, rs.SynthesisOptions(a4=np.array([1.0, -1.0])))
+        self.assert_same(h, monkeypatch, rs.SynthesisOptions(c_out=0.5, b_out=-2.0))
+
+    def test_even_eight_cubed_fails_the_same_way(self, monkeypatch):
+        result, attempts = self.assert_same(even_three_level(8, 8, 8), monkeypatch)
+        assert isinstance(result, bytes) and len(attempts) == 33
+
+
+class TestThreeHiddenCallCounts:
+    @pytest.mark.parametrize(
+        "opts,attempts",
+        [
+            (None, 1),
+            (rs.SynthesisOptions(eps=np.array([1.0, 1.0])), 33),
+            (rs.SynthesisOptions(a4=np.array([1e-12, 1e-12])), 1),
+        ],
+    )
+    def test_one_transfer_per_attempt_and_no_conversion(self, monkeypatch, opts, attempts):
+        calls = []
+        real_transfer = synth.layer_transfer
+
+        def counting(bundle, A, *args, **kwargs):
+            calls.append((bundle.width, np.shape(A)[0]))
+            return real_transfer(bundle, A, *args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("synthesis must not convert the whole network")
+
+        monkeypatch.setattr(synth, "layer_transfer", counting)
+        monkeypatch.setattr(synth, "dnn_to_spline", refuse)
+        monkeypatch.setattr(transfer, "dnn_to_spline", refuse)
+        monkeypatch.setattr(rs, "dnn_to_spline", refuse)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            try:
+                rs.synth_three_hidden(fourteen_hierarchy(), opts)
+            except rs.ActivityError:
+                pass
+        # layer 3 (two members in, two out), then the final row once per attempt
+        assert calls == [(2, 2)] + [(2, 1)] * attempts
+
+
+def looped_hierarchy_from_flat(ks, n1, n2, n3=None):
+    """Reference: fill the levels knot by knot in the documented order."""
+    level1, level2, level3 = np.empty(n1), np.empty((n2, n1 + 1)), None
+    pos, start = 0, 0
+    if n3 is not None:
+        level3 = np.empty((n3, n2 + 1))
+        for j in range(n2 + 1):
+            level3[:, j] = ks[pos : pos + n3]
+            pos += n3
+            if j < n2:
+                level2[j, 0] = ks[pos]
+                pos += 1
+        level1[0] = ks[pos]
+        pos, start = pos + 1, 1
+    for v in range(start, n1 + 1):
+        level2[:, v] = ks[pos : pos + n2]
+        pos += n2
+        if v < n1:
+            level1[v] = ks[pos]
+            pos += 1
+    return level1, level2, level3
+
+
+class TestHierarchyFromFlatMatchesLoop:
+    def test_random_sizes(self):
+        rng = np.random.default_rng(137)
+        for _ in range(60):
+            n1, n2 = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+            n3 = None if rng.uniform() < 0.4 else int(rng.integers(1, 5))
+            count = n1 + n2 * (n1 + 1) + (0 if n3 is None else n3 * (n2 + 1))
+            ks = np.cumsum(rng.uniform(0.1, 1.0, count))
+            h = rs.hierarchy_from_flat(ks, n1, n2, n3)
+            level1, level2, level3 = looped_hierarchy_from_flat(ks, n1, n2, n3)
+            np.testing.assert_array_equal(h.level1, level1)
+            np.testing.assert_array_equal(h.level2, level2)
+            if n3 is None:
+                assert h.level3 is None
+            else:
+                np.testing.assert_array_equal(h.level3, level3)
