@@ -8,117 +8,20 @@ synthesizes networks whose splines break exactly at prescribed knots, and
 audits the sharp bound on how many knots a given architecture can produce.
 """
 
-from .analysis import BoundReport, active_knots, audit_bound, coeffs_from_knots
-from .core import (
-    ACTIVITY_TOL,
-    DEFAULT_TOL,
-    ActivityError,
-    CoverageError,
-    CplSpline,
-    DegenerateFirstLayerError,
-    DimensionMismatchError,
-    InterlacingError,
-    KnotHierarchy,
-    Layer,
-    PiecewiseForm,
-    ReluNetwork,
-    SplineBundle,
-    SynthesisOptions,
-    Tolerances,
-    canonicalize,
-    knot_bound,
-)
-from .evaluate import equivalence_error, eval_bundle, eval_network, eval_spline, probe_grid
-from .normalize import is_normalized, positive_scale_normalize
-from .serialization import (
-    SchemaError,
-    detect_and_load,
-    dump_json,
-    format_float,
-    hierarchy_from_obj,
-    hierarchy_to_obj,
-    load_json,
-    network_from_obj,
-    network_to_obj,
-    spline_from_obj,
-    spline_to_obj,
-    write_csv,
-)
-from .synth import (
-    epsilon_select,
-    hierarchy_from_flat,
-    prescribed_knots,
-    redundancy_residual,
-    slopes_from_knots,
-    synth_three_hidden,
-    synth_two_hidden,
-    synth_two_hidden_no_source,
-    weights_from_slopes,
-)
-from .transfer import (
-    dnn_to_spline,
-    first_layer_canonicalize,
-    layer_transfer,
-    shallow_to_spline,
-    sigma_compose,
-    spline_to_shallow,
-)
+from . import analysis, core, evaluate, normalize, serialization, synth, transfer
+from .analysis import *  # noqa: F401,F403
+from .core import *  # noqa: F401,F403
+from .evaluate import *  # noqa: F401,F403
+from .normalize import *  # noqa: F401,F403
+from .serialization import *  # noqa: F401,F403
+from .synth import *  # noqa: F401,F403
+from .transfer import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
+# each public name is listed once, in the __all__ of the module that defines it
 __all__ = [
-    "ACTIVITY_TOL",
-    "DEFAULT_TOL",
-    "ActivityError",
-    "BoundReport",
-    "CoverageError",
-    "CplSpline",
-    "DegenerateFirstLayerError",
-    "DimensionMismatchError",
-    "InterlacingError",
-    "KnotHierarchy",
-    "Layer",
-    "PiecewiseForm",
-    "ReluNetwork",
-    "SchemaError",
-    "SplineBundle",
-    "SynthesisOptions",
-    "Tolerances",
-    "active_knots",
-    "audit_bound",
-    "canonicalize",
-    "coeffs_from_knots",
-    "detect_and_load",
-    "dnn_to_spline",
-    "dump_json",
-    "epsilon_select",
-    "equivalence_error",
-    "eval_bundle",
-    "eval_network",
-    "eval_spline",
-    "first_layer_canonicalize",
-    "format_float",
-    "hierarchy_from_flat",
-    "hierarchy_from_obj",
-    "hierarchy_to_obj",
-    "is_normalized",
-    "knot_bound",
-    "layer_transfer",
-    "load_json",
-    "network_from_obj",
-    "network_to_obj",
-    "positive_scale_normalize",
-    "prescribed_knots",
-    "probe_grid",
-    "redundancy_residual",
-    "shallow_to_spline",
-    "sigma_compose",
-    "slopes_from_knots",
-    "spline_from_obj",
-    "spline_to_obj",
-    "spline_to_shallow",
-    "synth_three_hidden",
-    "synth_two_hidden",
-    "synth_two_hidden_no_source",
-    "weights_from_slopes",
+    name
+    for module in (analysis, core, evaluate, normalize, serialization, synth, transfer)
+    for name in module.__all__
 ]

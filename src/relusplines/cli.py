@@ -19,6 +19,7 @@ from .core import (
     DegenerateFirstLayerError,
     DimensionMismatchError,
     InterlacingError,
+    ReluNetwork,
     SynthesisOptions,
     Tolerances,
     knot_bound,
@@ -46,7 +47,6 @@ from .synth import (
     synth_two_hidden_no_source,
 )
 from .transfer import dnn_to_spline
-from .core import ReluNetwork
 
 __all__ = ["main"]
 
@@ -95,6 +95,8 @@ def _cmd_to_spline(args) -> int:
 
 def _cmd_synth(args) -> int:
     tol = _tolerances(args)
+    if args.seeds and not args.no_source:
+        raise SchemaError("--seeds needs --no-source")
     obj = load_json(args.knots)
     opts = SynthesisOptions(
         seeds=_parse_floats(args.seeds, "--seeds") if args.seeds else None
@@ -263,29 +265,28 @@ def _fuse_seed_values(argv: list[str]) -> list[str]:
     return fused
 
 
+# the first entry an error is an instance of gives the exit code, so the
+# ValueError subclasses come before ValueError itself
+_EXIT_CODES = (
+    (FileNotFoundError, 2),
+    (IsADirectoryError, 2),
+    (SchemaError, 2),
+    (DimensionMismatchError, 3),
+    (InterlacingError, 4),
+    (ActivityError, 5),
+    (CoverageError, 5),
+    (ValueError, 2),
+)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _build_parser().parse_args(_fuse_seed_values(argv))
     try:
         return args.func(args)
-    except (FileNotFoundError, IsADirectoryError) as err:
+    except tuple(kind for kind, _ in _EXIT_CODES) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
-    except SchemaError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except DimensionMismatchError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-    except InterlacingError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 4
-    except (ActivityError, CoverageError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 5
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return next(code for kind, code in _EXIT_CODES if isinstance(err, kind))
 
 
 if __name__ == "__main__":

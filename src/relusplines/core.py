@@ -19,6 +19,8 @@ Conventions:
   never materialized; every stored knot is finite.
 * All arithmetic is float64.  Instances are frozen and their arrays are
   marked read-only, so values can be shared freely across threads.
+* The value types are where inputs are checked, once, on construction;
+  functions that take raw arrays build these types instead of checking.
 """
 
 from __future__ import annotations
@@ -147,12 +149,7 @@ class Layer:
     c: np.ndarray | None = None
 
     def __post_init__(self):
-        A = np.array(self.A, dtype=float)
-        if A.ndim != 2:
-            raise DimensionMismatchError(f"layer matrix must be 2-dimensional, got shape {A.shape}")
-        if not np.all(np.isfinite(A)):
-            raise ValueError("layer matrix contains non-finite entries")
-        A.setflags(write=False)
+        A = _frozen_array(self.A, ndim=2, name="layer matrix")
         object.__setattr__(self, "A", A)
         b = _frozen_array(self.b, ndim=1, name="layer bias")
         object.__setattr__(self, "b", b)
@@ -221,14 +218,8 @@ class ReluNetwork:
     @classmethod
     def shallow(cls, a1, b1, a2, c2=0.0, b2=0.0) -> "ReluNetwork":
         """One-hidden-layer network sum_k a2[k] relu(a1[k] t + b1[k]) + c2 t + b2."""
-        a1 = np.atleast_1d(np.asarray(a1, float))
-        layer1 = Layer(a1.reshape(-1, 1), b1)
-        layer2 = Layer(
-            np.atleast_1d(np.asarray(a2, float)).reshape(1, -1),
-            np.array([b2], float),
-            np.array([c2], float),
-        )
-        return cls((layer1, layer2))
+        layer1 = Layer(np.reshape(a1, (-1, 1)), np.atleast_1d(b1))
+        return cls((layer1, Layer(np.reshape(a2, (1, -1)), [b2], [c2])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,18 +308,13 @@ class SplineBundle:
         knots = _frozen_array(self.knots, ndim=1, name="bundle knots")
         q1s = _frozen_array(self.q1s, ndim=1, name="q1s")
         q0s = _frozen_array(self.q0s, ndim=1, name="q0s")
-        matrix = np.array(self.coeff_matrix, dtype=float)
-        if matrix.ndim != 2:
-            raise DimensionMismatchError("coeff_matrix must be 2-dimensional")
-        if not np.all(np.isfinite(matrix)):
-            raise ValueError("coeff_matrix contains non-finite entries")
+        matrix = _frozen_array(self.coeff_matrix, ndim=2, name="coeff_matrix")
         if np.any(np.diff(knots) <= 0):
             raise ValueError("bundle knots must be strictly increasing")
         if q1s.shape != q0s.shape or q1s.shape[0] != matrix.shape[0]:
             raise DimensionMismatchError("q1s/q0s length must match coeff_matrix rows")
         if matrix.shape[1] != knots.shape[0]:
             raise DimensionMismatchError("coeff_matrix columns must match knot count")
-        matrix.setflags(write=False)
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "q1s", q1s)
         object.__setattr__(self, "q0s", q0s)
@@ -343,13 +329,18 @@ class SplineBundle:
         return CplSpline(self.q1s[j], self.q0s[j], self.knots, self.coeff_matrix[j])
 
 
-def _check_cell(values, lo: float, hi: float, what: str):
-    """Require pairwise-distinct values strictly inside (lo, hi)."""
-    v = np.sort(np.asarray(values, float))
-    if np.any(v <= lo) or np.any(v >= hi):
-        raise InterlacingError(f"{what} must lie strictly inside ({lo}, {hi})")
-    if np.any(np.diff(v) <= 0):
-        raise InterlacingError(f"{what} must be pairwise distinct")
+def _check_cells(cells: np.ndarray, walls: np.ndarray, what: str):
+    """Require column v of ``cells`` pairwise distinct and inside (walls[v], walls[v+1])."""
+    outside = np.any((cells <= walls[:-1]) | (cells >= walls[1:]), axis=0)
+    repeated = np.any(np.diff(np.sort(cells, axis=0), axis=0) <= 0, axis=0)
+    bad = np.flatnonzero(outside | repeated)
+    if bad.size:
+        v = bad[0]
+        if outside[v]:
+            raise InterlacingError(
+                f"{what} column {v} must lie strictly inside ({walls[v]}, {walls[v + 1]})"
+            )
+        raise InterlacingError(f"{what} column {v} must be pairwise distinct")
 
 
 @dataclass(frozen=True, eq=False)
@@ -374,36 +365,26 @@ class KnotHierarchy:
             raise InterlacingError("level1 needs at least one knot")
         if np.any(np.diff(level1) <= 0):
             raise InterlacingError("level1 knots must be strictly increasing")
-        level2 = np.array(self.level2, dtype=float)
-        if level2.ndim != 2 or level2.shape[1] != level1.shape[0] + 1:
+        level2 = _frozen_array(self.level2, ndim=2, name="level2")
+        if level2.shape[1] != level1.shape[0] + 1:
             raise DimensionMismatchError(
                 f"level2 must have shape (n2, {level1.shape[0] + 1}), got {level2.shape}"
             )
-        if not np.all(np.isfinite(level2)):
-            raise ValueError("level2 contains non-finite entries")
-        bounds = np.concatenate(([-np.inf], level1, [np.inf]))
-        for v in range(level2.shape[1]):
-            _check_cell(level2[:, v], bounds[v], bounds[v + 1], f"level-2 column {v}")
-        level2.setflags(write=False)
+        _check_cells(level2, np.concatenate(([-np.inf], level1, [np.inf])), "level-2")
         object.__setattr__(self, "level1", level1)
         object.__setattr__(self, "level2", level2)
         if self.level3 is not None:
-            level3 = np.array(self.level3, dtype=float)
-            if level3.ndim != 2 or level3.shape[1] != level2.shape[0] + 1:
+            level3 = _frozen_array(self.level3, ndim=2, name="level3")
+            if level3.shape[1] != level2.shape[0] + 1:
                 raise DimensionMismatchError(
                     f"level3 must have shape (n3, {level2.shape[0] + 1}), got {level3.shape}"
                 )
-            if not np.all(np.isfinite(level3)):
-                raise ValueError("level3 contains non-finite entries")
             col0 = level2[:, 0]
             if np.any(np.diff(col0) <= 0):
                 raise InterlacingError(
                     "level2 first column must be increasing when level3 is present"
                 )
-            walls = np.concatenate(([-np.inf], col0, [level1[0]]))
-            for j in range(level3.shape[1]):
-                _check_cell(level3[:, j], walls[j], walls[j + 1], f"level-3 column {j}")
-            level3.setflags(write=False)
+            _check_cells(level3, np.concatenate(([-np.inf], col0, [level1[0]])), "level-3")
             object.__setattr__(self, "level3", level3)
 
     @property

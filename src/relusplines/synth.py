@@ -143,6 +143,21 @@ def synth_two_hidden(
     )
 
 
+def _flat_knots(knots, expected: int, widths: tuple) -> np.ndarray:
+    """A flat knot list as floats: finite, ``expected`` long, strictly increasing."""
+    ks = np.atleast_1d(np.asarray(knots, dtype=float))
+    if not np.all(np.isfinite(ks)):
+        raise ValueError("knots contain non-finite entries")
+    if ks.shape[0] != expected:
+        raise DimensionMismatchError(
+            f"expected {expected} knots for widths ({', '.join(map(str, widths))}), "
+            f"got {ks.shape[0]}"
+        )
+    if np.any(np.diff(ks) <= 0):
+        raise InterlacingError("knots must be strictly increasing and distinct")
+    return ks
+
+
 def synth_two_hidden_no_source(
     knots,
     n1: int,
@@ -160,16 +175,7 @@ def synth_two_hidden_no_source(
     n1 > 1.
     """
     opts = opts or SynthesisOptions()
-    ks = np.atleast_1d(np.asarray(knots, dtype=float))
-    if not np.all(np.isfinite(ks)):
-        raise ValueError("knots contain non-finite entries")
-    if ks.shape[0] != n1 * (n2 + 1):
-        raise DimensionMismatchError(
-            f"expected {n1 * (n2 + 1)} knots for widths ({n1}, {n2}), got {ks.shape[0]}"
-        )
-    if np.any(np.diff(ks) <= 0):
-        raise InterlacingError("knots must be strictly increasing and distinct")
-    blocks = ks.reshape(n1, n2 + 1)
+    blocks = _flat_knots(knots, n1 * (n2 + 1), (n1, n2)).reshape(n1, n2 + 1)
     x1, zeros = blocks[:, 0], blocks[:, 1:].T
     if opts.seeds is None:
         seeds = np.where(np.arange(1, n2 + 1) % 2 == 1, -1.0, 1.0)
@@ -396,17 +402,8 @@ def hierarchy_from_flat(knots, n1: int, n2: int, n3: int | None = None) -> KnotH
     with n3 level-3 knots before each of the first n2 + 1 separators,
     n3 (n2 + 1) more in total.
     """
-    ks = np.atleast_1d(np.asarray(knots, dtype=float))
-    if not np.all(np.isfinite(ks)):
-        raise ValueError("knots contain non-finite entries")
-    if np.any(np.diff(ks) <= 0):
-        raise InterlacingError("knots must be strictly increasing and distinct")
     expected = n1 + n2 * (n1 + 1) + (0 if n3 is None else n3 * (n2 + 1))
-    if ks.shape[0] != expected:
-        raise DimensionMismatchError(
-            f"expected {expected} knots for widths ({n1}, {n2}"
-            + ("" if n3 is None else f", {n3}") + f"), got {ks.shape[0]}"
-        )
+    ks = _flat_knots(knots, expected, (n1, n2) if n3 is None else (n1, n2, n3))
     level3, body = None, ks
     if n3 is not None:
         # row j: level-3 column j, then level-2 knot j (level-1 knot 0 after the last)

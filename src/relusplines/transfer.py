@@ -2,7 +2,8 @@
 
 The deep-to-spline direction walks the layers.  The first layer turns each
 unit into one hinge (``_unit_hinges``), so every layer-2 unit is a spline
-over a shared knot vector.  Each later layer is one ``layer_transfer`` step
+over a shared knot vector; ``shallow_to_spline`` is this walk on a
+one-hidden-layer network.  Each later layer is one ``layer_transfer`` step
 on the whole bundle, and ``sigma_compose`` is that step on a one-member
 bundle.  The step keeps a hinge where the unit is positive, zeroes it where
 the unit is negative, splits it where the unit vanishes exactly, and
@@ -61,21 +62,10 @@ def _unit_hinges(a1, b1, A2, c2, b2, zero_tol: float):
 def shallow_to_spline(c2, b2, a1, a2, b1, tol: Tolerances = DEFAULT_TOL) -> CplSpline:
     """Spline of c2 t + b2 + sum_k a2[k] relu(a1[k] t + b1[k]), canonical.
 
-    Each unit becomes one hinge as in :func:`dnn_to_spline`'s first layer;
-    flat units (|a1[k]| <= zero_tol) only shift q0.
+    This is :func:`dnn_to_spline` on the one-hidden-layer network; flat
+    units (|a1[k]| <= zero_tol) only shift q0.
     """
-    a1 = np.atleast_1d(np.asarray(a1, dtype=float))
-    a2 = np.atleast_1d(np.asarray(a2, dtype=float))
-    b1 = np.atleast_1d(np.asarray(b1, dtype=float))
-    if not (a1.shape == a2.shape == b1.shape):
-        raise DimensionMismatchError("a1, a2, b1 must have equal length")
-    for name, arr in (("a1", a1), ("a2", a2), ("b1", b1)):
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{name} contains non-finite entries")
-    knots, columns, q1s, q0s = _unit_hinges(
-        a1, b1, a2[None, :], np.array([float(c2)]), np.array([float(b2)]), tol.zero_tol
-    )
-    return canonicalize(CplSpline(q1s[0], q0s[0], knots, columns[0]), tol)
+    return dnn_to_spline(ReluNetwork.shallow(a1, b1, a2, c2, b2), tol)
 
 
 def sigma_compose(f: CplSpline, tol: Tolerances = DEFAULT_TOL) -> CplSpline:
@@ -175,18 +165,12 @@ def layer_transfer(
     knot vector grows by each member's zero crossings; columns that end up
     inactive for every output are removed.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    if A.shape[1] != bundle.width:
+    layer = Layer(np.atleast_2d(A), np.atleast_1d(b), np.atleast_1d(c))
+    A, c, b = layer.A, layer.c, layer.b
+    if layer.in_width != bundle.width:
         raise DimensionMismatchError(
-            f"layer expects width {A.shape[1]} but bundle has {bundle.width} members"
+            f"layer expects width {layer.in_width} but bundle has {bundle.width} members"
         )
-    if c.shape[0] != A.shape[0] or b.shape[0] != A.shape[0]:
-        raise DimensionMismatchError("c and b must match the layer's output rows")
-    for name, arr in (("A", A), ("c", c), ("b", b)):
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{name} contains non-finite entries")
 
     knots = bundle.knots
     coeffs = bundle.coeff_matrix

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import relusplines as rs
+from relusplines import cli
 from relusplines.cli import main
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -201,6 +202,39 @@ class TestSynth:
                            "-o", tmp_path / "net.json")
         assert code == 2
         assert "sign change" in err
+
+    def test_seeds_need_no_source(self, tmp_path, capsys):
+        out_path = tmp_path / "net.json"
+        code, _, err = run(capsys, "synth", FIXTURES / "max_knots_hierarchy.json",
+                           "--seeds", "-1,1", "-o", out_path)
+        assert code == 2
+        assert "--seeds needs --no-source" in err
+        assert not out_path.exists()
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "error,code",
+        [
+            (FileNotFoundError("gone.json"), 2),
+            (IsADirectoryError("a directory"), 2),
+            (rs.SchemaError("bad field"), 2),
+            (rs.DimensionMismatchError("bad shape"), 3),
+            (rs.InterlacingError("not nested"), 4),
+            (rs.ActivityError("inactive", [1.0]), 5),
+            (rs.CoverageError("uncovered", [0]), 5),
+            (rs.DegenerateFirstLayerError("dead units", 1), 2),
+            (ValueError("bad value"), 2),
+        ],
+    )
+    def test_documented_code(self, monkeypatch, capsys, error, code):
+        def failing(args):
+            raise error
+
+        monkeypatch.setattr(cli, "_cmd_to_spline", failing)
+        got, out, err = run(capsys, "to-spline", MAX_NET, "-o", "unused.json")
+        assert got == code
+        assert (out, err) == ("", f"error: {error}\n")
 
 
 class TestVerify:

@@ -291,6 +291,80 @@ class TestKnotHierarchy:
             )
 
 
+def looped_check_cell(values, lo, hi, what):
+    """Reference: one cell's containment, then distinctness."""
+    v = np.sort(np.asarray(values, float))
+    if np.any(v <= lo) or np.any(v >= hi):
+        raise rs.InterlacingError(f"{what} must lie strictly inside ({lo}, {hi})")
+    if np.any(np.diff(v) <= 0):
+        raise rs.InterlacingError(f"{what} must be pairwise distinct")
+
+
+def looped_interlacing(level1, level2, level3):
+    """Reference: KnotHierarchy's nesting checks, column by column."""
+    if np.any(np.diff(level1) <= 0):
+        raise rs.InterlacingError("level1 knots must be strictly increasing")
+    bounds = np.concatenate(([-np.inf], level1, [np.inf]))
+    for v in range(level2.shape[1]):
+        looped_check_cell(level2[:, v], bounds[v], bounds[v + 1], f"level-2 column {v}")
+    if level3 is not None:
+        col0 = level2[:, 0]
+        if np.any(np.diff(col0) <= 0):
+            raise rs.InterlacingError(
+                "level2 first column must be increasing when level3 is present"
+            )
+        walls = np.concatenate(([-np.inf], col0, [level1[0]]))
+        for j in range(level3.shape[1]):
+            looped_check_cell(level3[:, j], walls[j], walls[j + 1], f"level-3 column {j}")
+
+
+def outcome(check, *levels):
+    try:
+        check(*levels)
+    except ValueError as err:
+        return type(err), str(err)
+    return None
+
+
+class TestKnotHierarchyMatchesLoop:
+    def corrupt(self, rng, level, other):
+        """Move, duplicate or pin one entry of ``level`` (rows are units)."""
+        level = level.copy()
+        r, v = rng.integers(level.shape[0]), rng.integers(level.shape[1])
+        kind = rng.integers(4)
+        if kind == 0:
+            level[r, v] = level[rng.integers(level.shape[0]), rng.integers(level.shape[1])]
+        elif kind == 1:
+            level[r, v] = rng.choice(other)
+        elif kind == 2:
+            level[r, v] = rng.uniform(-60.0, 60.0)
+        else:
+            level[:, v] = rng.permutation(level[:, v])
+        return level
+
+    def test_random_hierarchies(self):
+        rng = np.random.default_rng(163)
+        raised = 0
+        for _ in range(1500):
+            n1, n2 = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            n3 = None if rng.uniform() < 0.4 else int(rng.integers(1, 5))
+            count = n1 + n2 * (n1 + 1) + (0 if n3 is None else n3 * (n2 + 1))
+            h = rs.hierarchy_from_flat(np.cumsum(rng.uniform(0.1, 3.0, count)) - 20.0, n1, n2, n3)
+            level1, level2, level3 = h.level1, h.level2, h.level3
+            everything = rs.prescribed_knots(h)
+            for _ in range(int(rng.integers(0, 3))):
+                if level3 is not None and rng.uniform() < 0.5:
+                    level3 = self.corrupt(rng, level3, everything)
+                else:
+                    level2 = self.corrupt(rng, level2, everything)
+            if rng.uniform() < 0.1:
+                level1 = level1[::-1]
+            want = outcome(looped_interlacing, level1, level2, level3)
+            assert outcome(rs.KnotHierarchy, level1, level2, level3) == want
+            raised += want is not None
+        assert 300 < raised < 1200
+
+
 class TestSynthesisOptions:
     def test_validation(self):
         with pytest.raises(ValueError):

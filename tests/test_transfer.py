@@ -87,6 +87,69 @@ class TestShallowToSpline:
             rs.shallow_to_spline(0.0, 0.0, [1.0, 2.0], [1.0], [0.0, 1.0])
 
 
+def hinge_shallow_to_spline(c2, b2, a1, a2, b1, tol=rs.DEFAULT_TOL):
+    """Reference: one hinge per unit, then canonicalize, without a network."""
+    a1 = np.atleast_1d(np.asarray(a1, dtype=float))
+    a2 = np.atleast_1d(np.asarray(a2, dtype=float))
+    b1 = np.atleast_1d(np.asarray(b1, dtype=float))
+    if not (a1.shape == a2.shape == b1.shape):
+        raise rs.DimensionMismatchError("a1, a2, b1 must have equal length")
+    for name, arr in (("a1", a1), ("a2", a2), ("b1", b1)):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name} contains non-finite entries")
+    knots, columns, q1s, q0s = rs.transfer._unit_hinges(
+        a1, b1, a2[None, :], np.array([float(c2)]), np.array([float(b2)]), tol.zero_tol
+    )
+    return rs.canonicalize(rs.CplSpline(q1s[0], q0s[0], knots, columns[0]), tol)
+
+
+class TestShallowToSplineMatchesHinges:
+    def test_random_units_bit_for_bit(self):
+        # dead units (exactly flat or within zero_tol), negative slopes, hinges
+        # repeated or within merge_tol of each other, cancelling output weights
+        rng = np.random.default_rng(151)
+        tol = rs.DEFAULT_TOL
+        for _ in range(2000):
+            n = int(rng.integers(1, 9))
+            hinges = rng.choice([-1.5, 0.0, 0.25, 2.0], n) + rng.integers(0, 4, n) * 0.4 * tol.merge_tol
+            a1 = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-2, 2, n)
+            a1[rng.uniform(size=n) < 0.15] = 0.0
+            a1[rng.uniform(size=n) < 0.1] = 0.5 * tol.zero_tol
+            b1 = -a1 * hinges + (a1 == 0) * rng.uniform(-1, 1, n)
+            a2 = rng.uniform(-2, 2, n) * 10.0 ** rng.integers(-11, 2, n)
+            if n >= 2 and rng.uniform() < 0.3:
+                a1[1], b1[1], a2[1] = a1[0], b1[0], -a2[0]
+            c2, b2 = rng.uniform(-2, 2, 2)
+            got = rs.shallow_to_spline(c2, b2, a1, a2, b1, tol)
+            want = hinge_shallow_to_spline(c2, b2, a1, a2, b1, tol)
+            assert got.knots.tobytes() == want.knots.tobytes()
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+            assert (got.q1, got.q0) == (want.q1, want.q0)
+
+    def test_scalar_units(self):
+        got = rs.shallow_to_spline(0.5, -1.0, -2.0, 3.0, 1.0)
+        want = hinge_shallow_to_spline(0.5, -1.0, -2.0, 3.0, 1.0)
+        assert_splines_match(got, want, tol=0.0)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (0.0, 0.0, [1.0, 2.0], [1.0], [0.0, 1.0]),
+            (0.0, 0.0, [1.0], [1.0, 2.0], [0.0]),
+            (0.0, 0.0, [1.0, 2.0], [1.0, 2.0], [0.0]),
+            (0.0, 0.0, [np.nan], [1.0], [0.0]),
+            (0.0, 0.0, [1.0], [np.inf], [0.0]),
+            (0.0, 0.0, [1.0], [1.0], [-np.inf]),
+        ],
+    )
+    def test_same_errors(self, args):
+        with pytest.raises(ValueError) as want:
+            hinge_shallow_to_spline(*args)
+        with pytest.raises(ValueError) as got:
+            rs.shallow_to_spline(*args)
+        assert type(got.value) is type(want.value)
+
+
 class TestSigmaCompose:
     def test_identity_becomes_relu(self):
         out = rs.sigma_compose(rs.CplSpline(1.0, 0.0, [], []))
@@ -299,6 +362,28 @@ class TestLayerTransfer:
         bundle = rs.SplineBundle([0.0], [1.0], [0.0], [[1.0]])
         with pytest.raises(rs.DimensionMismatchError):
             rs.layer_transfer(bundle, [[1.0, 2.0]], [0.0], [0.0])
+
+    @pytest.mark.parametrize(
+        "A,c,b",
+        [
+            ([[np.nan]], [0.0], [0.0]),
+            ([[1.0]], [np.inf], [0.0]),
+            ([[1.0]], [0.0], [-np.inf]),
+        ],
+    )
+    def test_non_finite_layer(self, A, c, b):
+        bundle = rs.SplineBundle([0.0], [1.0], [0.0], [[1.0]])
+        with pytest.raises(ValueError) as info:
+            rs.layer_transfer(bundle, A, c, b)
+        assert not isinstance(info.value, rs.DimensionMismatchError)
+
+    @pytest.mark.parametrize(
+        "c,b", [([0.0, 1.0], [0.0]), ([0.0], [0.0, 1.0]), ([], [0.0])]
+    )
+    def test_channel_and_bias_lengths(self, c, b):
+        bundle = rs.SplineBundle([0.0], [1.0], [0.0], [[1.0]])
+        with pytest.raises(rs.DimensionMismatchError):
+            rs.layer_transfer(bundle, [[1.0]], c, b)
 
     def test_inactive_columns_dropped(self):
         # identical members cancel under A = (1, -1); their knot column drops
