@@ -37,8 +37,8 @@ class BoundReport:
 
 
 def audit_bound(net: ReluNetwork, tol: Tolerances = DEFAULT_TOL) -> BoundReport:
-    """Count the network's active knots and compare with the width bound."""
-    observed = len(active_knots(dnn_to_spline(net, tol), tol))
+    """Count the network's active knots (its canonical spline's knots) against the bound."""
+    observed = dnn_to_spline(net, tol).n_knots
     bound = knot_bound(net.widths)
     return BoundReport(observed, bound, observed <= bound)
 

@@ -12,8 +12,8 @@ import sys
 
 import numpy as np
 
-from .analysis import active_knots
 from .core import (
+    DEFAULT_TOL,
     ActivityError,
     CoverageError,
     DegenerateFirstLayerError,
@@ -52,21 +52,16 @@ __all__ = ["main"]
 
 
 def _add_tol_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--tol-zero", type=float, default=None, metavar="X",
-                        help="absolute zero threshold (default 1e-10)")
-    parser.add_argument("--tol-merge", type=float, default=None, metavar="X",
-                        help="knot merge distance (default 1e-12)")
-    parser.add_argument("--tol-eval", type=float, default=None, metavar="X",
-                        help="relative comparison tolerance (default 1e-8)")
+    parser.add_argument("--tol-zero", type=float, default=DEFAULT_TOL.zero_tol, metavar="X",
+                        help="absolute zero threshold (default %(default)g)")
+    parser.add_argument("--tol-merge", type=float, default=DEFAULT_TOL.merge_tol, metavar="X",
+                        help="knot merge distance (default %(default)g)")
+    parser.add_argument("--tol-eval", type=float, default=DEFAULT_TOL.eval_tol, metavar="X",
+                        help="relative comparison tolerance (default %(default)g)")
 
 
 def _tolerances(args) -> Tolerances:
-    defaults = Tolerances()
-    return Tolerances(
-        zero_tol=args.tol_zero if args.tol_zero is not None else defaults.zero_tol,
-        merge_tol=args.tol_merge if args.tol_merge is not None else defaults.merge_tol,
-        eval_tol=args.tol_eval if args.tol_eval is not None else defaults.eval_tol,
-    )
+    return Tolerances(args.tol_zero, args.tol_merge, args.tol_eval)
 
 
 def _parse_ints(text: str, flag: str) -> list[int]:
@@ -88,8 +83,7 @@ def _cmd_to_spline(args) -> int:
     net = network_from_obj(load_json(args.network))
     spline = dnn_to_spline(net, tol)
     dump_json(args.out, spline_to_obj(spline))
-    observed = len(active_knots(spline, tol))
-    print(f"knots: observed={observed} bound={knot_bound(net.widths)}")
+    print(f"knots: observed={spline.n_knots} bound={knot_bound(net.widths)}")
     return 0
 
 
@@ -124,12 +118,9 @@ def _cmd_synth(args) -> int:
     else:
         if hierarchy is None:
             arch = _parse_ints(args.arch, "--arch")
-            if len(arch) == 2:
-                hierarchy = hierarchy_from_flat(flat, arch[0], arch[1])
-            elif len(arch) == 3:
-                hierarchy = hierarchy_from_flat(flat, arch[0], arch[1], arch[2])
-            else:
+            if len(arch) not in (2, 3):
                 raise SchemaError("--arch must be n1,n2 or n1,n2,n3")
+            hierarchy = hierarchy_from_flat(flat, *arch)
         if hierarchy.level3 is None:
             net = synth_two_hidden(hierarchy, opts, tol)
         else:
@@ -169,7 +160,7 @@ def _cmd_verify(args) -> int:
     merged = np.unique(np.concatenate((recomputed.knots, spline.knots)))
     grid = probe_grid(merged, margin=2.0, per_interval=3) if merged.size else probe_grid(merged)
     error = equivalence_error(net, spline, grid)
-    observed = len(active_knots(recomputed, tol))
+    observed = recomputed.n_knots
     bound = knot_bound(net.widths)
     ok = error <= tol.eval_tol and observed <= bound
     print(f"max relative error: {error:.3e}")

@@ -226,10 +226,11 @@ class ReluNetwork:
 class CplSpline:
     """Continuous piecewise-linear function q1 t + q0 + sum coeffs relu(t - knots).
 
-    Construction only checks finiteness and matching lengths; canonical
-    form (knots strictly increasing, every coefficient nonzero) is
-    established by :func:`canonicalize` and holds for every spline the
-    library itself returns.
+    Construction only checks finiteness and matching lengths.  Canonical
+    form (knots strictly increasing, every coefficient nonzero) holds for
+    every spline the library itself returns: conversion gets it from the
+    knot merge of its last layer step, and :func:`canonicalize` establishes
+    it for raw hinge collections.
     """
 
     q1: float

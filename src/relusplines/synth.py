@@ -41,7 +41,6 @@ from .core import (
     SplineBundle,
     SynthesisOptions,
     Tolerances,
-    canonicalize,
 )
 from .evaluate import eval_bundle
 # dnn_to_spline is not called here; bench/selftest.py reaches it as synth.dnn_to_spline
@@ -167,14 +166,16 @@ def synth_two_hidden_no_source(
 ) -> ReluNetwork:
     """Prescribed-knot network with every source channel equal to zero.
 
-    Takes a flat strictly increasing list of n1 (n2 + 1) knots read in
-    blocks [x_k, zeros of unit 1..n2 in (x_k, x_{k+1})].  Without a source
-    channel each unit is constant left of x_1, so there are no knots
+    Takes a flat strictly increasing list of n1 (n2 + 1) knots, n1 >= 1,
+    read in blocks [x_k, zeros of unit 1..n2 in (x_k, x_{k+1})].  Without a
+    source channel each unit is constant left of x_1, so there are no knots
     there; ``opts.seeds`` sets the first-interval slopes (default
     alternating -1, +1, ...), which must change sign somewhere when
     n1 > 1.
     """
     opts = opts or SynthesisOptions()
+    if n1 < 1:
+        raise InterlacingError(f"level 1 needs at least one knot, got n1 = {n1}")
     blocks = _flat_knots(knots, n1 * (n2 + 1), (n1, n2)).reshape(n1, n2 + 1)
     x1, zeros = blocks[:, 0], blocks[:, 1:].T
     if opts.seeds is None:
@@ -384,7 +385,7 @@ def synth_three_hidden(
     for _ in range(attempts):
         last = Layer(a4.reshape(1, n3), np.array([opts.b_out]), np.array([opts.c_out]))
         # dnn_to_spline's last step on the returned network
-        spline = canonicalize(layer_transfer(signed3, last.A, last.c, last.b, tol).member(0), tol)
+        spline = layer_transfer(signed3, last.A, last.c, last.b, tol).member(0)
         missing = _missing_prescribed(spline, wanted, tol)
         if missing.size == 0:
             return ReluNetwork(layers_fixed + (last,))

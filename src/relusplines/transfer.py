@@ -11,6 +11,10 @@ inserts a new hinge wherever an affine piece crosses zero inside its
 interval.  Crossings are located as -eta/mu from the per-interval form, so
 all knot arithmetic is closed form; no sampling or fitting is involved.
 
+Every step merges its knots once (``_merge_columns``), and the merge in
+the last step already yields the canonical spline; ``canonicalize`` is
+for raw hinge collections.
+
 Sign decisions use tol.zero_tol.  A unit value at a knot counts as zero
 when |f(x)| <= zero_tol * (1 + |mu x|), which keeps the test meaningful
 when mu x and eta cancel; slopes count as zero at |mu| <= zero_tol.
@@ -29,7 +33,6 @@ from .core import (
     ReluNetwork,
     SplineBundle,
     Tolerances,
-    canonicalize,
 )
 
 __all__ = [
@@ -71,13 +74,13 @@ def shallow_to_spline(c2, b2, a1, a2, b1, tol: Tolerances = DEFAULT_TOL) -> CplS
 def sigma_compose(f: CplSpline, tol: Tolerances = DEFAULT_TOL) -> CplSpline:
     """Canonical spline of relu(f) for a canonical spline f.
 
-    The result has at most 2 n + 1 knots: each original knot survives or
-    splits, and each of the n + 1 affine pieces contributes at most one
-    zero crossing.
+    One ``layer_transfer`` step on the one-member bundle of f, whose merge
+    already yields the canonical spline.  The result has at most 2 n + 1
+    knots: each original knot survives or splits, and each of the n + 1
+    affine pieces contributes at most one zero crossing.
     """
     bundle = SplineBundle(f.knots, [f.q1], [f.q0], f.coeffs.reshape(1, -1))
-    out = layer_transfer(bundle, [[1.0]], [0.0], [0.0], tol)
-    return canonicalize(out.member(0), tol)
+    return layer_transfer(bundle, [[1.0]], [0.0], [0.0], tol).member(0)
 
 
 def first_layer_canonicalize(
@@ -125,6 +128,8 @@ def _merge_columns(coords, is_new, columns, tol: Tolerances):
 
     ``coords`` need not be sorted.  Columns in a merged group are summed;
     groups whose column is entirely <= zero_tol in magnitude are dropped.
+    The knots come back strictly increasing and more than merge_tol apart,
+    each column with an entry above zero_tol: one row is a canonical spline.
     """
     coords = np.asarray(coords, dtype=float)
     is_new = np.asarray(is_new, dtype=bool)
@@ -227,7 +232,7 @@ def dnn_to_spline(net: ReluNetwork, tol: Tolerances = DEFAULT_TOL) -> CplSpline:
     bundle = _first_bundle(net.layers[0], net.layers[1], tol)
     for layer in net.layers[2:]:
         bundle = layer_transfer(bundle, layer.A, layer.c, layer.b, tol)
-    return canonicalize(bundle.member(0), tol)
+    return bundle.member(0)
 
 
 def spline_to_shallow(spline: CplSpline) -> ReluNetwork:

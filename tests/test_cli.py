@@ -196,6 +196,16 @@ class TestSynth:
         assert code == 5
         assert "inactive prescribed knots: [3.0]" in err
 
+    def test_no_source_empty_first_level(self, tmp_path, capsys):
+        empty = tmp_path / "empty.json"
+        rs.dump_json(empty, {"knots": []})
+        code, out, err = run(capsys, "synth", empty, "--arch", "0,1", "--no-source",
+                             "-o", tmp_path / "net.json")
+        assert code == 4
+        assert out == ""
+        # one error line and no traceback
+        assert err.splitlines() == ["error: level 1 needs at least one knot, got n1 = 0"]
+
     def test_same_sign_seeds_rejected(self, tmp_path, capsys):
         code, _, err = run(capsys, "synth", FIXTURES / "nine_flat_knots.json",
                            "--arch", "3,2", "--no-source", "--seeds", "1,1",

@@ -188,6 +188,11 @@ class TestSynthTwoHiddenNoSource:
         with pytest.raises(rs.InterlacingError):
             rs.synth_two_hidden_no_source([1.0, 3.0, 2.0], 1, 2)
 
+    @pytest.mark.parametrize("n1,n2", [(0, 1), (0, 3), (-1, 2)])
+    def test_empty_first_level_rejected(self, n1, n2):
+        with pytest.raises(rs.InterlacingError, match="level 1 needs at least one knot"):
+            rs.synth_two_hidden_no_source([], n1, n2)
+
     def test_random_flat_knots(self):
         rng = np.random.default_rng(71)
         for _ in range(25):
@@ -326,6 +331,44 @@ class TestSynthThreeHidden:
             h = random_three_level(rng, 2, 2, 3)
             net = rs.synth_three_hidden(h, rng=np.random.default_rng(1))
             assert_prescribed_active(net, h)
+
+
+# 35 knots with widely varying gaps (weights reach 3e14): the default final
+# row -eps leaves 0.39711552308603415 inactive, and a seeded retry rescues it
+RESCUED_KNOTS = [
+    0.06197688071548724, 0.062017915767036275, 0.06209114504565219, 0.08029413271749664,
+    0.08065267993596158, 0.11335117840805459, 0.1539567460047358, 0.15404316213520092,
+    0.15597406945634565, 0.16437411137109173, 0.16634363867957822, 0.16677748185037788,
+    0.1668995252015572, 0.16831018595329686, 0.26322162311417546, 0.2632944110718518,
+    0.2784924392634642, 0.3000088424598149, 0.30037117120148643, 0.30056284325690075,
+    0.30060392201969977, 0.30417617007684167, 0.34620037446780294, 0.3473130536143248,
+    0.34736071393258405, 0.34887086915573634, 0.39711552308603415, 0.40521531192181304,
+    0.40531628411153264, 0.40548006150700966, 0.40598140919018455, 0.44428823566441517,
+    0.44449452282132174, 0.4447380380167721, 0.445026708741239,
+]
+
+
+class TestThreeHiddenRetryRescues:
+    def hierarchy(self):
+        return rs.hierarchy_from_flat(RESCUED_KNOTS, 6, 3, 2)
+
+    def test_third_attempt_activates_every_knot(self, monkeypatch):
+        h = self.hierarchy()
+        with pytest.warns(RuntimeWarning, match="below log2"):
+            net = rs.synth_three_hidden(h)
+        assert_prescribed_active(net, h)
+        # not the default +-1 row: the magnitudes of the second retry
+        np.testing.assert_allclose(np.abs(net.layers[-1].A[0]), [1.7199, 1.8691], atol=1e-4)
+        _, attempts = outcome_and_attempts(rs.synth_three_hidden, h, None, 0, monkeypatch)
+        assert len(attempts) == 3
+
+    @pytest.mark.parametrize("a4", [[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
+    def test_unit_final_rows_leave_one_knot_inactive(self, a4):
+        opts = rs.SynthesisOptions(a4=np.array(a4))
+        with pytest.warns(RuntimeWarning, match="below log2"):
+            with pytest.raises(rs.ActivityError) as info:
+                rs.synth_three_hidden(self.hierarchy(), opts)
+        assert info.value.inactive == [0.39711552308603415]
 
 
 class TestHierarchyFromFlat:

@@ -30,6 +30,7 @@ from helpers import (
     net_nine_knots,
     random_canonical_spline,
     random_network,
+    sawtooth_network,
 )
 
 
@@ -465,6 +466,69 @@ class TestDnnToSpline:
                                      margin=5.0, per_interval=3)
                 assert rs.equivalence_error(net, s, grid) <= rs.DEFAULT_TOL.eval_tol
                 assert s.n_knots <= rs.knot_bound(net.widths)
+
+
+def integer_network(rng: np.random.Generator) -> rs.ReluNetwork:
+    """Depth 2-4, hidden widths 1-4, integer parameters in [-2, 2].
+
+    Units then vanish exactly on knots, crossings coincide with knots or
+    with each other, and merged columns cancel to zero.
+    """
+    depth = int(rng.integers(2, 5))
+    widths = [1] + [int(rng.integers(1, 5)) for _ in range(depth - 1)] + [1]
+
+    def draw(*shape):
+        return rng.integers(-2, 3, shape).astype(float)
+
+    layers = [rs.Layer(draw(widths[1], 1), draw(widths[1]))]
+    layers += [
+        rs.Layer(draw(widths[i], widths[i - 1]), draw(widths[i]), draw(widths[i]))
+        for i in range(2, depth + 1)
+    ]
+    return rs.ReluNetwork(tuple(layers))
+
+
+def assert_canonical_as_returned(s: rs.CplSpline):
+    """Canonical, and canonicalize returns it bit for bit."""
+    assert s.is_canonical()
+    again = rs.canonicalize(s)
+    assert (again.q1, again.q0) == (s.q1, s.q0)
+    assert again.knots.tobytes() == s.knots.tobytes()
+    assert again.coeffs.tobytes() == s.coeffs.tobytes()
+
+
+class TestOutputCanonicalByConstruction:
+    """The last layer step's merge yields the canonical spline, no second pass."""
+
+    def networks(self):
+        yield net_max_knots()
+        yield net_nine_knots()
+        yield net_three_hidden()
+        for depth in range(1, 11):
+            yield sawtooth_network(depth)
+        rng = np.random.default_rng(59)
+        for _ in range(1000):
+            yield random_network(rng)
+        rng = np.random.default_rng(61)
+        for _ in range(300):
+            yield integer_network(rng)
+
+    def test_dnn_to_spline(self):
+        for net in self.networks():
+            s = rs.dnn_to_spline(net)
+            assert_canonical_as_returned(s)
+            assert rs.audit_bound(net).observed == len(rs.active_knots(s))
+
+    def test_sigma_compose_on_integer_splines(self):
+        rng = np.random.default_rng(67)
+        for _ in range(500):
+            n = int(rng.integers(0, 8))
+            knots = np.sort(rng.choice(np.arange(-5.0, 6.0), n, replace=False))
+            coeffs = rng.choice([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0], n)
+            f = rs.CplSpline(float(rng.integers(-3, 4)), float(rng.integers(-3, 4)), knots, coeffs)
+            out = rs.sigma_compose(f)
+            assert_canonical_as_returned(out)
+            assert out.n_knots == len(rs.active_knots(out))
 
 
 class TestSplineToShallow:
