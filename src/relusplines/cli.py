@@ -30,6 +30,7 @@ from .serialization import (
     SchemaError,
     detect_and_load,
     dump_json,
+    flat_knots_from_obj,
     hierarchy_from_obj,
     load_json,
     network_from_obj,
@@ -102,7 +103,7 @@ def _cmd_synth(args) -> int:
     elif "knots" in obj:
         if args.arch is None:
             raise SchemaError("--arch is required with a flat knots file")
-        flat = np.asarray(obj["knots"], dtype=float)
+        flat = flat_knots_from_obj(obj)
         hierarchy = None
     else:
         raise SchemaError(f"{args.knots}: neither a hierarchy (level1) nor flat (knots)")

@@ -14,7 +14,8 @@ Conventions:
   A knot is "active" when its coefficient is nonzero.  Canonical form
   keeps only active knots, strictly increasing.  ``CplSpline`` itself only
   requires finite data of matching length, so raw (unsorted, duplicated)
-  hinge collections can be carried into :func:`canonicalize`.
+  hinge collections can be carried into :func:`canonicalize`, the one-row
+  case of ``_merge_columns``, which is the knot merge of every conversion.
 * Hinges that would sit at -inf (flat inputs produce no breakpoint) are
   never materialized; every stored knot is finite.
 * All arithmetic is float64.  Instances are frozen and their arrays are
@@ -437,25 +438,59 @@ class SynthesisOptions:
             raise ValueError("eps entries must be +-1")
 
 
+def _merge_columns(coords, is_new, columns, tol: Tolerances):
+    """Merge knot columns within merge_tol; original knots win the coordinate.
+
+    ``coords`` need not be sorted.  Columns in a merged group are summed;
+    groups whose column is entirely <= zero_tol in magnitude are dropped.
+    The knots come back strictly increasing and more than merge_tol apart,
+    each column with an entry above zero_tol: one row is a canonical spline.
+    A bundle without members (no rows) has no knots.
+    """
+    if columns.shape[0] == 0:
+        return np.empty(0), np.empty((0, 0))
+    coords = np.asarray(coords, dtype=float)
+    is_new = np.asarray(is_new, dtype=bool)
+    order = np.argsort(coords, kind="stable")
+    coords = coords[order]
+    is_new = is_new[order]
+    columns = columns[:, order]
+    out_x: list[float] = []
+    out_cols: list[np.ndarray] = []
+    n = coords.shape[0]
+    i = 0
+    while i < n:
+        j = i + 1
+        while j < n and coords[j] - coords[j - 1] <= tol.merge_tol:
+            j += 1
+        if j == i + 1:
+            column = columns[:, i]
+            coord = coords[i]
+        else:
+            column = columns[:, i:j].sum(axis=1)
+            old = np.flatnonzero(~is_new[i:j])
+            coord = coords[i + old[0]] if old.size else coords[i]
+        if np.max(np.abs(column)) > tol.zero_tol:
+            out_x.append(float(coord))
+            out_cols.append(column)
+        i = j
+    if not out_x:
+        return np.empty(0), np.empty((columns.shape[0], 0))
+    return np.array(out_x), np.column_stack(out_cols)
+
+
 def canonicalize(spline: CplSpline, tol: Tolerances = DEFAULT_TOL) -> CplSpline:
     """Sort knots, merge near-duplicates, drop inactive coefficients.
 
     Knots within merge_tol of their predecessor are folded into one knot at
     the group's first (smallest) coordinate with coefficients summed;
-    coefficients of magnitude <= zero_tol are removed.  Running it twice
-    returns the second input bit for bit.
+    coefficients of magnitude <= zero_tol are removed.  This is
+    ``_merge_columns`` on one row: converted splines come back bit for bit.
     """
-    order = np.argsort(spline.knots, kind="stable")
-    xs = spline.knots[order]
-    starts = np.diff(xs, prepend=-np.inf) > tol.merge_tol
-    n, n_groups = xs.shape[0], int(np.count_nonzero(starts))
-    # a leading zero slot per group makes reduceat return np.sum(group) bit for
-    # bit (a singleton its coefficient); alone it would sum c_0 + (c_1 + ...)
-    slotted = np.zeros(n + n_groups)
-    slotted[np.arange(n) + np.cumsum(starts)] = spline.coeffs[order]
-    sums = np.add.reduceat(slotted, np.flatnonzero(starts) + np.arange(n_groups))
-    keep = np.abs(sums) > tol.zero_tol
-    return CplSpline(spline.q1, spline.q0, xs[starts][keep], sums[keep])
+    knots, columns = _merge_columns(
+        spline.knots, np.zeros(spline.n_knots, bool), spline.coeffs[None, :], tol
+    )
+    return CplSpline(spline.q1, spline.q0, knots, columns[0])
 
 
 def knot_bound(widths) -> int:

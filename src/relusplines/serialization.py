@@ -5,8 +5,8 @@ Network files: {"widths": [...], "layers": [{"A": [[...]], "b": [...]},
 "c" on layers past the first means a zero vector.  Spline files:
 {"q1": ..., "q0": ..., "knots": [...], "coeffs": [...]}.  Hierarchy
 files: {"level1": [...], "level2": [[...]], "level3": [[...]]} with
-level3 optional.  Floats are written with shortest round-trip formatting,
-so load(dump(x)) is bit-identical.
+level3 optional; flat knot files: {"knots": [...]}.  Floats are written
+with shortest round-trip formatting, so load(dump(x)) is bit-identical.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ __all__ = [
     "spline_from_obj",
     "hierarchy_to_obj",
     "hierarchy_from_obj",
+    "flat_knots_from_obj",
     "load_json",
     "dump_json",
     "detect_and_load",
@@ -152,6 +153,11 @@ def hierarchy_from_obj(obj) -> KnotHierarchy:
     return KnotHierarchy(
         _vector(obj["level1"], "level1"), _matrix(obj["level2"], "level2"), level3
     )
+
+
+def flat_knots_from_obj(obj) -> np.ndarray:
+    _require_keys(obj, ("knots",), (), "flat knots")
+    return _vector(obj["knots"], "knots")
 
 
 def load_json(path) -> dict:

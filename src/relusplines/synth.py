@@ -76,13 +76,13 @@ def slopes_from_knots(c_sign: float, level1, row) -> np.ndarray:
     z = np.atleast_1d(np.asarray(row, dtype=float))
     if z.shape[0] != x.shape[0] + 1:
         raise DimensionMismatchError("row must have one zero per interval of level1")
+    if np.any(z[:-1] >= x) or np.any(x >= z[1:]):
+        raise InterlacingError("zeros must interlace level1 as row[v-1] < x_v < row[v]")
     return _slope_rows(np.array([float(c_sign)]), x, z[None, :])[0]
 
 
 def _slope_rows(c_signs, x, zeros) -> np.ndarray:
-    """``slopes_from_knots`` for every row of ``zeros`` at once."""
-    if np.any(zeros[:, :-1] >= x) or np.any(x >= zeros[:, 1:]):
-        raise InterlacingError("zeros must interlace level1 as row[v-1] < x_v < row[v]")
+    """``slopes_from_knots`` for every row of ``zeros``, which already interlace x."""
     mu = np.empty(zeros.shape)
     mu[:, 0] = c_signs
     for v in range(1, mu.shape[1]):

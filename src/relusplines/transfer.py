@@ -11,9 +11,9 @@ inserts a new hinge wherever an affine piece crosses zero inside its
 interval.  Crossings are located as -eta/mu from the per-interval form, so
 all knot arithmetic is closed form; no sampling or fitting is involved.
 
-Every step merges its knots once (``_merge_columns``), and the merge in
-the last step already yields the canonical spline; ``canonicalize`` is
-for raw hinge collections.
+Every step merges its knots once, with ``core._merge_columns``, and the
+merge in the last step already yields the canonical spline.
+``canonicalize`` is the same merge on one row, for raw hinge collections.
 
 Sign decisions use tol.zero_tol.  A unit value at a knot counts as zero
 when |f(x)| <= zero_tol * (1 + |mu x|), which keeps the test meaningful
@@ -33,6 +33,7 @@ from .core import (
     ReluNetwork,
     SplineBundle,
     Tolerances,
+    _merge_columns,
 )
 
 __all__ = [
@@ -123,44 +124,6 @@ def first_layer_canonicalize(
     return bundle, rewritten
 
 
-def _merge_columns(coords, is_new, columns, tol: Tolerances):
-    """Merge knot columns within merge_tol; original knots win the coordinate.
-
-    ``coords`` need not be sorted.  Columns in a merged group are summed;
-    groups whose column is entirely <= zero_tol in magnitude are dropped.
-    The knots come back strictly increasing and more than merge_tol apart,
-    each column with an entry above zero_tol: one row is a canonical spline.
-    """
-    coords = np.asarray(coords, dtype=float)
-    is_new = np.asarray(is_new, dtype=bool)
-    order = np.argsort(coords, kind="stable")
-    coords = coords[order]
-    is_new = is_new[order]
-    columns = columns[:, order]
-    out_x: list[float] = []
-    out_cols: list[np.ndarray] = []
-    n = coords.shape[0]
-    i = 0
-    while i < n:
-        j = i + 1
-        while j < n and coords[j] - coords[j - 1] <= tol.merge_tol:
-            j += 1
-        if j == i + 1:
-            column = columns[:, i]
-            coord = coords[i]
-        else:
-            column = columns[:, i:j].sum(axis=1)
-            old = np.flatnonzero(~is_new[i:j])
-            coord = coords[i + old[0]] if old.size else coords[i]
-        if np.max(np.abs(column)) > tol.zero_tol:
-            out_x.append(float(coord))
-            out_cols.append(column)
-        i = j
-    if not out_x:
-        return np.empty(0), np.empty((columns.shape[0], 0))
-    return np.array(out_x), np.column_stack(out_cols)
-
-
 def layer_transfer(
     bundle: SplineBundle, A, c, b, tol: Tolerances = DEFAULT_TOL
 ) -> SplineBundle:
@@ -241,14 +204,6 @@ def spline_to_shallow(spline: CplSpline) -> ReluNetwork:
     Uses A1 = 1, b1 = -knots, so converting the result back reproduces the
     spline bit for bit.  A knotless spline yields a width-0 hidden layer.
     """
-    n = spline.n_knots
-    return ReluNetwork(
-        (
-            Layer(np.ones((n, 1)), -spline.knots),
-            Layer(
-                spline.coeffs.reshape(1, n),
-                np.array([spline.q0]),
-                np.array([spline.q1]),
-            ),
-        )
+    return ReluNetwork.shallow(
+        np.ones(spline.n_knots), -spline.knots, spline.coeffs, spline.q1, spline.q0
     )

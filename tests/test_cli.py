@@ -206,6 +206,31 @@ class TestSynth:
         # one error line and no traceback
         assert err.splitlines() == ["error: level 1 needs at least one knot, got n1 = 0"]
 
+    def test_no_source_zero_width_second_layer(self, tmp_path, capsys):
+        one = tmp_path / "one.json"
+        rs.dump_json(one, {"knots": [1.0]})
+        code, out, err = run(capsys, "synth", one, "--arch", "1,0", "--no-source",
+                             "-o", tmp_path / "net.json")
+        assert (code, out) == (5, "")
+        assert err.splitlines() == ["inactive prescribed knots: [1.0]"]
+
+    @pytest.mark.parametrize(
+        "obj,message",
+        [
+            ({"knots": [1, "2", 3, 4, 5, 6, 7, 8, 9]}, "knots[1] must be a number"),
+            ({"knots": "12"}, "knots must be a list of numbers"),
+            ({"knots": [True, 2]}, "knots[0] must be a number"),
+            ({"knots": list(range(1, 10)), "note": 1}, "flat knots has unknown field 'note'"),
+        ],
+    )
+    def test_flat_file_schema(self, tmp_path, capsys, obj, message):
+        flat = tmp_path / "flat.json"
+        rs.dump_json(flat, obj)
+        code, out, err = run(capsys, "synth", flat, "--arch", "3,2", "--no-source",
+                             "-o", tmp_path / "net.json")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: {message}"]
+
     def test_same_sign_seeds_rejected(self, tmp_path, capsys):
         code, _, err = run(capsys, "synth", FIXTURES / "nine_flat_knots.json",
                            "--arch", "3,2", "--no-source", "--seeds", "1,1",

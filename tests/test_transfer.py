@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import relusplines as rs
 
@@ -546,3 +548,92 @@ class TestSplineToShallow:
         assert net.widths == (1, 0, 1)
         back = rs.dnn_to_spline(net)
         assert (back.q1, back.q0, back.n_knots) == (2.0, -1.0, 0)
+
+def raw_spline(rng: np.random.Generator, tol: rs.Tolerances) -> rs.CplSpline:
+    """Unsorted hinges with repeats, chains within merge_tol and tiny coefficients."""
+    n = int(rng.integers(0, 40))
+    base = rng.choice([-2.0, 0.0, 1.0, 3.5], n) + rng.integers(0, 2, n) * 0.5
+    knots = base + rng.integers(0, 8, n) * 0.4 * tol.merge_tol
+    coeffs = rng.uniform(-1, 1, n) * 10.0 ** rng.integers(-12, 3, n)
+    coeffs[rng.uniform(size=n) < 0.1] = 0.0
+    if n >= 2:
+        knots[1], coeffs[1] = knots[0], -coeffs[0]
+    return rs.CplSpline(rng.uniform(-2, 2), rng.uniform(-2, 2), knots, coeffs)
+
+
+class TestSplineIsItsOwnShallowNetwork:
+    """canonicalize(s) is dnn_to_spline(spline_to_shallow(s)) bit for bit."""
+
+    TOLERANCES = (rs.DEFAULT_TOL, rs.Tolerances(zero_tol=1e-5, merge_tol=1e-6))
+
+    def assert_identity(self, raw: rs.CplSpline, tol: rs.Tolerances):
+        want = rs.canonicalize(raw, tol)
+        got = rs.dnn_to_spline(rs.spline_to_shallow(raw), tol)
+        assert (got.q1, got.q0) == (want.q1, want.q0)
+        assert got.knots.tobytes() == want.knots.tobytes()
+        assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+    def test_merge_is_shared(self):
+        assert rs.transfer._merge_columns is rs.core._merge_columns
+
+    def test_empty_spline(self):
+        for tol in self.TOLERANCES:
+            self.assert_identity(rs.CplSpline(1.5, -2.0, [], []), tol)
+
+    def test_seeded_raw_splines(self):
+        rng = np.random.default_rng(71)
+        for trial in range(600):
+            tol = self.TOLERANCES[trial % 2]
+            self.assert_identity(raw_spline(rng, tol), tol)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_drawn_raw_splines(self, data):
+        tol = data.draw(st.sampled_from(self.TOLERANCES))
+        n = data.draw(st.integers(0, 10))
+        base = data.draw(st.lists(st.sampled_from([-1.0, 0.0, 0.25, 2.0]), min_size=n, max_size=n))
+        steps = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+        coeff = st.one_of(
+            st.floats(-2.0, 2.0),
+            st.just(0.0),
+            st.floats(-0.5 * tol.zero_tol, 0.5 * tol.zero_tol),
+        )
+        coeffs = data.draw(st.lists(coeff, min_size=n, max_size=n))
+        knots = np.array(base) + np.array(steps) * 0.4 * tol.merge_tol
+        self.assert_identity(rs.CplSpline(0.5, -0.25, knots, np.array(coeffs)), tol)
+
+
+def zero_width_network(rng: np.random.Generator, widths) -> rs.ReluNetwork:
+    layers = [rs.Layer(rng.uniform(-2, 2, (widths[1], 1)), rng.uniform(-2, 2, widths[1]))]
+    layers += [
+        rs.Layer(
+            rng.uniform(-2, 2, (widths[i], widths[i - 1])),
+            rng.uniform(-2, 2, widths[i]),
+            rng.uniform(-2, 2, widths[i]),
+        )
+        for i in range(2, len(widths))
+    ]
+    return rs.ReluNetwork(tuple(layers))
+
+
+class TestZeroWidthHiddenLayer:
+    """A bundle with no members has no knots; conversion goes on from there."""
+
+    @pytest.mark.parametrize("widths", [(1, 1, 0, 1), (1, 2, 0, 1), (1, 2, 0, 3, 1),
+                                        (1, 3, 2, 0, 1)])
+    def test_matches_forward_pass(self, widths):
+        rng = np.random.default_rng(73)
+        for _ in range(20):
+            net = zero_width_network(rng, widths)
+            s = rs.dnn_to_spline(net)
+            assert s.is_canonical()
+            hinges = -net.layers[0].b / net.layers[0].A[:, 0]
+            grid = rs.probe_grid(np.unique(np.concatenate((s.knots, hinges))),
+                                 margin=5.0, per_interval=3)
+            assert rs.equivalence_error(net, s, grid) <= rs.DEFAULT_TOL.eval_tol
+
+    def test_last_layer_affine_part(self):
+        net = zero_width_network(np.random.default_rng(79), (1, 2, 0, 1))
+        s = rs.dnn_to_spline(net)
+        last = net.layers[-1]
+        assert (s.q1, s.q0, s.n_knots) == (last.c[0], last.b[0], 0)
