@@ -57,26 +57,20 @@ def _add_tol_flags(parser: argparse.ArgumentParser):
                         help="absolute zero threshold (default %(default)g)")
     parser.add_argument("--tol-merge", type=float, default=DEFAULT_TOL.merge_tol, metavar="X",
                         help="knot merge distance (default %(default)g)")
-    parser.add_argument("--tol-eval", type=float, default=DEFAULT_TOL.eval_tol, metavar="X",
-                        help="relative comparison tolerance (default %(default)g)")
 
 
 def _tolerances(args) -> Tolerances:
-    return Tolerances(args.tol_zero, args.tol_merge, args.tol_eval)
+    # only verify takes --tol-eval: no other subcommand makes an equality verdict
+    eval_tol = getattr(args, "tol_eval", DEFAULT_TOL.eval_tol)
+    return Tolerances(args.tol_zero, args.tol_merge, eval_tol)
 
 
-def _parse_ints(text: str, flag: str) -> list[int]:
+def _comma_list(text: str, flag: str, kind=float) -> list:
     try:
-        return [int(part) for part in text.split(",") if part != ""]
+        return [kind(part) for part in text.split(",") if part != ""]
     except ValueError as err:
-        raise SchemaError(f"{flag} must be comma-separated integers, got {text!r}") from err
-
-
-def _parse_floats(text: str, flag: str) -> np.ndarray:
-    try:
-        return np.array([float(part) for part in text.split(",") if part != ""])
-    except ValueError as err:
-        raise SchemaError(f"{flag} must be comma-separated numbers, got {text!r}") from err
+        raise SchemaError(f"{flag} must be a comma-separated list of {kind.__name__}s, "
+                          f"got {text!r}") from err
 
 
 def _cmd_to_spline(args) -> int:
@@ -93,39 +87,35 @@ def _cmd_synth(args) -> int:
     if args.seeds and not args.no_source:
         raise SchemaError("--seeds needs --no-source")
     obj = load_json(args.knots)
-    opts = SynthesisOptions(
-        seeds=_parse_floats(args.seeds, "--seeds") if args.seeds else None
-    )
-    rng = np.random.default_rng(args.seed)
     if "level1" in obj:
+        if args.arch is not None or args.no_source:
+            raise SchemaError("--arch and --no-source need a flat knots file")
         hierarchy = hierarchy_from_obj(obj)
-        flat = None
     elif "knots" in obj:
         if args.arch is None:
             raise SchemaError("--arch is required with a flat knots file")
         flat = flat_knots_from_obj(obj)
-        hierarchy = None
+        arch = _comma_list(args.arch, "--arch", int)
+        if args.no_source and len(arch) != 2:
+            raise SchemaError("--no-source takes --arch n1,n2")
+        if len(arch) not in (2, 3):
+            raise SchemaError("--arch must be n1,n2 or n1,n2,n3")
+        hierarchy = None if args.no_source else hierarchy_from_flat(flat, *arch)
     else:
         raise SchemaError(f"{args.knots}: neither a hierarchy (level1) nor flat (knots)")
+    if args.seed is not None and (args.no_source or hierarchy.level3 is None):
+        raise SchemaError("--seed needs a three-level build, the only one with random retries")
 
     if args.no_source:
-        if flat is None:
-            raise SchemaError("--no-source needs a flat knots file")
-        arch = _parse_ints(args.arch, "--arch")
-        if len(arch) != 2:
-            raise SchemaError("--no-source takes --arch n1,n2")
-        net = synth_two_hidden_no_source(flat, arch[0], arch[1], opts, tol)
+        seeds = _comma_list(args.seeds, "--seeds") if args.seeds else None
+        net = synth_two_hidden_no_source(flat, *arch, SynthesisOptions(seeds=seeds), tol)
         wanted = flat
     else:
-        if hierarchy is None:
-            arch = _parse_ints(args.arch, "--arch")
-            if len(arch) not in (2, 3):
-                raise SchemaError("--arch must be n1,n2 or n1,n2,n3")
-            hierarchy = hierarchy_from_flat(flat, *arch)
         if hierarchy.level3 is None:
-            net = synth_two_hidden(hierarchy, opts, tol)
+            net = synth_two_hidden(hierarchy, tol=tol)
         else:
-            net = synth_three_hidden(hierarchy, opts, tol, rng=rng)
+            rng = np.random.default_rng(args.seed or 0)
+            net = synth_three_hidden(hierarchy, tol=tol, rng=rng)
         wanted = prescribed_knots(hierarchy)
 
     missing = _missing_prescribed(dnn_to_spline(net, tol), wanted, tol)
@@ -209,8 +199,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="force all source channels to zero (flat file, two widths)")
     p.add_argument("--seeds", default=None, metavar="S1,S2,...",
                    help="first-interval slopes for --no-source")
-    p.add_argument("--seed", type=int, default=0, metavar="U",
-                   help="seed for randomized retries")
+    p.add_argument("--seed", type=int, default=None, metavar="U",
+                   help="seed for the randomized retries of a three-level build (default 0)")
     p.add_argument("-o", "--out", required=True, help="output network JSON file")
     _add_tol_flags(p)
     p.set_defaults(func=_cmd_synth)
@@ -229,6 +219,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("spline", nargs="?", default=None,
                    help="spline JSON file (default: the network's own spline)")
     _add_tol_flags(p)
+    p.add_argument("--tol-eval", type=float, default=DEFAULT_TOL.eval_tol, metavar="X",
+                   help="relative comparison tolerance (default %(default)g)")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("normalize", help="rewrite with unit first layer and sign-only channels")

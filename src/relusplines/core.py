@@ -131,6 +131,8 @@ class Tolerances:
         for name in ("zero_tol", "merge_tol", "eval_tol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be strictly positive")
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.merge_tol > self.zero_tol:
             raise ValueError("merge_tol must not exceed zero_tol")
 
@@ -406,13 +408,18 @@ class KnotHierarchy:
 class SynthesisOptions:
     """Free parameters of the synthesis constructions.
 
-    a3       output-row magnitudes for the two-hidden-layer build (nonzero)
-    eps      per-unit signs (+-1) for the three-hidden-layer build
-    a4       explicit final weights for the three-hidden-layer build
-    seeds    first-column slopes for the no-source-channel build (nonzero)
-    c_out    source weight of the final layer
-    b_out    bias of the final layer
-    plus_variant  global sign choice on the two-hidden output row
+    Each build reads only some fields and raises ValueError, naming itself
+    and the field, when another one is set away from its default.
+
+    a3       output row (nonzero): magnitudes for ``synth_two_hidden``, which
+             fixes the signs; the signed row for ``synth_two_hidden_no_source``
+    eps      per-unit signs (+-1), ``synth_three_hidden``
+    a4       explicit final weights, ``synth_three_hidden``
+    seeds    first-interval slopes (nonzero), ``synth_two_hidden_no_source``
+    c_out    source weight of the final layer, ``synth_two_hidden`` and
+             ``synth_three_hidden`` (the no-source build has none)
+    b_out    bias of the final layer, every build
+    plus_variant  global sign of the output row, ``synth_two_hidden``
     """
 
     a3: np.ndarray | None = None

@@ -42,7 +42,10 @@ class SchemaError(ValueError):
 def _number(obj, field: str) -> float:
     if not isinstance(obj, (int, float)) or isinstance(obj, bool):
         raise SchemaError(f"{field} must be a number")
-    return float(obj)
+    try:
+        return float(obj)
+    except OverflowError as err:
+        raise SchemaError(f"{field} is out of range for a double") from err
 
 
 def _vector(obj, field: str) -> np.ndarray:

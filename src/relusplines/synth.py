@@ -23,6 +23,7 @@ example ``redundancy_residual``'s ``index_set``) are 0-based.
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -76,6 +77,8 @@ def slopes_from_knots(c_sign: float, level1, row) -> np.ndarray:
     z = np.atleast_1d(np.asarray(row, dtype=float))
     if z.shape[0] != x.shape[0] + 1:
         raise DimensionMismatchError("row must have one zero per interval of level1")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z))):
+        raise ValueError("level1 and row must be finite")
     if np.any(z[:-1] >= x) or np.any(x >= z[1:]):
         raise InterlacingError("zeros must interlace level1 as row[v-1] < x_v < row[v]")
     return _slope_rows(np.array([float(c_sign)]), x, z[None, :])[0]
@@ -93,6 +96,27 @@ def _slope_rows(c_signs, x, zeros) -> np.ndarray:
 def weights_from_slopes(mu) -> np.ndarray:
     """Hinge weights as slope differences along the last axis."""
     return np.diff(np.asarray(mu, dtype=float), axis=-1)
+
+
+def _read_options(opts: SynthesisOptions | None, build: str, reads: tuple) -> SynthesisOptions:
+    """``opts``, or the defaults; a field set away from its default must be in ``reads``."""
+    if opts is None:
+        return SynthesisOptions()
+    for field in dataclasses.fields(opts):
+        value = getattr(opts, field.name)
+        changed = value is not None if field.default is None else value != field.default
+        if changed and field.name not in reads:
+            raise ValueError(f"{build} does not read SynthesisOptions.{field.name}")
+    return opts
+
+
+def _per_unit(value, default, n: int, name: str):
+    """A per-unit option: ``default`` when unset, else the option of length n."""
+    if value is None:
+        return default
+    if value.shape[0] != n:
+        raise DimensionMismatchError(f"{name} must have length {n}")
+    return value
 
 
 def _two_hidden_layers(h: KnotHierarchy) -> tuple[Layer, Layer]:
@@ -116,7 +140,7 @@ def synth_two_hidden(
     positive at the even-position level-1 knots, which therefore drop out
     (warned, not raised).
     """
-    opts = opts or SynthesisOptions()
+    opts = _read_options(opts, "synth_two_hidden", ("a3", "plus_variant", "c_out", "b_out"))
     if h.level3 is not None:
         raise ValueError("two-hidden synthesis takes a two-level hierarchy")
     n1, n2 = h.n1, h.n2
@@ -126,12 +150,7 @@ def synth_two_hidden(
             RuntimeWarning,
             stacklevel=2,
         )
-    if opts.a3 is None:
-        magnitudes = np.ones(n2)
-    else:
-        if opts.a3.shape[0] != n2:
-            raise DimensionMismatchError(f"a3 must have length {n2}")
-        magnitudes = np.abs(opts.a3)
+    magnitudes = np.abs(_per_unit(opts.a3, np.ones(n2), n2, "a3"))
     sign = 1.0 if opts.plus_variant else -1.0
     a3 = sign * np.where(np.arange(1, n2 + 1) % 2 == 0, 1.0, -1.0) * magnitudes
     return ReluNetwork(
@@ -171,19 +190,15 @@ def synth_two_hidden_no_source(
     source channel each unit is constant left of x_1, so there are no knots
     there; ``opts.seeds`` sets the first-interval slopes (default
     alternating -1, +1, ...), which must change sign somewhere when
-    n1 > 1.
+    n1 > 1.  ``opts.a3`` is the signed output row (default ones) and
+    ``opts.b_out`` the final bias.
     """
-    opts = opts or SynthesisOptions()
+    opts = _read_options(opts, "synth_two_hidden_no_source", ("seeds", "a3", "b_out"))
     if n1 < 1:
         raise InterlacingError(f"level 1 needs at least one knot, got n1 = {n1}")
     blocks = _flat_knots(knots, n1 * (n2 + 1), (n1, n2)).reshape(n1, n2 + 1)
     x1, zeros = blocks[:, 0], blocks[:, 1:].T
-    if opts.seeds is None:
-        seeds = np.where(np.arange(1, n2 + 1) % 2 == 1, -1.0, 1.0)
-    else:
-        if opts.seeds.shape[0] != n2:
-            raise DimensionMismatchError(f"seeds must have length {n2}")
-        seeds = opts.seeds
+    seeds = _per_unit(opts.seeds, np.where(np.arange(1, n2 + 1) % 2 == 1, -1.0, 1.0), n2, "seeds")
     if n1 > 1 and (np.all(seeds > 0) or np.all(seeds < 0)):
         raise ValueError("seeds need at least one sign change when n1 > 1")
     # the slope recursion from interval 1 on, where the zeros interlace x1[1:]
@@ -191,17 +206,12 @@ def synth_two_hidden_no_source(
     mu[:, 1:] = _slope_rows(seeds, x1[1:], zeros)
     a2 = weights_from_slopes(mu)
     b2 = seeds * (x1[0] - zeros[:, 0])
-    if opts.a3 is None:
-        a3 = np.ones(n2)
-    else:
-        if opts.a3.shape[0] != n2:
-            raise DimensionMismatchError(f"a3 must have length {n2}")
-        a3 = opts.a3
+    a3 = _per_unit(opts.a3, np.ones(n2), n2, "a3")
     return ReluNetwork(
         (
             Layer(np.ones((n1, 1)), -x1),
             Layer(a2, b2, np.zeros(n2)),
-            Layer(a3.reshape(1, n2), np.zeros(1), np.zeros(1)),
+            Layer(a3.reshape(1, n2), np.array([opts.b_out]), np.zeros(1)),
         )
     )
 
@@ -330,7 +340,7 @@ def synth_three_hidden(
     log2(n1 + (n1+1) n2) only triggers a warning since the post-hoc check
     decides success.
     """
-    opts = opts or SynthesisOptions()
+    opts = _read_options(opts, "synth_three_hidden", ("eps", "a4", "c_out", "b_out"))
     if h.level3 is None:
         raise ValueError("three-hidden synthesis needs a three-level hierarchy")
     rng = rng if rng is not None else np.random.default_rng(0)
@@ -352,7 +362,8 @@ def synth_three_hidden(
 
     first, second = _two_hidden_layers(h)
     bundle3 = layer_transfer(_first_bundle(first, second, tol), a3, c3, b3, tol)
-    if opts.eps is None:
+    eps = _per_unit(opts.eps, None, n3, "eps")
+    if eps is None:
         targets = np.sort(np.concatenate((h.level1, h.level2.ravel())))
         try:
             eps = epsilon_select(
@@ -366,10 +377,6 @@ def synth_three_hidden(
                 stacklevel=2,
             )
             eps = err.partial
-    else:
-        if opts.eps.shape[0] != n3:
-            raise DimensionMismatchError(f"eps must have length {n3}")
-        eps = opts.eps
 
     # eps flips rows exactly: this is dnn_to_spline's layer-3 bundle bit for bit
     signed3 = SplineBundle(
@@ -377,9 +384,7 @@ def synth_three_hidden(
     )
     layers_fixed = (first, second, Layer(a3 * eps[:, None], b3 * eps, c3 * eps))
     wanted = prescribed_knots(h)
-    a4 = opts.a4 if opts.a4 is not None else -eps
-    if opts.a4 is not None and opts.a4.shape[0] != n3:
-        raise DimensionMismatchError(f"a4 must have length {n3}")
+    a4 = _per_unit(opts.a4, -eps, n3, "a4")
     attempts = 1 if opts.a4 is not None else 1 + _RETRY_BUDGET
     missing = wanted
     for _ in range(attempts):

@@ -85,6 +85,24 @@ class TestEval:
         assert first.read_bytes() == second.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv,obj,field",
+    [
+        (["eval", "--from", "0", "--to", "1", "--samples", "2"],
+         {"q1": 10**400, "q0": 0.0, "knots": [], "coeffs": []}, "q1"),
+        (["synth", "--arch", "1,1", "--no-source", "-o", "net.json"],
+         {"knots": [1.0, -(10**400)]}, "knots[1]"),
+    ],
+)
+def test_out_of_range_integer_is_schema_error(tmp_path, capsys, argv, obj, field):
+    # JSON integers have no size limit; one that does not fit a double is a bad field
+    path = tmp_path / "in.json"
+    rs.dump_json(path, obj)
+    code, out, err = run(capsys, argv[0], path, *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: {field} is out of range for a double"]
+
+
 class TestToSpline:
     def test_reference_network(self, tmp_path, capsys):
         out_path = tmp_path / "spline.json"
@@ -120,9 +138,29 @@ class TestToSpline:
 
     def test_tolerance_flags_accepted(self, tmp_path, capsys):
         code, _, _ = run(capsys, "to-spline", MAX_NET, "--tol-zero", "1e-8",
-                         "--tol-merge", "1e-9", "--tol-eval", "1e-6",
-                         "-o", tmp_path / "s.json")
+                         "--tol-merge", "1e-9", "-o", tmp_path / "s.json")
         assert code == 0
+
+    def test_infinite_tolerances_rejected(self, tmp_path, capsys):
+        code, out, err = run(capsys, "to-spline", MAX_NET, "--tol-zero", "inf",
+                             "--tol-merge", "inf", "-o", tmp_path / "s.json")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: zero_tol must be finite"]
+        assert not (tmp_path / "s.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["to-spline", MAX_NET],
+            ["synth", str(FIXTURES / "max_knots_hierarchy.json")],
+            ["normalize", MAX_NET],
+        ],
+    )
+    def test_tol_eval_only_on_verify(self, tmp_path, argv):
+        # only verify makes an equality verdict, so elsewhere the flag is unknown
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--tol-eval", "1e-6", "-o", str(tmp_path / "out.json")])
+        assert info.value.code == 2
 
 
 class TestSynth:
@@ -238,6 +276,32 @@ class TestSynth:
         assert code == 2
         assert "sign change" in err
 
+    @pytest.mark.parametrize(
+        "knots,flags,message",
+        [
+            ("max_knots_hierarchy.json", ["--arch", "9,9,9"],
+             "--arch and --no-source need a flat knots file"),
+            ("max_knots_hierarchy.json", ["--seed", "5"],
+             "--seed needs a three-level build, the only one with random retries"),
+            ("nine_flat_knots.json", ["--arch", "3,2", "--no-source", "--seed", "5"],
+             "--seed needs a three-level build, the only one with random retries"),
+        ],
+    )
+    def test_unread_flags_rejected(self, tmp_path, capsys, knots, flags, message):
+        out_path = tmp_path / "net.json"
+        code, out, err = run(capsys, "synth", FIXTURES / knots, *flags, "-o", out_path)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: {message}"]
+        assert not out_path.exists()
+
+    def test_seed_on_three_levels(self, tmp_path, capsys):
+        out_path = tmp_path / "net.json"
+        with pytest.warns(RuntimeWarning, match="below log2"):
+            code, _, _ = run(capsys, "synth", FIXTURES / "fourteen_hierarchy.json",
+                             "--seed", "5", "-o", out_path)
+        assert code == 0
+        assert rs.load_json(out_path) == rs.load_json(FIXTURES / "three_hidden_network.json")
+
     def test_seeds_need_no_source(self, tmp_path, capsys):
         out_path = tmp_path / "net.json"
         code, _, err = run(capsys, "synth", FIXTURES / "max_knots_hierarchy.json",
@@ -297,6 +361,9 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", MAX_NET, bad)
         assert code == 1
         assert "max relative error" in out
+        # the relative error is at most 1 here, so a tolerance of 2 accepts it
+        code, _, _ = run(capsys, "verify", MAX_NET, bad, "--tol-eval", "2")
+        assert code == 0
 
 
 class TestNormalize:

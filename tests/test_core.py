@@ -22,6 +22,11 @@ class TestTolerances:
         with pytest.raises(ValueError):
             rs.Tolerances(**bad)
 
+    @pytest.mark.parametrize("name", ["zero_tol", "merge_tol", "eval_tol"])
+    def test_finite_required(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            rs.Tolerances(**{name: np.inf})
+
     def test_merge_must_not_exceed_zero(self):
         with pytest.raises(ValueError):
             rs.Tolerances(zero_tol=1e-12, merge_tol=1e-10)

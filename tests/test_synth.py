@@ -77,6 +77,14 @@ class TestSlopesFromKnots:
         with pytest.raises(ValueError):
             rs.slopes_from_knots(2.0, [1.0], [0.5, 1.5])
 
+    @pytest.mark.parametrize(
+        "level1,row",
+        [([np.nan], [0.0, 1.0]), ([0.5], [np.nan, 1.0]), ([0.5], [-np.inf, 1.0])],
+    )
+    def test_non_finite_rejected(self, level1, row):
+        with pytest.raises(ValueError, match="level1 and row must be finite"):
+            rs.slopes_from_knots(1.0, level1, row)
+
 
 class TestWeightsFromSlopes:
     def test_reference_row(self):
@@ -660,3 +668,38 @@ class TestHierarchyFromFlatMatchesLoop:
                 assert h.level3 is None
             else:
                 np.testing.assert_array_equal(h.level3, level3)
+
+
+# a value away from the default for every SynthesisOptions field, sized for
+# the builds below, which all have n2 = 2 (and n3 = 2)
+CHANGED_OPTIONS = dict(
+    a3=[2.0, -3.0], eps=[-1.0, 1.0], a4=[2.0, -1.0], seeds=[-2.0, 1.0],
+    c_out=0.75, b_out=-2.0, plus_variant=False,
+)
+BUILDS = {
+    "synth_two_hidden": lambda opts: rs.synth_two_hidden(
+        rs.hierarchy_from_flat(np.arange(1.0, 12.0), 3, 2), opts
+    ),
+    "synth_two_hidden_no_source": lambda opts: rs.synth_two_hidden_no_source(
+        NINE_KNOTS, 3, 2, opts
+    ),
+    "synth_three_hidden": lambda opts: rs.synth_three_hidden(fourteen_hierarchy(), opts),
+}
+READS = {
+    "synth_two_hidden": {"a3", "plus_variant", "c_out", "b_out"},
+    "synth_two_hidden_no_source": {"seeds", "a3", "b_out"},
+    "synth_three_hidden": {"eps", "a4", "c_out", "b_out"},
+}
+
+
+@pytest.mark.filterwarnings("ignore:width 2 is below log2")
+@pytest.mark.parametrize("field", sorted(CHANGED_OPTIONS))
+@pytest.mark.parametrize("build", sorted(BUILDS))
+def test_every_option_is_read_or_refused(build, field):
+    opts = rs.SynthesisOptions(**{field: CHANGED_OPTIONS[field]})
+    if field in READS[build]:
+        default, changed = BUILDS[build](None), BUILDS[build](opts)
+        assert rs.network_to_obj(changed) != rs.network_to_obj(default)
+    else:
+        with pytest.raises(ValueError, match=f"^{build} does not read SynthesisOptions.{field}$"):
+            BUILDS[build](opts)
