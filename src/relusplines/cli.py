@@ -66,8 +66,11 @@ def _tolerances(args) -> Tolerances:
 
 
 def _comma_list(text: str, flag: str, kind=float) -> list:
+    parts = text.split(",")
+    if "" in parts:
+        raise SchemaError(f"{flag} has an empty entry in {text!r}")
     try:
-        return [kind(part) for part in text.split(",") if part != ""]
+        return [kind(part) for part in parts]
     except ValueError as err:
         raise SchemaError(f"{flag} must be a comma-separated list of {kind.__name__}s, "
                           f"got {text!r}") from err
@@ -108,11 +111,11 @@ def _cmd_synth(args) -> int:
 
     if args.no_source:
         seeds = _comma_list(args.seeds, "--seeds") if args.seeds else None
-        net = synth_two_hidden_no_source(flat, *arch, SynthesisOptions(seeds=seeds), tol)
+        net = synth_two_hidden_no_source(flat, *arch, SynthesisOptions(seeds=seeds))
         wanted = flat
     else:
         if hierarchy.level3 is None:
-            net = synth_two_hidden(hierarchy, tol=tol)
+            net = synth_two_hidden(hierarchy)
         else:
             rng = np.random.default_rng(args.seed or 0)
             net = synth_three_hidden(hierarchy, tol=tol, rng=rng)

@@ -38,7 +38,6 @@ __all__ = [
     "Layer",
     "ReluNetwork",
     "CplSpline",
-    "PiecewiseForm",
     "SplineBundle",
     "KnotHierarchy",
     "SynthesisOptions",
@@ -261,38 +260,6 @@ class CplSpline:
         gaps_ok = bool(np.all(np.diff(self.knots) > tol.merge_tol))
         active = bool(np.all(np.abs(self.coeffs) > tol.zero_tol))
         return gaps_ok and active
-
-
-@dataclass(frozen=True, eq=False)
-class PiecewiseForm:
-    """Per-interval slopes and intercepts of a spline with N knots.
-
-    ``mu[v]`` and ``eta[v]`` describe the affine piece on the v-th interval,
-    v = 0 .. N, where interval 0 is left of the first knot.
-    """
-
-    mu: np.ndarray
-    eta: np.ndarray
-
-    def __post_init__(self):
-        mu = _frozen_array(self.mu, ndim=1, name="mu")
-        eta = _frozen_array(self.eta, ndim=1, name="eta")
-        if mu.shape != eta.shape:
-            raise DimensionMismatchError("mu and eta must have equal length")
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "eta", eta)
-
-    @classmethod
-    def from_spline(cls, spline: CplSpline) -> "PiecewiseForm":
-        if np.any(np.diff(spline.knots) <= 0):
-            raise ValueError("piecewise form needs strictly increasing knots")
-        mu = np.concatenate(([spline.q1], spline.q1 + np.cumsum(spline.coeffs)))
-        eta = np.concatenate(([spline.q0], spline.q0 - np.cumsum(spline.coeffs * spline.knots)))
-        return cls(mu, eta)
-
-    def jumps(self) -> np.ndarray:
-        """Slope jumps mu[v] - mu[v-1]; these are the hinge coefficients."""
-        return np.diff(self.mu)
 
 
 @dataclass(frozen=True, eq=False)

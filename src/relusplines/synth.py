@@ -48,8 +48,6 @@ from .evaluate import eval_bundle
 from .transfer import _first_bundle, dnn_to_spline, layer_transfer  # noqa: F401
 
 __all__ = [
-    "slopes_from_knots",
-    "weights_from_slopes",
     "synth_two_hidden",
     "synth_two_hidden_no_source",
     "redundancy_residual",
@@ -62,40 +60,21 @@ __all__ = [
 _RETRY_BUDGET = 32
 
 
-def slopes_from_knots(c_sign: float, level1, row) -> np.ndarray:
-    """Per-interval slopes of a unit with the given zeros and source sign.
-
-    ``row`` holds the unit's zeros, one per interval of ``level1`` (end
-    intervals included), interlaced as row[v-1] < level1[v-1] < row[v].
-    Slopes start at c_sign and follow
-    mu[v] = mu[v-1] (x_v - row[v-1]) / (x_v - row[v]), so they alternate
-    in sign and every piece crosses zero exactly where prescribed.
-    """
-    if c_sign not in (-1.0, 1.0, -1, 1):
-        raise ValueError("c_sign must be -1 or +1")
-    x = np.atleast_1d(np.asarray(level1, dtype=float))
-    z = np.atleast_1d(np.asarray(row, dtype=float))
-    if z.shape[0] != x.shape[0] + 1:
-        raise DimensionMismatchError("row must have one zero per interval of level1")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z))):
-        raise ValueError("level1 and row must be finite")
-    if np.any(z[:-1] >= x) or np.any(x >= z[1:]):
-        raise InterlacingError("zeros must interlace level1 as row[v-1] < x_v < row[v]")
-    return _slope_rows(np.array([float(c_sign)]), x, z[None, :])[0]
-
-
 def _slope_rows(c_signs, x, zeros) -> np.ndarray:
-    """``slopes_from_knots`` for every row of ``zeros``, which already interlace x."""
+    """Per-interval slopes of units with the given zeros and source signs.
+
+    Row r of ``zeros`` holds unit r's zeros, one per interval of x (end
+    intervals included), already interlaced as
+    zeros[r, v-1] < x[v-1] < zeros[r, v].  Slopes start at c_signs[r] and
+    follow mu[v] = mu[v-1] (x[v-1] - zeros[r, v-1]) / (x[v-1] - zeros[r, v]),
+    so they alternate in sign and every piece crosses zero exactly where
+    prescribed.  Hinge weights are the slope differences along each row.
+    """
     mu = np.empty(zeros.shape)
     mu[:, 0] = c_signs
     for v in range(1, mu.shape[1]):
         mu[:, v] = mu[:, v - 1] * (x[v - 1] - zeros[:, v - 1]) / (x[v - 1] - zeros[:, v])
     return mu
-
-
-def weights_from_slopes(mu) -> np.ndarray:
-    """Hinge weights as slope differences along the last axis."""
-    return np.diff(np.asarray(mu, dtype=float), axis=-1)
 
 
 def _read_options(opts: SynthesisOptions | None, build: str, reads: tuple) -> SynthesisOptions:
@@ -122,13 +101,11 @@ def _per_unit(value, default, n: int, name: str):
 def _two_hidden_layers(h: KnotHierarchy) -> tuple[Layer, Layer]:
     """Layers 1 and 2 shared by both deep builds (source signs alternate)."""
     c_signs = np.where(np.arange(1, h.n2 + 1) % 2 == 1, 1.0, -1.0)
-    a2 = weights_from_slopes(_slope_rows(c_signs, h.level1, h.level2))
+    a2 = np.diff(_slope_rows(c_signs, h.level1, h.level2), axis=1)
     return Layer(np.ones((h.n1, 1)), -h.level1), Layer(a2, -h.level2[:, 0] * c_signs, c_signs)
 
 
-def synth_two_hidden(
-    h: KnotHierarchy, opts: SynthesisOptions | None = None, tol: Tolerances = DEFAULT_TOL
-) -> ReluNetwork:
+def synth_two_hidden(h: KnotHierarchy, opts: SynthesisOptions | None = None) -> ReluNetwork:
     """Width (1, n1, n2, 1) network whose active knots are exactly level1+level2.
 
     Source signs alternate (+1 on unit 1), biases put each unit's first
@@ -162,7 +139,13 @@ def synth_two_hidden(
 
 
 def _flat_knots(knots, expected: int, widths: tuple) -> np.ndarray:
-    """A flat knot list as floats: finite, ``expected`` long, strictly increasing."""
+    """A flat knot list as floats: finite, ``expected`` long, strictly increasing.
+
+    ``widths`` are the hidden widths the list is arranged for; none may be
+    negative.
+    """
+    if min(widths) < 0:
+        raise ValueError(f"widths must be non-negative, got ({', '.join(map(str, widths))})")
     ks = np.atleast_1d(np.asarray(knots, dtype=float))
     if not np.all(np.isfinite(ks)):
         raise ValueError("knots contain non-finite entries")
@@ -177,11 +160,7 @@ def _flat_knots(knots, expected: int, widths: tuple) -> np.ndarray:
 
 
 def synth_two_hidden_no_source(
-    knots,
-    n1: int,
-    n2: int,
-    opts: SynthesisOptions | None = None,
-    tol: Tolerances = DEFAULT_TOL,
+    knots, n1: int, n2: int, opts: SynthesisOptions | None = None
 ) -> ReluNetwork:
     """Prescribed-knot network with every source channel equal to zero.
 
@@ -204,7 +183,7 @@ def synth_two_hidden_no_source(
     # the slope recursion from interval 1 on, where the zeros interlace x1[1:]
     mu = np.zeros((n2, n1 + 1))
     mu[:, 1:] = _slope_rows(seeds, x1[1:], zeros)
-    a2 = weights_from_slopes(mu)
+    a2 = np.diff(mu, axis=1)
     b2 = seeds * (x1[0] - zeros[:, 0])
     a3 = _per_unit(opts.a3, np.ones(n2), n2, "a3")
     return ReluNetwork(
@@ -355,7 +334,7 @@ def synth_three_hidden(
         )
 
     walls = h.level2[:, 0]
-    a3 = weights_from_slopes(_slope_rows(np.ones(n3), walls, h.level3))
+    a3 = np.diff(_slope_rows(np.ones(n3), walls, h.level3), axis=1)
     even = np.arange(1, n2 + 1) % 2 == 0
     c3 = 1.0 + a3[:, even].sum(axis=1)
     b3 = -h.level3[:, 0] - a3[:, even] @ walls[even]

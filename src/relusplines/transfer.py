@@ -2,14 +2,14 @@
 
 The deep-to-spline direction walks the layers.  The first layer turns each
 unit into one hinge (``_unit_hinges``), so every layer-2 unit is a spline
-over a shared knot vector; ``shallow_to_spline`` is this walk on a
-one-hidden-layer network.  Each later layer is one ``layer_transfer`` step
-on the whole bundle, and ``sigma_compose`` is that step on a one-member
-bundle.  The step keeps a hinge where the unit is positive, zeroes it where
-the unit is negative, splits it where the unit vanishes exactly, and
-inserts a new hinge wherever an affine piece crosses zero inside its
-interval.  Crossings are located as -eta/mu from the per-interval form, so
-all knot arithmetic is closed form; no sampling or fitting is involved.
+over a shared knot vector; a one-hidden-layer network is the one member of
+that bundle.  Each later layer is one ``layer_transfer`` step on the whole
+bundle, and ``sigma_compose`` is that step on a one-member bundle.  The
+step keeps a hinge where the unit is positive, zeroes it where the unit is
+negative, splits it where the unit vanishes exactly, and inserts a new
+hinge wherever an affine piece crosses zero inside its interval.
+Crossings are located as -eta/mu from the per-interval form, so all knot
+arithmetic is closed form; no sampling or fitting is involved.
 
 Every step merges its knots once, with ``core._merge_columns``, and the
 merge in the last step already yields the canonical spline.
@@ -37,7 +37,6 @@ from .core import (
 )
 
 __all__ = [
-    "shallow_to_spline",
     "sigma_compose",
     "first_layer_canonicalize",
     "layer_transfer",
@@ -61,15 +60,6 @@ def _unit_hinges(a1, b1, A2, c2, b2, zero_tol: float):
     q1s = c2 - A2 @ np.where(live, np.maximum(-a1, 0.0), 0.0)
     q0s = b2 + A2 @ np.where(live, np.where(a1 < 0, b1, 0.0), np.maximum(b1, 0.0))
     return knots, columns, q1s, q0s
-
-
-def shallow_to_spline(c2, b2, a1, a2, b1, tol: Tolerances = DEFAULT_TOL) -> CplSpline:
-    """Spline of c2 t + b2 + sum_k a2[k] relu(a1[k] t + b1[k]), canonical.
-
-    This is :func:`dnn_to_spline` on the one-hidden-layer network; flat
-    units (|a1[k]| <= zero_tol) only shift q0.
-    """
-    return dnn_to_spline(ReluNetwork.shallow(a1, b1, a2, c2, b2), tol)
 
 
 def sigma_compose(f: CplSpline, tol: Tolerances = DEFAULT_TOL) -> CplSpline:

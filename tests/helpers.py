@@ -176,6 +176,17 @@ def random_three_level(rng: np.random.Generator, n1: int, n2: int, n3: int) -> r
     )
 
 
+def piecewise_form(spline: rs.CplSpline) -> tuple[np.ndarray, np.ndarray]:
+    """Slopes mu[v] and intercepts eta[v] of the affine piece on interval v.
+
+    Interval 0 is left of the first knot, so a spline with N sorted knots
+    has N + 1 pieces; slope jumps np.diff(mu) are the coefficients.
+    """
+    mu = np.concatenate(([spline.q1], spline.q1 + np.cumsum(spline.coeffs)))
+    eta = np.concatenate(([spline.q0], spline.q0 - np.cumsum(spline.coeffs * spline.knots)))
+    return mu, eta
+
+
 def assert_splines_match(actual: rs.CplSpline, expected: rs.CplSpline, tol=1e-9):
     assert actual.n_knots == expected.n_knots
     np.testing.assert_allclose(actual.knots, expected.knots, rtol=0, atol=tol)

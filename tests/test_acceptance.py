@@ -215,11 +215,7 @@ class TestAcceptance:
         ok = True
         for _ in range(500):
             s = random_canonical_spline(rng)
-            net = rs.spline_to_shallow(s)
-            back = rs.shallow_to_spline(
-                net.layers[1].c[0], net.layers[1].b[0],
-                net.layers[0].A[:, 0], net.layers[1].A[0], net.layers[0].b,
-            )
+            back = rs.dnn_to_spline(rs.spline_to_shallow(s))
             ok = ok and back.q1 == s.q1 and back.q0 == s.q0
             ok = ok and bool(np.array_equal(back.knots, s.knots))
             ok = ok and bool(np.array_equal(back.coeffs, s.coeffs))

@@ -294,6 +294,32 @@ class TestSynth:
         assert err.splitlines() == [f"error: {message}"]
         assert not out_path.exists()
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--arch", "3,,2"], "--arch has an empty entry in '3,,2'"),
+            (["--arch", "3,2,"], "--arch has an empty entry in '3,2,'"),
+            (["--arch", "3,2", "--seeds=-1,1,"], "--seeds has an empty entry in '-1,1,'"),
+        ],
+    )
+    def test_empty_list_entry_rejected(self, tmp_path, capsys, flags, message):
+        out_path = tmp_path / "net.json"
+        code, out, err = run(capsys, "synth", FIXTURES / "nine_flat_knots.json", *flags,
+                             "--no-source", "-o", out_path)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: {message}"]
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "knots,flags", [([], ["--arch=1,-1", "--no-source"]), ([1.0, 2.0, 3.0], ["--arch=1,-1"])]
+    )
+    def test_negative_width_rejected(self, tmp_path, capsys, knots, flags):
+        flat = tmp_path / "flat.json"
+        rs.dump_json(flat, {"knots": knots})
+        code, out, err = run(capsys, "synth", flat, *flags, "-o", tmp_path / "net.json")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: widths must be non-negative, got (1, -1)"]
+
     def test_seed_on_three_levels(self, tmp_path, capsys):
         out_path = tmp_path / "net.json"
         with pytest.warns(RuntimeWarning, match="below log2"):

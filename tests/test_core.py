@@ -1,4 +1,4 @@
-"""Core types: validation, canonical form, knot bound, piecewise form."""
+"""Core types: validation, canonical form, knot bound."""
 
 import numpy as np
 import pytest
@@ -221,44 +221,6 @@ class TestKnotBound:
             rs.knot_bound((1, 1))
         with pytest.raises(rs.DimensionMismatchError):
             rs.knot_bound((2, 3, 1))
-
-
-class TestPiecewiseForm:
-    def test_recursions(self):
-        s = rs.CplSpline(1.0, -0.5, [1.0, 2.0, 3.0], [-2.0, 2.0, -3.0])
-        form = rs.PiecewiseForm.from_spline(s)
-        assert form.mu.tolist() == [1.0, -1.0, 1.0, -2.0]
-        # continuity at every knot: both adjacent pieces give the same value
-        for v, x in enumerate(s.knots):
-            left = form.mu[v] * x + form.eta[v]
-            right = form.mu[v + 1] * x + form.eta[v + 1]
-            assert left == pytest.approx(right, abs=1e-12)
-
-    def test_jumps_reconstruct_dyadic_coefficients_exactly(self):
-        coeffs = np.array([0.5, -0.25, 1.5, -2.0])
-        s = rs.CplSpline(0.75, -1.5, [0.0, 1.0, 2.0, 3.0], coeffs)
-        jumps = rs.PiecewiseForm.from_spline(s).jumps()
-        assert jumps.tolist() == coeffs.tolist()
-
-    @given(
-        st.lists(st.floats(-2, 2, allow_nan=False), min_size=1, max_size=10),
-        st.floats(-2, 2),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_jumps_reconstruct_generic_coefficients(self, coeffs, q1):
-        coeffs = np.array(coeffs)
-        knots = np.arange(float(len(coeffs)))
-        jumps = rs.PiecewiseForm.from_spline(
-            rs.CplSpline(q1, 0.0, knots, coeffs)
-        ).jumps()
-        # floating point partial sums round, so reconstruction is only
-        # exact up to the accumulated rounding of the cumulative slopes
-        scale = 1.0 + np.max(np.abs(np.cumsum(coeffs))) + abs(q1)
-        assert np.max(np.abs(jumps - coeffs)) <= 4 * np.finfo(float).eps * scale
-
-    def test_requires_sorted_knots(self):
-        with pytest.raises(ValueError):
-            rs.PiecewiseForm.from_spline(rs.CplSpline(0.0, 0.0, [2.0, 1.0], [1.0, 1.0]))
 
 
 class TestKnotHierarchy:

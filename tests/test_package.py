@@ -1,4 +1,9 @@
-"""The package namespace: every public name is exported once."""
+"""The package namespace: every public name is exported once and used,
+and every parameter in the source is read."""
+
+import ast
+import re
+from pathlib import Path
 
 import relusplines as rs
 
@@ -27,3 +32,49 @@ def test_star_import_exports_every_public_name():
     exec("from relusplines import *", namespace)
     assert "write_csv" in namespace
     assert set(rs.__all__) <= set(namespace)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "relusplines").glob("*.py"))
+
+
+def _loaded_names(node: ast.AST, attributes: bool) -> set:
+    """Names read anywhere under ``node``, and attribute names if asked."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif attributes and isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+    return names
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # a use inside the name's own top-level definition does not count
+    used = set()
+    for path in SOURCES:
+        for stmt in ast.parse(path.read_text()).body:
+            names = _loaded_names(stmt, attributes=True)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names.discard(stmt.name)
+            used |= names
+    texts = [path.read_text() for path in sorted((ROOT / "demos").glob("*.py"))]
+    words = set(re.findall(r"\w+", "\n".join(texts + [(ROOT / "README.md").read_text()])))
+    unused = [name for name in rs.__all__ if name not in used | words]
+    assert unused == []
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [arg for arg in (args.vararg, args.kwarg) if arg is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = set().union(*(_loaded_names(stmt, attributes=False) for stmt in body))
+            name = getattr(node, "name", "<lambda>")
+            unread += [f"{path.name}:{name}({p.arg})" for p in params if p.arg not in read]
+    assert unread == []

@@ -28,6 +28,7 @@ from helpers import (
     even_three_level,
     fourteen_hierarchy,
     max15_hierarchy,
+    piecewise_form,
     random_flat_knots,
     random_three_level,
     random_two_level,
@@ -49,12 +50,10 @@ def assert_prescribed_active(net: rs.ReluNetwork, h: rs.KnotHierarchy, atol=1e-9
 class TestSlopesFromKnots:
     def test_reference_rows(self):
         # unit rows of the 15-knot example, scaled to unit starting slope
-        mu1 = rs.slopes_from_knots(1.0, MAX15_LEVEL1, MAX15_LEVEL2[0])
-        np.testing.assert_allclose(mu1, [1.0, -1.0, 1.0, -2.0], atol=1e-12)
-        mu2 = rs.slopes_from_knots(1.0, MAX15_LEVEL1, MAX15_LEVEL2[1])
-        np.testing.assert_allclose(0.5 * mu2, [0.5, -0.5, 0.5, -1.0], atol=1e-12)
-        mu3 = rs.slopes_from_knots(-1.0, MAX15_LEVEL1, MAX15_LEVEL2[2])
-        np.testing.assert_allclose(0.5 * mu3, [-0.5, 0.5, -1.5, 1.0], atol=1e-12)
+        mu = synth._slope_rows(np.array([1.0, 1.0, -1.0]), MAX15_LEVEL1, MAX15_LEVEL2)
+        np.testing.assert_allclose(mu[0], [1.0, -1.0, 1.0, -2.0], atol=1e-12)
+        np.testing.assert_allclose(0.5 * mu[1], [0.5, -0.5, 0.5, -1.0], atol=1e-12)
+        np.testing.assert_allclose(0.5 * mu[2], [-0.5, 0.5, -1.5, 1.0], atol=1e-12)
 
     def test_signs_alternate(self):
         rng = np.random.default_rng(61)
@@ -62,40 +61,8 @@ class TestSlopesFromKnots:
             n1 = int(rng.integers(1, 5))
             flat = random_flat_knots(rng, 2 * n1 + 1)
             level1, row = flat[1::2], flat[0::2]
-            mu = rs.slopes_from_knots(1.0, level1, row)
+            mu = synth._slope_rows(np.array([1.0]), level1, row[None, :])[0]
             assert np.all(mu[:-1] * mu[1:] < 0)
-
-    def test_interlacing_enforced(self):
-        with pytest.raises(rs.InterlacingError):
-            rs.slopes_from_knots(1.0, [1.0, 2.0], [0.5, 2.5, 3.0])
-
-    def test_row_length_checked(self):
-        with pytest.raises(rs.DimensionMismatchError):
-            rs.slopes_from_knots(1.0, [1.0, 2.0], [0.5, 1.5])
-
-    def test_sign_argument_checked(self):
-        with pytest.raises(ValueError):
-            rs.slopes_from_knots(2.0, [1.0], [0.5, 1.5])
-
-    @pytest.mark.parametrize(
-        "level1,row",
-        [([np.nan], [0.0, 1.0]), ([0.5], [np.nan, 1.0]), ([0.5], [-np.inf, 1.0])],
-    )
-    def test_non_finite_rejected(self, level1, row):
-        with pytest.raises(ValueError, match="level1 and row must be finite"):
-            rs.slopes_from_knots(1.0, level1, row)
-
-
-class TestWeightsFromSlopes:
-    def test_reference_row(self):
-        mu = rs.slopes_from_knots(1.0, MAX15_LEVEL1, MAX15_LEVEL2[0])
-        np.testing.assert_allclose(rs.weights_from_slopes(mu), [-2.0, 2.0, -3.0], atol=1e-12)
-
-    def test_matrix_rows(self):
-        mu = np.array([[0.0, 1.0, -1.0], [2.0, 2.0, 5.0]])
-        np.testing.assert_array_equal(
-            rs.weights_from_slopes(mu), [[1.0, -2.0], [0.0, 3.0]]
-        )
 
 
 class TestSynthTwoHidden:
@@ -200,6 +167,11 @@ class TestSynthTwoHiddenNoSource:
     def test_empty_first_level_rejected(self, n1, n2):
         with pytest.raises(rs.InterlacingError, match="level 1 needs at least one knot"):
             rs.synth_two_hidden_no_source([], n1, n2)
+
+    def test_negative_width_rejected(self):
+        with pytest.raises(ValueError, match=r"^widths must be non-negative, got \(1, -1\)$"):
+            rs.synth_two_hidden_no_source([], 1, -1)
+        assert rs.synth_two_hidden_no_source([5.0], 1, 0).widths == (1, 1, 0, 1)
 
     def test_random_flat_knots(self):
         rng = np.random.default_rng(71)
@@ -413,6 +385,17 @@ class TestHierarchyFromFlat:
         with pytest.raises(rs.InterlacingError):
             rs.hierarchy_from_flat([2.0, 1.0, 3.0, 4.0, 5.0], 1, 2)
 
+    @pytest.mark.parametrize(
+        "knots,widths", [([0.0], (1, 1, -1)), ([1.0, 2.0, 3.0], (1, -1)), ([], (-1, 2))]
+    )
+    def test_negative_width_rejected(self, knots, widths):
+        with pytest.raises(ValueError, match="^widths must be non-negative"):
+            rs.hierarchy_from_flat(knots, *widths)
+
+    def test_zero_width_allowed(self):
+        h = rs.hierarchy_from_flat([1.0], 1, 0)
+        assert h.level1.tolist() == [1.0] and h.level2.shape == (0, 2)
+
 
 def brute_force_missing(spline: rs.CplSpline, prescribed: np.ndarray) -> np.ndarray:
     """Prescribed knots farther than ACTIVITY_TOL from every active knot."""
@@ -458,11 +441,11 @@ def looped_zero_sign_masks(bundle: rs.SplineBundle, targets: np.ndarray, tol=rs.
     minus_ok = np.zeros_like(plus_ok)
     positions = np.searchsorted(bundle.knots, targets)
     for r in range(bundle.width):
-        form = rs.PiecewiseForm.from_spline(bundle.member(r))
+        mu, _ = piecewise_form(bundle.member(r))
         for i, (t, pos) in enumerate(zip(targets, positions)):
             if pos >= bundle.knots.shape[0] or abs(bundle.knots[pos] - t) > tol.merge_tol:
                 continue
-            before, after = form.mu[pos], form.mu[pos + 1]
+            before, after = mu[pos], mu[pos + 1]
             plus_ok[r, i] = max(after, 0.0) + max(-before, 0.0) > tol.zero_tol
             minus_ok[r, i] = max(-after, 0.0) + max(before, 0.0) > tol.zero_tol
     return plus_ok, minus_ok
@@ -505,11 +488,10 @@ def reference_three_hidden(h, opts=None, tol=rs.DEFAULT_TOL, rng=None):
     rng = rng if rng is not None else np.random.default_rng(0)
     n1, n2, n3 = h.n1, h.n2, h.n3
     c_signs = np.where(np.arange(1, n2 + 1) % 2 == 1, 1.0, -1.0)
-    mu = np.stack([rs.slopes_from_knots(c_signs[j], h.level1, h.level2[j]) for j in range(n2)])
-    a2, b2 = rs.weights_from_slopes(mu), -h.level2[:, 0] * c_signs
+    mu = synth._slope_rows(c_signs, h.level1, h.level2)
+    a2, b2 = np.diff(mu, axis=1), -h.level2[:, 0] * c_signs
     walls = h.level2[:, 0]
-    mu3 = np.stack([rs.slopes_from_knots(1.0, walls, h.level3[r]) for r in range(n3)])
-    a3 = rs.weights_from_slopes(mu3)
+    a3 = np.diff(synth._slope_rows(np.ones(n3), walls, h.level3), axis=1)
     even = np.arange(1, n2 + 1) % 2 == 0
     c3 = 1.0 + a3[:, even].sum(axis=1)
     b3 = -h.level3[:, 0] - a3[:, even] @ walls[even]

@@ -30,6 +30,7 @@ from helpers import (
     assert_splines_match,
     net_max_knots,
     net_nine_knots,
+    piecewise_form,
     random_canonical_spline,
     random_network,
     sawtooth_network,
@@ -49,28 +50,32 @@ def net_three_hidden() -> rs.ReluNetwork:
 
 
 class TestShallowToSpline:
+    """dnn_to_spline on one-hidden-layer networks."""
+
     def test_positive_slopes(self):
-        s = rs.shallow_to_spline(0.0, 0.0, [1.0, 2.0], [1.0, 1.0], [0.0, -2.0])
+        s = rs.dnn_to_spline(rs.ReluNetwork.shallow([1.0, 2.0], [0.0, -2.0], [1.0, 1.0]))
         assert s.knots.tolist() == [0.0, 1.0]
         assert s.coeffs.tolist() == [1.0, 2.0]
         assert (s.q1, s.q0) == (0.0, 0.0)
 
     def test_negative_slope_folds_affine_part(self):
         # relu(-t + 1) = -t + 1 + relu(t - 1)
-        s = rs.shallow_to_spline(0.0, 0.0, [-1.0], [1.0], [1.0])
+        s = rs.dnn_to_spline(rs.ReluNetwork.shallow([-1.0], [1.0], [1.0]))
         assert (s.q1, s.q0) == (-1.0, 1.0)
         assert s.knots.tolist() == [1.0]
         assert s.coeffs.tolist() == [1.0]
 
     def test_flat_unit_shifts_intercept_only(self):
-        up = rs.shallow_to_spline(0.5, 0.0, [0.0], [3.0], [2.0])
+        up = rs.dnn_to_spline(rs.ReluNetwork.shallow([0.0], [2.0], [3.0], c2=0.5))
         assert (up.q1, up.q0, up.n_knots) == (0.5, 6.0, 0)
-        down = rs.shallow_to_spline(0.5, 0.0, [0.0], [3.0], [-2.0])
+        down = rs.dnn_to_spline(rs.ReluNetwork.shallow([0.0], [-2.0], [3.0], c2=0.5))
         assert (down.q1, down.q0, down.n_knots) == (0.5, 0.0, 0)
 
     def test_output_is_canonical(self):
         # two units hinge at the same point and cancel
-        s = rs.shallow_to_spline(1.0, 0.5, [1.0, 2.0], [2.0, -1.0], [-1.0, -2.0])
+        s = rs.dnn_to_spline(
+            rs.ReluNetwork.shallow([1.0, 2.0], [-1.0, -2.0], [2.0, -1.0], c2=1.0, b2=0.5)
+        )
         assert s.n_knots == 0
         assert (s.q1, s.q0) == (1.0, 0.5)
 
@@ -80,14 +85,14 @@ class TestShallowToSpline:
             n = int(rng.integers(1, 6))
             a1, a2, b1 = rng.uniform(-2, 2, (3, n))
             c2, b2 = rng.uniform(-2, 2, 2)
-            s = rs.shallow_to_spline(c2, b2, a1, a2, b1)
+            s = rs.dnn_to_spline(rs.ReluNetwork.shallow(a1, b1, a2, c2, b2))
             ts = np.linspace(-6, 6, 101)
             direct = c2 * ts + b2 + np.maximum(a1 * ts[:, None] + b1, 0.0) @ a2
             np.testing.assert_allclose(rs.eval_spline(s, ts), direct, atol=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(rs.DimensionMismatchError):
-            rs.shallow_to_spline(0.0, 0.0, [1.0, 2.0], [1.0], [0.0, 1.0])
+            rs.ReluNetwork.shallow([1.0, 2.0], [0.0, 1.0], [1.0])
 
 
 def hinge_shallow_to_spline(c2, b2, a1, a2, b1, tol=rs.DEFAULT_TOL):
@@ -107,6 +112,8 @@ def hinge_shallow_to_spline(c2, b2, a1, a2, b1, tol=rs.DEFAULT_TOL):
 
 
 class TestShallowToSplineMatchesHinges:
+    """dnn_to_spline on one-hidden-layer networks against the hinge reference."""
+
     def test_random_units_bit_for_bit(self):
         # dead units (exactly flat or within zero_tol), negative slopes, hinges
         # repeated or within merge_tol of each other, cancelling output weights
@@ -123,14 +130,14 @@ class TestShallowToSplineMatchesHinges:
             if n >= 2 and rng.uniform() < 0.3:
                 a1[1], b1[1], a2[1] = a1[0], b1[0], -a2[0]
             c2, b2 = rng.uniform(-2, 2, 2)
-            got = rs.shallow_to_spline(c2, b2, a1, a2, b1, tol)
+            got = rs.dnn_to_spline(rs.ReluNetwork.shallow(a1, b1, a2, c2, b2), tol)
             want = hinge_shallow_to_spline(c2, b2, a1, a2, b1, tol)
             assert got.knots.tobytes() == want.knots.tobytes()
             assert got.coeffs.tobytes() == want.coeffs.tobytes()
             assert (got.q1, got.q0) == (want.q1, want.q0)
 
     def test_scalar_units(self):
-        got = rs.shallow_to_spline(0.5, -1.0, -2.0, 3.0, 1.0)
+        got = rs.dnn_to_spline(rs.ReluNetwork.shallow(-2.0, 1.0, 3.0, 0.5, -1.0))
         want = hinge_shallow_to_spline(0.5, -1.0, -2.0, 3.0, 1.0)
         assert_splines_match(got, want, tol=0.0)
 
@@ -148,8 +155,9 @@ class TestShallowToSplineMatchesHinges:
     def test_same_errors(self, args):
         with pytest.raises(ValueError) as want:
             hinge_shallow_to_spline(*args)
+        c2, b2, a1, a2, b1 = args
         with pytest.raises(ValueError) as got:
-            rs.shallow_to_spline(*args)
+            rs.dnn_to_spline(rs.ReluNetwork.shallow(a1, b1, a2, c2, b2))
         assert type(got.value) is type(want.value)
 
 
@@ -286,8 +294,7 @@ def looped_layer_transfer(bundle, A, c, b, tol=rs.DEFAULT_TOL):
     tails = np.zeros((bundle.width, 2))
     coords, new_columns = list(knots), []
     for j in range(bundle.width):
-        form = rs.PiecewiseForm.from_spline(bundle.member(j))
-        mu, eta = form.mu, form.eta
+        mu, eta = piecewise_form(bundle.member(j))
         classes = []
         for v, x in enumerate(knots):
             value = mu[v] * x + eta[v]
@@ -424,7 +431,7 @@ class TestDnnToSpline:
 
     def test_shallow_path(self):
         net = rs.ReluNetwork.shallow([1.0, -2.0], [0.0, 4.0], [1.0, 3.0], c2=0.5, b2=-1.0)
-        direct = rs.shallow_to_spline(0.5, -1.0, [1.0, -2.0], [1.0, 3.0], [0.0, 4.0])
+        direct = hinge_shallow_to_spline(0.5, -1.0, [1.0, -2.0], [1.0, 3.0], [0.0, 4.0])
         assert_splines_match(rs.dnn_to_spline(net), direct, tol=0.0)
 
     def test_random_networks_agree_with_forward_pass(self):
