@@ -144,15 +144,15 @@ def _flat_knots(knots, expected: int, widths: tuple) -> np.ndarray:
     ``widths`` are the hidden widths the list is arranged for; none may be
     negative.
     """
+    shape = ", ".join(map(str, widths))
     if min(widths) < 0:
-        raise ValueError(f"widths must be non-negative, got ({', '.join(map(str, widths))})")
+        raise ValueError(f"widths must be non-negative, got ({shape})")
     ks = np.atleast_1d(np.asarray(knots, dtype=float))
     if not np.all(np.isfinite(ks)):
         raise ValueError("knots contain non-finite entries")
     if ks.shape[0] != expected:
         raise DimensionMismatchError(
-            f"expected {expected} knots for widths ({', '.join(map(str, widths))}), "
-            f"got {ks.shape[0]}"
+            f"expected {expected} knots for widths ({shape}), got {ks.shape[0]}"
         )
     if np.any(np.diff(ks) <= 0):
         raise InterlacingError("knots must be strictly increasing and distinct")
