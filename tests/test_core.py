@@ -1,4 +1,4 @@
-"""Core types: validation, canonical form, knot bound."""
+"""Core types: validation, canonical form, knot bound, piecewise form."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import relusplines as rs
 
-from helpers import net_max_knots
+from helpers import net_max_knots, piecewise_form
 
 
 class TestTolerances:
@@ -221,6 +221,24 @@ class TestKnotBound:
             rs.knot_bound((1, 1))
         with pytest.raises(rs.DimensionMismatchError):
             rs.knot_bound((2, 3, 1))
+
+
+class TestPiecewiseForm:
+    def test_recursions(self):
+        s = rs.CplSpline(1.0, -0.5, [1.0, 2.0, 3.0], [-2.0, 2.0, -3.0])
+        mu, eta = piecewise_form(s)
+        assert mu.tolist() == [1.0, -1.0, 1.0, -2.0]
+        # continuity at every knot: both adjacent pieces give the same value
+        for v, x in enumerate(s.knots):
+            left = mu[v] * x + eta[v]
+            right = mu[v + 1] * x + eta[v + 1]
+            assert left == pytest.approx(right, abs=1e-12)
+
+    def test_jumps_reconstruct_dyadic_coefficients_exactly(self):
+        coeffs = np.array([0.5, -0.25, 1.5, -2.0])
+        s = rs.CplSpline(0.75, -1.5, [0.0, 1.0, 2.0, 3.0], coeffs)
+        mu, _ = piecewise_form(s)
+        assert np.diff(mu).tolist() == coeffs.tolist()
 
 
 class TestKnotHierarchy:

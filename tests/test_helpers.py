@@ -3,9 +3,7 @@
 import numpy as np
 import pytest
 
-import relusplines as rs
-
-from helpers import piecewise_form, random_flat_knots
+from helpers import random_flat_knots
 
 
 def rejection_only(rng: np.random.Generator, count: int, lo=-10.0, hi=10.0, min_gap=1e-2):
@@ -38,13 +36,3 @@ class TestRandomFlatKnots:
         with pytest.raises(ValueError, match="do not fit"):
             random_flat_knots(np.random.default_rng(5), 3, lo=0.0, hi=1.0, min_gap=0.6)
 
-
-class TestPiecewiseForm:
-    def test_recursions(self):
-        s = rs.CplSpline(1.0, -0.5, [1.0, 2.0, 3.0], [-2.0, 2.0, -3.0])
-        mu, eta = piecewise_form(s)
-        assert mu.tolist() == [1.0, -1.0, 1.0, -2.0]
-        assert np.diff(mu).tolist() == s.coeffs.tolist()
-        # continuity at every knot: both adjacent pieces give the same value
-        for v, x in enumerate(s.knots):
-            assert mu[v] * x + eta[v] == pytest.approx(mu[v + 1] * x + eta[v + 1], abs=1e-12)
