@@ -193,3 +193,17 @@ def assert_splines_match(actual: rs.CplSpline, expected: rs.CplSpline, tol=1e-9)
     np.testing.assert_allclose(actual.coeffs, expected.coeffs, rtol=0, atol=tol)
     assert abs(actual.q1 - expected.q1) <= tol
     assert abs(actual.q0 - expected.q0) <= tol
+
+
+def reference_csv(ts, values, header: bool = False) -> str:
+    """The per-row CSV writer that write_csv must match byte for byte.
+
+    Each field is repr(float(v)) minus a trailing ".0", so 1.0 -> "1".
+    """
+
+    def field(v) -> str:
+        text = repr(float(v))
+        return text[:-2] if text.endswith(".0") else text
+
+    rows = "".join(f"{field(t)},{field(v)}\n" for t, v in zip(ts, values))
+    return ("t,value\n" if header else "") + rows

@@ -9,6 +9,8 @@ import relusplines as rs
 from relusplines import cli
 from relusplines.cli import main
 
+from helpers import reference_csv
+
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 MAX_NET = str(FIXTURES / "max_knots_network.json")
 MAX_SPLINE = str(FIXTURES / "max_knots_spline.json")
@@ -83,6 +85,22 @@ class TestEval:
                              "--samples", "113", "-o", csv)
             assert code == 0
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("path", [MAX_SPLINE, MAX_NET])
+    @pytest.mark.parametrize("header", [False, True])
+    def test_csv_matches_per_row_reference(self, tmp_path, capsys, path, header):
+        # more than two blocks of rows, to a file and to stdout
+        samples = 2 * rs.serialization._CSV_BLOCK_ROWS + 3
+        ts = np.linspace(-1.7, 4.9, samples)
+        model = rs.detect_and_load(path)
+        evaluate = rs.eval_network if isinstance(model, rs.ReluNetwork) else rs.eval_spline
+        want = reference_csv(ts, evaluate(model, ts), header)
+        argv = ["eval", path, "--from", "-1.7", "--to", "4.9", "--samples", samples]
+        argv += ["--header"] if header else []
+        csv = tmp_path / "out.csv"
+        assert run(capsys, *argv, "-o", csv) == (0, "", "")
+        assert csv.read_bytes() == want.encode()
+        assert run(capsys, *argv) == (0, want, "")
 
 
 @pytest.mark.parametrize(

@@ -2,9 +2,12 @@
 
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import relusplines as rs
 
@@ -15,7 +18,17 @@ from helpers import (
     net_nine_knots,
     random_canonical_spline,
     random_network,
+    reference_csv,
 )
+
+CSV_BLOCK = rs.serialization._CSV_BLOCK_ROWS
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def csv_text(ts, values, header=False) -> str:
+    stream = io.StringIO()
+    rs.write_csv(stream, ts, values, header=header)
+    return stream.getvalue()
 
 
 def assert_networks_equal(a: rs.ReluNetwork, b: rs.ReluNetwork):
@@ -191,23 +204,6 @@ class TestLoadDump:
             rs.detect_and_load(path)
 
 
-class TestFormatFloat:
-    def test_integral_values_lose_the_point(self):
-        assert rs.format_float(1.0) == "1"
-        assert rs.format_float(-2.0) == "-2"
-        assert rs.format_float(0.0) == "0"
-
-    def test_fractions_stay_short(self):
-        assert rs.format_float(0.5) == "0.5"
-        assert rs.format_float(0.1) == "0.1"
-        assert rs.format_float(1.0 / 3.0) == "0.3333333333333333"
-
-    def test_parses_back_exactly(self):
-        rng = np.random.default_rng(13)
-        for v in rng.uniform(-1e6, 1e6, 200):
-            assert float(rs.format_float(v)) == v
-
-
 class TestWriteCsv:
     def test_unit_line(self):
         # two samples of the identity on [0, 1]
@@ -227,3 +223,92 @@ class TestWriteCsv:
         rs.write_csv(first, ts, values)
         rs.write_csv(second, ts, values)
         assert first.getvalue() == second.getvalue()
+
+    def test_integral_values_lose_the_point(self):
+        for value, text in ((1.0, "1"), (-2.0, "-2"), (0.0, "0")):
+            assert csv_text([value], [value]) == f"{text},{text}\n"
+
+    def test_fractions_stay_short(self):
+        for value, text in ((0.5, "0.5"), (0.1, "0.1"), (1.0 / 3.0, "0.3333333333333333")):
+            assert csv_text([value], [value]) == f"{text},{text}\n"
+
+    def test_parses_back_exactly(self):
+        rng = np.random.default_rng(13)
+        for t, v in rng.uniform(-1e6, 1e6, (200, 2)):
+            row = csv_text([t], [v])
+            assert row.endswith("\n")
+            assert [float(field) for field in row[:-1].split(",")] == [t, v]
+
+    @pytest.mark.parametrize(
+        "ts,values",
+        [
+            (np.zeros(3), np.zeros(2)),
+            (np.zeros(2), np.zeros(3)),
+            (np.zeros((2, 1)), np.zeros((2, 1))),
+            (np.zeros(2), np.zeros((2, 1))),
+            (np.float64(1.0), np.float64(1.0)),
+        ],
+    )
+    def test_columns_must_be_equal_length_vectors(self, ts, values):
+        stream = io.StringIO()
+        with pytest.raises(rs.DimensionMismatchError, match="equal-length 1-D"):
+            rs.write_csv(stream, ts, values)
+        assert stream.getvalue() == ""
+
+    @pytest.mark.parametrize(
+        "value,text",
+        [
+            (-0.0, "-0"),
+            (5e-324, "5e-324"),
+            (2.0**53 + 2, "9007199254740994"),
+            (1e15, "1000000000000000"),
+            (9999999999999998.0, "9999999999999998"),
+            (1e16, "1e+16"),
+            (1e-4, "0.0001"),
+            (1e-5, "1e-05"),
+            (1e22, "1e+22"),
+            (1e308, "1e+308"),
+            (-1e308, "-1e+308"),
+            (np.inf, "inf"),
+            (-np.inf, "-inf"),
+        ],
+    )
+    def test_edge_values(self, value, text):
+        got = csv_text([value, 1.0], [2.5, value])
+        assert got == f"{text},2.5\n1,{text}\n"
+        assert got == reference_csv([value, 1.0], [2.5, value])
+
+    # finite doubles include subnormals, both zeros and huge integral values
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(FINITE, FINITE)), st.booleans())
+    def test_matches_per_row_reference(self, rows, header):
+        ts, values = np.array(rows, dtype=float).reshape(-1, 2).T
+        assert csv_text(ts, values, header) == reference_csv(ts, values, header)
+
+    @pytest.mark.parametrize(
+        "rows", [0, 1, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1, 3 * CSV_BLOCK + 5]
+    )
+    @pytest.mark.parametrize("header", [False, True])
+    def test_block_edges_match_per_row_reference(self, rows, header):
+        # integral, fractional and exponent-form values in every block
+        rng = np.random.default_rng(rows)
+        ts = np.linspace(-rows, rows, rows)
+        values = rng.uniform(-1e3, 1e3, rows) * 10.0 ** rng.integers(-20, 20, rows)
+        values[::3] = np.round(values[::3])
+        assert csv_text(ts, values, header) == reference_csv(ts, values, header)
+
+    def test_memory_does_not_grow_with_rows(self):
+        class Discard:
+            def write(self, text):
+                return len(text)
+
+        rng = np.random.default_rng(3)
+        ts = np.linspace(-5.0, 5.0, 10**5)
+        values = rng.standard_normal(10**5)
+        tracemalloc.start()
+        try:
+            rs.write_csv(Discard(), ts, values, header=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
