@@ -271,6 +271,8 @@ class TestWriteCsv:
             (-1e308, "-1e+308"),
             (np.inf, "inf"),
             (-np.inf, "-inf"),
+            (float("nan"), "nan"),
+            (np.copysign(np.nan, -1.0), "nan"),
         ],
     )
     def test_edge_values(self, value, text):
@@ -284,6 +286,92 @@ class TestWriteCsv:
     def test_matches_per_row_reference(self, rows, header):
         ts, values = np.array(rows, dtype=float).reshape(-1, 2).T
         assert csv_text(ts, values, header) == reference_csv(ts, values, header)
+
+    # raw bit patterns reach 17-digit values, subnormals and nan payloads,
+    # which FINITE rarely draws
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1))
+    def test_matches_per_row_reference_on_bit_patterns(self, patterns):
+        column = np.array(patterns, dtype=np.uint64).view(np.float64)
+        assert csv_text(column, column[::-1]) == reference_csv(column, column[::-1])
+
+    def test_powers_of_two_and_ten_with_neighbours(self):
+        powers = np.concatenate(
+            [np.ldexp(1.0, np.arange(-1074, 1024)), [float(f"1e{k}") for k in range(-323, 309)]]
+        )
+        column = np.concatenate(
+            [powers, np.nextafter(powers, np.inf), np.nextafter(powers, -np.inf)]
+        )
+        assert csv_text(column, -column) == reference_csv(column, -column)
+
+    @pytest.mark.parametrize("anchor", [2**53, 10**15, 10**16, 10**17])
+    def test_integers_near_digit_count_changes(self, anchor):
+        column = (anchor + np.arange(-300, 301)).astype(float)
+        assert csv_text(column, -column) == reference_csv(column, -column)
+
+    def test_large_values_near_multiples_of_five_powers(self):
+        # doubles m * 2^e at or above 2^54 (Ryū's e2 >= 0 branch) whose 4 m + c
+        # is a multiple of 5^q for c in (0, 2, -1, -2), where the bounds of
+        # the shortest interval may end in zeros
+        rng = np.random.default_rng(5)
+        column = []
+        for q in range(23):
+            for c in (0, 2, -1, -2):
+                for t in rng.integers(2**54 // 5**q, 2**55 // 5**q + 1, 10).tolist():
+                    m, rem = divmod(5**q * t - c, 4)
+                    if rem == 0 and 2**52 <= m < 2**53:
+                        column += [float(m) * 2.0**e for e in range(2, 80, 7)]
+        assert len(column) > 2000
+        column = np.array(column)
+        assert csv_text(column, -column) == reference_csv(column, -column)
+
+    @pytest.mark.parametrize(
+        "column",
+        [
+            np.arange(-4000, 4000) / 8.0,
+            np.arange(1, 4000) * 1000.0,
+            np.round(np.random.default_rng(2).uniform(-1e6, 1e6, 4000), 3),
+            np.round(np.random.default_rng(3).uniform(-1.0, 1.0, 4000), 5),
+        ],
+        ids=["eighths", "thousands", "three-places", "five-places"],
+    )
+    def test_short_decimals(self, column):
+        # exact short values take Ryū's general path, rounded ones mostly not
+        assert csv_text(column, -column) == reference_csv(column, -column)
+
+    def test_short_zero_subnormal_and_non_finite_values(self):
+        column = np.array(
+            [1.0, 0.5, 3.0, 0.25, 1e15, 1e22, 2.0**60, 0.0, -0.0, 5e-324,
+             2.225073858507201e-308, np.inf, -np.inf, np.nan, 2.2250738585072014e-308]
+        )
+        assert csv_text(column, -column) == reference_csv(column, -column)
+
+    def test_random_bit_patterns(self):
+        column = np.random.default_rng(13).integers(0, 2**64, 10**5, dtype=np.uint64)
+        column = column.view(np.float64)
+        assert csv_text(column, column[::-1]) == reference_csv(column, column[::-1])
+
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            lambda a: a[::3],
+            lambda a: a[::-1],
+            lambda a: a.astype(">f8"),
+            lambda a: a.astype(np.float32),
+            lambda a: a.astype(np.int64),
+            lambda a: a.tolist(),
+        ],
+        ids=["strided", "reversed", "big-endian", "float32", "int64", "list"],
+    )
+    def test_input_layout_does_not_matter(self, layout):
+        # magnitudes up to 1e18, so the int64 copy does not overflow
+        rng = np.random.default_rng(7)
+        rows = 3 * CSV_BLOCK + 7
+        ts = rng.uniform(-1e3, 1e3, rows) * 10.0 ** rng.integers(-5, 16, rows)
+        values = np.sin(ts) * 1e4
+        ts, values = layout(ts), layout(values)
+        doubles = np.asarray(ts, dtype=float), np.asarray(values, dtype=float)
+        assert csv_text(ts, values) == reference_csv(*doubles)
 
     @pytest.mark.parametrize(
         "rows", [0, 1, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1, 3 * CSV_BLOCK + 5]
