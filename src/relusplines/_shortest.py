@@ -1,22 +1,24 @@
 """Shortest round-trip decimals of float64 arrays, byte for byte as ``repr``.
 
-``fields(x)`` gives one fixed-width row of ASCII bytes per value, zero
-bytes as padding, that reads as Python's ``repr(float(v))`` minus a
+``fields(x, out)`` writes one fixed-width row of ASCII bytes per value,
+zero bytes as padding, that reads as Python's ``repr(float(v))`` minus a
 trailing ``.0`` once the zero bytes are dropped.  The digits come from
 Ryū (U. Adams, "Ryū: fast float-to-string conversion", PLDI 2018), its
 ``d2d`` run across lanes in numpy: each lane's mantissa times a 125-bit
 multiplier taken from ``5^q`` or ``2^k / 5^q``, in 32-bit limbs held in
-uint64, gives the scaled value ``vr`` and the bounds ``vp`` and ``vm``
-of the interval that reads back as the same double; digits are removed
-while the bounds stay apart.  Subnormals and Ryū's general path, taken
-where ``vr`` or ``vm`` may end in zeros (exactly representable short
-decimals such as ``0.5``, ``3.0`` or ``1e22``), run in the same lanes.
-Zeros, infinities and nan are written directly: ``0``, ``-0``, ``inf``,
-``-inf`` and ``nan``.
+uint64, gives the scaled value ``vr``, and the bounds ``vp`` and ``vm`` of
+the interval that reads back as the same double follow from ``vr`` and
+the bits below it; digits are removed while the bounds stay apart.
+Subnormals and Ryū's general path, taken where ``vr`` or ``vm`` may end in
+zeros (exactly representable short decimals such as ``0.5``, ``3.0`` or
+``1e22``), run in the same lanes.  Zeros, infinities and nan skip Ryū and
+are written ``0``, ``-0``, ``inf``, ``-inf`` and ``nan``.
 
 The layout follows ``repr``: with |x| = 0.d1d2... * 10^decpt, positional
 when ``-4 < decpt <= 16``, else ``d.ddde±XX`` with at least two exponent
-digits.
+digits.  Each row is built as four uint64 words from lookup tables keyed
+by decpt and the digit count, and the exponent and the special values
+are written only on the lanes that have them.
 """
 
 from __future__ import annotations
@@ -73,10 +75,38 @@ def _exponent_tables():
 
 
 _ROW, _SHIFT, _E10, _LOW_BITS, _TINY_Q, _POW5 = _exponent_tables()
+_LIMBS = _MULTIPLIERS[:, _ROW]  # the multiplier's limbs per biased exponent
+
+
+def _bound_tables():
+    """Per biased exponent, how the bounds vp and vm follow from vr.
+
+    With P = mv * M and S = 96 + shift, vr = P >> S.  vp = (P + 2M) >> S
+    is vr + (2M >> S), plus one where P's low S bits reach 2^S less those
+    of 2M; vm = (P - kM) >> S, k = 1 + mm_shift, is vr - (kM >> S), less
+    one where P's low S bits are below kM's.  Both tests compare limb 3's
+    bits below the shift, moved to the top of a word; where they are equal
+    the lower limbs decide.
+    """
+    l0, l1, l2, l3 = _LIMBS
+    top = _U64(64) - _SHIFT
+    below = (_U64(1) << _SHIFT) - _U64(1)
+    double = (l3 << _U64(1)) | (l2 >> _U64(31))  # 2M >> 96
+    # 2^sh - ceil(low bits of 2M / 2^96); none of 2M's low bits set: no carry
+    spill = (l0 | l1 | (l2 & _U64(0x7FFFFFFF))) != 0
+    rest = (_U64(1) << _SHIFT) - (double & below) - spill
+    carry = np.where(((double & below) == 0) & ~spill, ~_U64(0), rest << top)
+    down = np.stack([l3 >> _SHIFT, double >> _SHIFT], axis=1).ravel()
+    borrow = np.stack([(l3 & below) << top, (double & below) << top], axis=1).ravel()
+    return double >> _SHIFT, carry, down, borrow
+
+
+_UP, _CARRY, _DOWN, _BORROW = _bound_tables()
 
 
 def _mul_shift(m, limbs, shift):
-    """(m * M) >> (96 + shift) for m < 2^55 and a 4-limb multiplier M, shift in [22, 29].
+    """(m * M) >> (96 + shift) for m < 2^55 and a 4-limb multiplier M, shift in [22, 29],
+    and the product's bits from 96 to 96 + shift at the top of a word.
 
     Schoolbook product in 32-bit limbs; only limbs 3 to 5 of the product
     are kept, the lower ones pass on their carries.
@@ -98,7 +128,7 @@ def _mul_shift(m, limbs, shift):
     r3 = t & _MASK32
     t = a1 * l3 + r4 + (t >> _U64(32))
     # t holds limbs 4 and 5 of the product
-    return (t << (_U64(32) - shift)) | (r3 >> shift)
+    return (t << (_U64(32) - shift)) | (r3 >> shift), r3 << (_U64(64) - shift)
 
 
 def _remove(vr, vp, vm, steps):
@@ -128,28 +158,39 @@ def _digits(x):
     """
     bits = x.view(np.uint64)
     mant = bits & _U64((1 << 52) - 1)
-    expo = ((bits >> _U64(52)) & _U64(0x7FF)).astype(np.intp)
+    expo = ((bits >> _U64(52)) & _U64(0x7FF)).view(np.int64)
     m2 = mant | ((expo != 0).astype(np.uint64) << _U64(52))
     even = (m2 & _U64(1)) == 0
     mv = m2 << _U64(2)
-    mm_shift = ((mant != 0) | (expo <= 1)).astype(np.uint64)
-    limbs = np.take(_MULTIPLIERS, _ROW[expo], axis=1)
-    shift = _SHIFT[expo]
-    vr = _mul_shift(mv, limbs, shift)
-    vp = _mul_shift(mv + _U64(2), limbs, shift)
-    vm = _mul_shift(mv - _U64(1) - mm_shift, limbs, shift)
+    mm_shift = (mant != 0) | (expo <= 1)
+    limbs = [np.take(row, expo) for row in _LIMBS]
+    shift = np.take(_SHIFT, expo)
+    vr, low = _mul_shift(mv, limbs, shift)
+    carry = np.take(_CARRY, expo)
+    bound = expo * 2 + mm_shift
+    borrow = np.take(_BORROW, bound)
+    vp = vr + np.take(_UP, expo) + (low > carry)
+    vm = vr - np.take(_DOWN, bound) - (low < borrow)
+    # ties are rare except for doubles from 2^50 to 2^61, whose q is small
+    # and whose bits below the shift are often all zero
+    (ties,) = np.nonzero((low == carry) | (low == borrow))
+    if ties.size:
+        m, t_limbs, t_shift = mv[ties], [row[ties] for row in limbs], shift[ties]
+        vp[ties] = _mul_shift(m + _U64(2), t_limbs, t_shift)[0]
+        vm[ties] = _mul_shift(m - _U64(1) - mm_shift[ties], t_limbs, t_shift)[0]
     # whether vr and vm end in zeros below the digits that are removed; an
     # odd m2 excludes the bounds, so vp drops by one where it would end so
-    vr_tz = (mv & _LOW_BITS[expo]) == 0
-    vm_tz = _TINY_Q[expo] & even & (mm_shift == 1)
-    vp -= (_TINY_Q[expo] & ~even).astype(np.uint64)
-    (five,) = np.nonzero(_POW5[expo])
+    vr_tz = (mv & np.take(_LOW_BITS, expo)) == 0
+    tiny_q = np.take(_TINY_Q, expo)
+    vm_tz = tiny_q & even & mm_shift
+    vp -= tiny_q & ~even
+    (five,) = np.nonzero(np.take(_POW5, expo))
     if five.size:
         mvs, p = mv[five], _POW5[expo[five]]
         tail5 = mvs % _U64(5) == 0
         vr_tz[five] = tail5 & (mvs % p == 0)
         vm_tz[five] = ~tail5 & even[five] & ((mvs - _U64(1) - mm_shift[five]) % p == 0)
-        vp[five] -= (~tail5 & ~even[five] & ((mvs + _U64(2)) % p == 0)).astype(np.uint64)
+        vp[five] -= ~tail5 & ~even[five] & ((mvs + _U64(2)) % p == 0)
     # Ryū removes digits one at a time while vp and vm differ above them,
     # which holds for the first k digits and no more: two at once where
     # they allow, then, over the lanes that can lose more, k bit by bit
@@ -178,70 +219,108 @@ def _digits(x):
     # vr_k == vm_k is outside the interval unless vm is in it: m2 even (as
     # vm_tz implies) and vm exact
     out = vr_k + (((vr_k == vm_k) & ~vm_tz) | (last >= 5))
-    return out, _E10[expo] + removed
+    return out, np.take(_E10, expo) + removed
 
 
-WIDTH = 29  # sign, "0.000", 17 digits and a point, "e-308"
-_ZERO, _DOT, _MINUS, _PLUS, _E = (ord(c) for c in "0.-+e")
-# "0.000" before the digits of a positional 0.ddd: byte k is written when decpt < _LEAD_BELOW[k]
-_LEAD = np.array([[_ZERO], [_DOT], [_ZERO], [_ZERO], [_ZERO]], np.uint8)
-_LEAD_BELOW = np.array([[1], [1], [0], [-1], [-2]])
-_COLUMN = np.arange(18)[:, None]
-_SPECIAL = np.array([b"inf", b"-inf", b"nan"], f"S{WIDTH}").view(np.uint8).reshape(3, WIDTH)
+# A field is WIDTH bytes, four little-endian uint64 words: byte 0 the sign,
+# bytes 1 to 5 a positional 0.ddd's "0.000" lead, bytes 8 to 25 eighteen
+# digit slots, bytes 26 to 30 the exponent "e-308"; the rest zero
+WIDTH = 32
 
 
-def fields(x) -> np.ndarray:
-    """An (n, WIDTH) uint8 view: row k holds the bytes of repr(float(x[k]))
-    minus a trailing ".0", in order, with zero bytes between them as padding.
+def _digit_tables():
+    """ASCII digits of 0..9999 as bytes 0-3 and 4-7 of a word, of 0..99 as bytes 0-1."""
+    v = np.arange(10000, dtype=np.uint64)
+    quad = sum((v // _POW10[3 - k] % _U64(10) + _U64(48)) << _U64(8 * k) for k in range(4))
+    v = v[:100]
+    pair = (v // _U64(10) + _U64(48)) | ((v % _U64(10) + _U64(48)) << _U64(8))
+    return quad, quad << _U64(32), pair
+
+
+_QUAD_LO, _QUAD_HI, _PAIR = _digit_tables()
+
+
+def _layout_tables():
+    """Per layout key, from decpt clipped to [-4, 17] (both ends stand for
+    the exponent form) and the digit count nd, 1 to 17, key = 17 (decpt +
+    4) + nd - 1: an AND and an OR mask over the four words that leave the
+    slots shown and add the point or the "0.ddd" lead (word 0, the sign and
+    the lead, takes no AND mask), and 10^(17 - dp), dp the count of digits
+    before the point (0 for 0.ddd, 1 in the exponent form).
+    """
+    decpt = np.repeat(np.arange(-4, 18), 17)[:, None]
+    nd = np.tile(np.arange(1, 18), 22)[:, None]
+    exp_form = (decpt < -3) | (decpt > 16)
+    dp = np.where(exp_form, 1, np.maximum(decpt, 0))
+    shown = np.where(exp_form, nd, np.maximum(nd, decpt))
+    # slot dp holds the point, where digits follow it; the digits shown
+    # sit in the slots before and after it
+    slot = np.arange(18)
+    keep = np.zeros((decpt.size, WIDTH), np.uint8)
+    keep[:, 8:26] = 0xFF * ((slot <= shown) & (slot != dp))
+    put = np.zeros((decpt.size, WIDTH), np.uint8)
+    put[:, 8:26] = ord(".") * ((slot == dp) & (dp >= 1) & (dp < nd))
+    # "0.000": byte k of it is written when decpt < below[k]
+    below = np.array([1, 1, 0, -1, -2])
+    put[:, 1:6] = np.frombuffer(b"0.000", np.uint8) * (~exp_form & (decpt < below))
+    base = (np.clip(np.arange(-323, 310), -4, 17) + 4) * 17 - 1
+    keep, put = (np.ascontiguousarray(t.view(np.uint64).T) for t in (keep, put))
+    return keep, put, _POW10[17 - dp.ravel()], base
+
+
+_KEEP, _PUT, _SPLIT, _KEY_BASE = _layout_tables()
+# "e-308" to "e+308" at bytes 2 to 6 of the last word, bytes 26 to 30 of the field
+_EXPONENT = np.array([f"e{e:+03d}" for e in range(-324, 309)], "S8").view(np.uint64) << _U64(16)
+_SPECIAL = np.array([b"inf", b"-inf", b"nan"], f"S{WIDTH}").view(np.uint64).reshape(3, 4)
+# 10^(17 - nd), and nd for d < 10^17 from the biased exponent of float(d):
+# the digit count of its power of two, or one more
+_LEFT = _POW10[17 - np.arange(18)]
+_ND_LOW = np.ones(2048, np.intp)
+_ND_LOW[1023:1081] = [len(str(2**k)) for k in range(58)]
+
+
+def fields(x, out: np.ndarray):
+    """Write repr(float(x[k])) minus a trailing ".0" into row k of ``out``.
+
+    ``out`` is a C-contiguous (x.size, WIDTH) uint8 array.  Each row gets
+    the field's bytes in order with zero bytes between them as padding; its
+    last byte is always zero.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     n = x.size
+    words = out.view(np.uint64)
     bits = x.view(np.uint64)
-    expo = (bits >> _U64(52)) & _U64(0x7FF)
-    zero = (bits << _U64(1)) == 0
-    special = expo == 0x7FF
-    d, e10 = _digits(x)
-    d[zero] = 0
-    e10[zero] = 0
-    nd = np.searchsorted(_POW10[1:], d, side="right") + 1
+    special = (bits & _U64(0x7FF << 52)) == _U64(0x7FF << 52)
+    # zeros and non-finite values skip Ryū: d = 0 lays out as "0"
+    live = ((bits << _U64(1)) != 0) & ~special
+    if live.all():
+        d, e10 = _digits(x)
+    else:
+        d = np.zeros(n, np.uint64)
+        e10 = np.zeros(n, np.intp)
+        (lanes,) = np.nonzero(live)
+        d[lanes], e10[lanes] = _digits(x[lanes])
+    low = np.take(_ND_LOW, (d.astype(np.float64).view(np.uint64) >> _U64(52)).view(np.int64))
+    nd = low + (d >= np.take(_POW10, low))
     decpt = nd + e10
-    exp_form = (decpt > 16) | (decpt < -3)
-
-    out = np.zeros((WIDTH, n), np.uint8)
-    out[0] = (bits >> _U64(63)).astype(np.uint8) * np.uint8(_MINUS)
-    out[1:6] = _LEAD * ((decpt < _LEAD_BELOW) & ~exp_form)
-    # rows 1 to 17: the digits of d scaled to 17 digits, so row 1 holds the
-    # first significant one; rows 0 and 18 stay zero
-    digits = np.zeros((19, n), np.uint8)
-    d17 = d * _POW10[17 - nd]
-    digits[1] = d17 // _POW10[16]
-    rest = d17 - digits[1] * _POW10[16]
-    hi = rest // _POW10[8]
-    halves = np.stack([hi, rest - hi * _POW10[8]]).astype(np.uint32)
-    tail = digits[2:18].reshape(2, 8, n)
-    for k in range(7, -1, -1):
-        q = halves // np.uint32(10)
-        tail[:, k] = halves - q * np.uint32(10)
-        halves = q
-    # write all significant digits and an integer's trailing zeros
-    shown = np.where(exp_form, nd, np.maximum(nd, decpt))
-    digits[1:18] = (digits[1:18] + np.uint8(_ZERO)) * (_COLUMN[:17] < shown)
-    # the digit area: digit k in column k before column dp, the point (if
-    # digits follow it) in column dp, digit k - 1 in column k after it;
-    # dp is the count of digits before the point, 0 for 0.ddd
-    dp = np.where(exp_form, 1, np.maximum(decpt, 0))
-    area = out[6:24]
-    area[:] = np.where(_COLUMN < dp, digits[1:], digits[:-1])
-    area[dp, np.arange(n)] = np.where((dp >= 1) & (dp < nd), _DOT, 0)
-    exp = decpt - 1
-    mag = np.abs(exp)
-    tens = mag // 10
-    out[24] = exp_form * np.uint8(_E)
-    out[25] = np.where(exp < 0, _MINUS, _PLUS) * exp_form
-    out[26] = np.where(mag >= 100, tens // 10 + _ZERO, 0) * exp_form
-    out[27] = (tens - tens // 10 * 10 + _ZERO) * exp_form
-    out[28] = (mag - tens * 10 + _ZERO) * exp_form
-    rows = out.T
-    (special,) = np.nonzero(special)
-    rows[special] = _SPECIAL[np.where(np.isnan(x[special]), 2, bits[special] >> _U64(63))]
-    return rows
+    key = np.take(_KEY_BASE, decpt + 323) + nd
+    # d's digits left-aligned to 17, then a zero slot inserted after the
+    # first dp of them for the point: 18 digit slots, 8 + 8 + 2
+    d17 = d * np.take(_LEFT, nd)
+    split = np.take(_SPLIT, key)
+    slots = d17 + d17 // split * (split * _U64(9))
+    high = slots // _U64(10**10)
+    rest = slots - high * _U64(10**10)
+    mid = rest // _U64(100)
+    words[:, 0] = ((bits >> _U64(63)) * _U64(ord("-"))) | np.take(_PUT[0], key)
+    for k, eight in ((1, high), (2, mid)):
+        four = eight // _U64(10**4)
+        quad = np.take(_QUAD_LO, four.view(np.int64))
+        quad |= np.take(_QUAD_HI, (eight - four * _U64(10**4)).view(np.int64))
+        words[:, k] = quad & np.take(_KEEP[k], key) | np.take(_PUT[k], key)
+    pair = np.take(_PAIR, (rest - mid * _U64(100)).view(np.int64))
+    words[:, 3] = pair & np.take(_KEEP[3], key) | np.take(_PUT[3], key)
+    (lanes,) = np.nonzero((decpt < -3) | (decpt > 16))
+    words[lanes, 3] |= np.take(_EXPONENT, decpt[lanes] + 323)
+    (lanes,) = np.nonzero(special)
+    words[lanes] = _SPECIAL[np.where(np.isnan(x[lanes]), 2, bits[lanes] >> _U64(63))]

@@ -2,12 +2,15 @@
 
 Subcommands: to-spline, synth, eval, verify, normalize.  Exit codes:
 0 success, 1 verification failure, 2 schema violation or bad range,
-3 dimension mismatch, 4 interlacing violation, 5 activity failure.
+3 dimension mismatch, 4 interlacing violation, 5 activity failure,
+141 output pipe closed by its reader (as ``eval ... | head`` does; 128 +
+SIGPIPE, the code a shell reports for a writer the signal stopped).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -271,6 +274,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(_fuse_seed_values(argv))
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader is gone: stop without a traceback, and point stdout at
+        # the null device so that flushing it at exit writes nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except tuple(kind for kind, _ in _EXIT_CODES) as err:
         print(f"error: {err}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(err, kind))

@@ -1,5 +1,8 @@
 """Exit codes, file outputs, and printed reports of the command line."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -378,6 +381,23 @@ class TestExitCodes:
         got, out, err = run(capsys, "to-spline", MAX_NET, "-o", "unused.json")
         assert got == code
         assert (out, err) == ("", f"error: {error}\n")
+
+    def test_reader_closing_the_pipe_early(self, tmp_path):
+        # `relusplines eval ... | head -2`: the reader leaves after two rows
+        path = tmp_path / "spline.json"
+        rs.dump_json(path, {"q1": 1.0, "q0": 0.0, "knots": [], "coeffs": []})
+        src = str(Path(rs.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        argv = ["eval", str(path), "--from", "0", "--to", "1", "--samples", "200000"]
+        proc = subprocess.Popen([sys.executable, "-m", "relusplines.cli", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        rows = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert rows[0] == b"0,0\n" and rows[1].endswith(b"\n")
+        assert err == b""
 
 
 class TestVerify:

@@ -22,6 +22,7 @@ from helpers import (
 )
 
 CSV_BLOCK = rs.serialization._CSV_BLOCK_ROWS
+HALF_BLOCK = CSV_BLOCK // 2
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
@@ -373,8 +374,11 @@ class TestWriteCsv:
         doubles = np.asarray(ts, dtype=float), np.asarray(values, dtype=float)
         assert csv_text(ts, values) == reference_csv(*doubles)
 
+    # row counts around a block, and around half a block (one short block)
     @pytest.mark.parametrize(
-        "rows", [0, 1, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1, 3 * CSV_BLOCK + 5]
+        "rows",
+        [0, 1, HALF_BLOCK - 1, HALF_BLOCK, HALF_BLOCK + 1, 3 * HALF_BLOCK + 5,
+         CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1, 3 * CSV_BLOCK + 5],
     )
     @pytest.mark.parametrize("header", [False, True])
     def test_block_edges_match_per_row_reference(self, rows, header):
@@ -384,6 +388,37 @@ class TestWriteCsv:
         values = rng.uniform(-1e3, 1e3, rows) * 10.0 ** rng.integers(-20, 20, rows)
         values[::3] = np.round(values[::3])
         assert csv_text(ts, values, header) == reference_csv(ts, values, header)
+
+    def test_full_block_without_exponent_form(self):
+        # every field positional, so no lane takes the exponent suffix
+        rng = np.random.default_rng(17)
+        ts = np.linspace(-1.0, 1.0, CSV_BLOCK)
+        values = rng.uniform(-1e3, 1e3, CSV_BLOCK) * 10.0 ** rng.integers(-3, 12, CSV_BLOCK)
+        text = csv_text(ts, values)
+        assert "e" not in text
+        assert text == reference_csv(ts, values)
+
+    @pytest.mark.parametrize("value", [1e-300, -1e300, np.inf, -np.inf, np.nan, -0.0, 0.0])
+    def test_lone_lane_at_block_ends(self, value):
+        # one exponent-form, special or zero field among positional ones, in
+        # the first or last row of either block and in either column
+        base = np.linspace(0.5, 2.5, 2 * CSV_BLOCK)
+        for row in (0, CSV_BLOCK - 1, CSV_BLOCK, 2 * CSV_BLOCK - 1):
+            for column in (0, 1):
+                cols = [base.copy(), base[::-1].copy()]
+                cols[column][row] = value
+                assert csv_text(*cols) == reference_csv(*cols), (row, column)
+
+    def test_layout_switch_points_in_a_block(self):
+        # repr turns to the exponent form at 1e16 and below 1e-4
+        edges = np.array([9999999999999998.0, 1e16, 1e-4, 9.999e-5])
+        edges = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf)])
+        edges = np.concatenate([edges, -edges])
+        column = np.resize(np.concatenate([edges, np.linspace(1.0, 2.0, 7)]), CSV_BLOCK)
+        text = csv_text(column, column[::-1])
+        for field in ("9999999999999998", "1e+16", "0.0001", "9.999e-05"):
+            assert f"\n{field}," in text and f",{field}\n" in text
+        assert text == reference_csv(column, column[::-1])
 
     def test_memory_does_not_grow_with_rows(self):
         class Discard:
