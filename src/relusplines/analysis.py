@@ -23,8 +23,10 @@ __all__ = ["active_knots", "audit_bound", "BoundReport", "coeffs_from_knots"]
 def active_knots(spline: CplSpline, tol: Tolerances = DEFAULT_TOL) -> list[tuple[float, float]]:
     """Sorted (knot, coefficient) pairs with |coefficient| > zero_tol."""
     keep = np.abs(spline.coeffs) > tol.zero_tol
-    pairs = sorted(zip(spline.knots[keep], spline.coeffs[keep]))
-    return [(float(x), float(c)) for x, c in pairs]
+    knots, coeffs = spline.knots[keep], spline.coeffs[keep]
+    # by knot, then coefficient; both sorts are stable, so ties keep their order
+    order = np.lexsort((coeffs, knots))
+    return list(zip(knots[order].tolist(), coeffs[order].tolist()))
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,11 @@ Conventions:
   marked read-only, so values can be shared freely across threads.
 * The value types are where inputs are checked, once, on construction;
   functions that take raw arrays build these types instead of checking.
+  Input from callers is always checked this way.  Bundles and splines the
+  library computes itself are wrapped by ``_wrap``, without a copy and
+  without the full input checks: a bundle's member is a view of a checked
+  bundle, and each layer step's bundle gets one finiteness scan
+  (``SplineBundle._computed``), so an overflow still raises ValueError.
 """
 
 from __future__ import annotations
@@ -99,10 +104,25 @@ def _frozen_array(values, *, ndim: int, name: str) -> np.ndarray:
     arr = np.array(values, dtype=float)
     if arr.ndim != ndim:
         raise DimensionMismatchError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     arr.setflags(write=False)
     return arr
+
+
+def _wrap(cls, **fields):
+    """An instance of a frozen value type over arrays the library computed.
+
+    Nothing is copied or checked: the arrays are fresh or already frozen,
+    and only marked read-only here.  Callers' input never comes this way.
+    """
+    for value in fields.values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    obj = object.__new__(cls)
+    # frozen dataclasses only block __setattr__; the instance dict is theirs
+    obj.__dict__.update(fields)
+    return obj
 
 
 def _finite_float(value, name: str) -> float:
@@ -291,13 +311,37 @@ class SplineBundle:
         object.__setattr__(self, "q0s", q0s)
         object.__setattr__(self, "coeff_matrix", matrix)
 
+    @classmethod
+    def _computed(cls, knots, q1s, q0s, coeff_matrix) -> "SplineBundle":
+        """Wrap a bundle the library computed: one finiteness scan, no copy.
+
+        Shapes and strictly increasing knots hold by construction (a layer
+        step's merge, or rows of such a bundle flipped in sign).  A
+        non-finite entry raises the constructor's ValueError, naming the
+        first array that has one.
+        """
+        if not np.isfinite(np.concatenate((knots, q1s, q0s, coeff_matrix.ravel()))).all():
+            arrays = {"bundle knots": knots, "q1s": q1s, "q0s": q0s, "coeff_matrix": coeff_matrix}
+            name = next(name for name, arr in arrays.items() if not np.isfinite(arr).all())
+            raise ValueError(f"{name} contains non-finite entries")
+        return _wrap(cls, knots=knots, q1s=q1s, q0s=q0s, coeff_matrix=coeff_matrix)
+
     @property
     def width(self) -> int:
         return self.coeff_matrix.shape[0]
 
     def member(self, j: int) -> CplSpline:
-        """The j-th spline, with zero coefficients kept in place."""
-        return CplSpline(self.q1s[j], self.q0s[j], self.knots, self.coeff_matrix[j])
+        """The j-th spline, with zero coefficients kept in place.
+
+        It shares the bundle's knots and its row of ``coeff_matrix``.
+        """
+        return _wrap(
+            CplSpline,
+            q1=float(self.q1s[j]),
+            q0=float(self.q0s[j]),
+            knots=self.knots,
+            coeffs=self.coeff_matrix[j],
+        )
 
 
 def _check_cells(cells: np.ndarray, walls: np.ndarray, what: str):
@@ -450,7 +494,8 @@ def _merge_columns(coords, is_new, columns, tol: Tolerances):
         i = j
     if not out_x:
         return np.empty(0), np.empty((columns.shape[0], 0))
-    return np.array(out_x), np.column_stack(out_cols)
+    # one C-ordered copy, not column_stack's Python call per column
+    return np.array(out_x), np.array(out_cols).T.copy()
 
 
 def canonicalize(spline: CplSpline, tol: Tolerances = DEFAULT_TOL) -> CplSpline:

@@ -52,6 +52,14 @@ def _number(obj, field: str) -> float:
 def _vector(obj, field: str) -> np.ndarray:
     if not isinstance(obj, list):
         raise SchemaError(f"{field} must be a list of numbers")
+    # plain ints and floats, as json gives them, convert in one call, each
+    # to float(v); other types (bool, str, numpy floats) and ints beyond a
+    # double take the per-element loop, which names the bad entry
+    if set(map(type, obj)) <= {int, float}:
+        try:
+            return np.array(obj, dtype=float)
+        except OverflowError:
+            pass
     return np.array([_number(v, f"{field}[{i}]") for i, v in enumerate(obj)])
 
 

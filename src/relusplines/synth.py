@@ -241,8 +241,8 @@ def epsilon_select(values, zero_cover=None, tol: Tolerances = DEFAULT_TOL) -> np
     eps = np.empty(n_units)
     uncovered = np.ones(n_cols, dtype=bool)
     for r in range(n_units):
-        gain_plus = int(np.sum(uncovered & covers_plus[r]))
-        gain_minus = int(np.sum(uncovered & covers_minus[r]))
+        gain_plus = np.count_nonzero(uncovered & covers_plus[r])
+        gain_minus = np.count_nonzero(uncovered & covers_minus[r])
         if gain_minus > gain_plus:
             eps[r] = -1.0
             uncovered &= ~covers_minus[r]
@@ -292,7 +292,7 @@ def _zero_sign_masks(bundle: SplineBundle, targets: np.ndarray, tol: Tolerances)
     merge_tol, or past the last one) allows neither sign.
     """
     q1s = bundle.q1s[:, None]
-    mu = np.column_stack((q1s, q1s + np.cumsum(bundle.coeff_matrix, axis=1)))
+    mu = np.concatenate((q1s, q1s + bundle.coeff_matrix.cumsum(axis=1)), axis=1)
     pos = np.searchsorted(bundle.knots, targets)
     on_knot = np.abs(np.append(bundle.knots, np.inf)[pos] - targets) <= tol.merge_tol
     before, after = mu[:, pos], mu[:, np.minimum(pos + 1, bundle.knots.shape[0])]
@@ -358,7 +358,7 @@ def synth_three_hidden(
             eps = err.partial
 
     # eps flips rows exactly: this is dnn_to_spline's layer-3 bundle bit for bit
-    signed3 = SplineBundle(
+    signed3 = SplineBundle._computed(
         bundle3.knots, eps * bundle3.q1s, eps * bundle3.q0s, eps[:, None] * bundle3.coeff_matrix
     )
     layers_fixed = (first, second, Layer(a3 * eps[:, None], b3 * eps, c3 * eps))

@@ -15,6 +15,13 @@ Every step merges its knots once, with ``core._merge_columns``, and the
 merge in the last step already yields the canonical spline.
 ``canonicalize`` is the same merge on one row, for raw hinge collections.
 
+Input from callers is checked once, by the value types: the network, or
+``layer_transfer``'s bundle, and each step's A, c and b, which the step
+builds into a ``Layer`` whoever calls it.  The bundles computed here are
+not checked again.  Each step's bundle, ``_first_bundle``'s included, is
+wrapped without a copy after one finiteness scan, so an overflow still
+raises ValueError.
+
 Sign decisions use tol.zero_tol.  A unit value at a knot counts as zero
 when |f(x)| <= zero_tol * (1 + |mu x|), which keeps the test meaningful
 when mu x and eta cancel; slopes count as zero at |mu| <= zero_tol.
@@ -134,28 +141,36 @@ def layer_transfer(
     coeffs = bundle.coeff_matrix
     q1, q0 = bundle.q1s, bundle.q0s
     zero_tol = tol.zero_tol
+    m, n = coeffs.shape
     # piecewise form of every member: slope mu[j, v], intercept eta[j, v]
-    mu = np.column_stack((q1, q1[:, None] + np.cumsum(coeffs, axis=1)))
-    eta = np.column_stack((q0, q0[:, None] - np.cumsum(coeffs * knots, axis=1)))
+    mu = np.empty((m, n + 1))
+    mu[:, 0] = q1
+    np.add(q1[:, None], coeffs.cumsum(axis=1), out=mu[:, 1:])
+    eta = np.empty((m, n + 1))
+    eta[:, 0] = q0
+    np.subtract(q0[:, None], (coeffs * knots).cumsum(axis=1), out=eta[:, 1:])
 
-    # -1/0/+1 class of each member at each knot, from the piece left of it;
-    # the zero band scales with |mu x| so that cancellation does not flip signs
+    # -1/0/+1 class of each member at each knot, from the piece left of it,
+    # between the signs of the tails at -inf and +inf (those of the outer
+    # slopes, negated on the left); the zero band scales with |mu x| so that
+    # cancellation does not flip signs
     scaled = mu[:, :-1] * knots
     values = scaled + eta[:, :-1]
-    classes = np.where(np.abs(values) <= zero_tol * (1.0 + np.abs(scaled)), 0.0, np.sign(values))
+    ends = np.empty((m, n + 2))
+    ends[:, 0] = -np.sign(q1)
+    zero = np.abs(values) <= zero_tol * (1.0 + np.abs(scaled))
+    ends[:, 1:-1] = np.where(zero, 0.0, np.sign(values))
+    ends[:, -1] = np.sign(mu[:, -1])
+    classes = ends[:, 1:-1]
 
     # hinge coefficients of relu(f_j) at the shared knots
     split = np.maximum(mu[:, 1:], 0.0) + np.maximum(-mu[:, :-1], 0.0)
     kept = np.where(classes > 0, coeffs, np.where(classes == 0, split, 0.0))
 
     # a piece crosses zero inside its interval exactly when the classes at
-    # its two ends are strictly opposite (the ends at +-inf take the sign of
-    # the adjacent slope), which rules out double counting next to a knot
-    # that already classified as zero
-    slope_signs = np.sign(mu)
-    left = np.column_stack((-slope_signs[:, 0], classes))
-    right = np.column_stack((classes, slope_signs[:, -1]))
-    members, pieces = np.nonzero((np.abs(mu) > zero_tol) & (left * right == -1))
+    # its two ends are strictly opposite, which rules out double counting
+    # next to a knot that already classified as zero
+    members, pieces = np.nonzero((np.abs(mu) > zero_tol) & (ends[:, :-1] * ends[:, 1:] == -1))
     slopes = mu[members, pieces]
     cross_x = -eta[members, pieces] / slopes
 
@@ -165,10 +180,10 @@ def layer_transfer(
     tail_q0 = np.where(falling, q0, np.where(np.abs(q1) <= zero_tol, np.maximum(q0, 0.0), 0.0))
 
     coords = np.concatenate((knots, cross_x))
-    is_new = np.arange(coords.shape[0]) >= knots.shape[0]
-    columns = np.column_stack((A @ kept, A[:, members] * np.abs(slopes)))
+    is_new = np.arange(coords.shape[0]) >= n
+    columns = np.concatenate((A @ kept, A[:, members] * np.abs(slopes)), axis=1)
     merged_x, merged_cols = _merge_columns(coords, is_new, columns, tol)
-    return SplineBundle(merged_x, c + A @ tail_q1, b + A @ tail_q0, merged_cols)
+    return SplineBundle._computed(merged_x, c + A @ tail_q1, b + A @ tail_q0, merged_cols)
 
 
 def _first_bundle(first: Layer, second: Layer, tol: Tolerances) -> SplineBundle:
@@ -177,7 +192,7 @@ def _first_bundle(first: Layer, second: Layer, tol: Tolerances) -> SplineBundle:
         first.A[:, 0], first.b, second.A, second.c, second.b, tol.zero_tol
     )
     knots, columns = _merge_columns(hinges, np.ones(hinges.shape[0], bool), columns, tol)
-    return SplineBundle(knots, q1s, q0s, columns)
+    return SplineBundle._computed(knots, q1s, q0s, columns)
 
 
 def dnn_to_spline(net: ReluNetwork, tol: Tolerances = DEFAULT_TOL) -> CplSpline:

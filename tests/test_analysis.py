@@ -30,6 +30,28 @@ class TestActiveKnots:
         s = rs.CplSpline(0.0, 0.0, [3.0, 1.0], [1.0, 2.0])
         assert rs.active_knots(s) == [(1.0, 2.0), (3.0, 1.0)]
 
+    def test_matches_python_sort_on_raw_splines(self):
+        # repeated knots, equal pairs and signed zeros: the order of the
+        # Python sort of (knot, coefficient) tuples, which keeps ties in place
+        def reference(spline, tol=rs.DEFAULT_TOL):
+            keep = np.abs(spline.coeffs) > tol.zero_tol
+            pairs = sorted(zip(spline.knots[keep], spline.coeffs[keep]))
+            return [(float(x), float(c)) for x, c in pairs]
+
+        def signs(pairs):
+            return [(np.copysign(1.0, x), np.copysign(1.0, c)) for x, c in pairs]
+
+        rng = np.random.default_rng(97)
+        for _ in range(300):
+            n = int(rng.integers(0, 25))
+            knots = rng.choice([-1.5, -0.0, 0.0, 0.5, 2.0], n)
+            coeffs = rng.choice([-2.0, -1e-11, 0.0, 1.0, 3.0], n)
+            spline = rs.CplSpline(0.5, -1.0, knots, coeffs)
+            got, expected = rs.active_knots(spline), reference(spline)
+            assert got == expected
+            assert signs(got) == signs(expected)
+            assert all(type(x) is float and type(c) is float for x, c in got)
+
 
 class TestAuditBound:
     def test_reference_is_tight(self):

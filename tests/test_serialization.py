@@ -144,6 +144,43 @@ class TestSplineSchema:
         with pytest.raises(rs.SchemaError, match="q1"):
             rs.spline_from_obj(obj)
 
+    def test_numbers_are_float_of_each_entry(self):
+        # integers past 2^53 round, those past int64 too; each value is float(v)
+        big = [2**53 + 1, 2**54 + 2, 2**63 - 1, 2**63, 2**64 + 1, -(2**63) - 1, 10**300]
+        values = big + [3, -0.0, 1.5, 1e-320, -(2**1000) - 12345]
+        obj = {"q1": 0.0, "q0": 0.0, "knots": values, "coeffs": values[::-1]}
+        spline = rs.spline_from_obj(obj)
+        assert spline.knots.tobytes() == np.array([float(v) for v in values]).tobytes()
+        assert spline.coeffs.tobytes() == np.array([float(v) for v in values[::-1]]).tobytes()
+        assert rs.flat_knots_from_obj({"knots": []}).shape == (0,)
+
+    def test_numpy_floats_accepted(self):
+        obj = {
+            "q1": np.float64(1.0),
+            "q0": np.float64(-0.5),
+            "knots": [np.float64(0.25), 1.0, 2],
+            "coeffs": [np.float64(2.0), 1, -1.0],
+        }
+        spline = rs.spline_from_obj(obj)
+        np.testing.assert_array_equal(spline.knots, [0.25, 1.0, 2.0])
+        np.testing.assert_array_equal(spline.coeffs, [2.0, 1.0, -1.0])
+
+    @pytest.mark.parametrize(
+        "knots,message",
+        [
+            ([1.0, 2**1024], "knots[1] is out of range for a double"),
+            ([2**1024 - 1, 1.0], "knots[0] is out of range for a double"),
+            ([1.0, 2.0, "3"], "knots[2] must be a number"),
+            ([1.0, None], "knots[1] must be a number"),
+            ([False, 1.0], "knots[0] must be a number"),
+            ([1.0, [2.0]], "knots[1] must be a number"),
+        ],
+    )
+    def test_bad_entry_named(self, knots, message):
+        with pytest.raises(rs.SchemaError) as info:
+            rs.flat_knots_from_obj({"knots": knots})
+        assert str(info.value) == message
+
 
 class TestHierarchySchema:
     def test_two_level_round_trip(self):

@@ -477,6 +477,62 @@ class TestDnnToSpline:
                 assert s.n_knots <= rs.knot_bound(net.widths)
 
 
+def overflow_network(kind: str) -> rs.ReluNetwork:
+    """A finite network whose conversion overflows in the named bundle array."""
+    if kind == "bundle knots":
+        # the first layer's hinge -1e300 / 1e-9 is -inf
+        return rs.ReluNetwork((rs.Layer([[1e-9]], [1e300]), rs.Layer([[1.0]], [0.0], [0.0])))
+    first = rs.Layer([[1.0], [1.0]], [0.0, -1.0])
+    last = rs.Layer([[1e200, 1e200]], [0.0], [0.0])
+    big = {
+        "coeff_matrix": rs.Layer([[1e200, -1e200], [1e200, 1e200]], [0.0, 0.0], [0.0, 0.0]),
+        "q1s": rs.Layer([[1.0, 1.0], [1.0, 1.0]], [0.0, 0.0], [-1e308, -1e308]),
+        "q0s": rs.Layer([[1.0, 1.0], [1.0, 1.0]], [1e308, 1e308], [0.0, 0.0]),
+    }
+    return rs.ReluNetwork((first, big[kind], last))
+
+
+class TestComputedBundlesCheckedOnce:
+    @pytest.mark.parametrize("kind", ["coeff_matrix", "q1s", "q0s", "bundle knots"])
+    def test_overflow_fails_loudly(self, kind):
+        # every layer is finite; the conversion overflows on its way
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=f"^{kind} contains non-finite entries$"):
+                rs.dnn_to_spline(overflow_network(kind))
+
+    def test_checks_grow_by_one_layer_check_per_step(self, monkeypatch):
+        real = rs.core._frozen_array
+        counts = []
+        for depth in (4, 8, 12):
+            net = sawtooth_network(depth)
+            calls = []
+
+            def counting(*args, calls=calls, **kwargs):
+                calls.append(kwargs["name"])
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(rs.core, "_frozen_array", counting)
+            rs.dnn_to_spline(net)
+            monkeypatch.setattr(rs.core, "_frozen_array", real)
+            counts.append(len(calls))
+        # four more steps may only add their Layer checks of A, c and b
+        assert max(np.diff(counts)) <= 3 * 4, counts
+
+    def test_computed_arrays_are_shared_and_read_only(self):
+        bundle = rs.SplineBundle([0.0, 1.0], [1.0, -1.0], [0.0, 1.0], [[1.0, -2.0], [0.5, 1.0]])
+        out = rs.layer_transfer(bundle, [[1.0, 2.0], [-1.0, 1.0]], [0.0, 1.0], [0.5, 0.0])
+        member = out.member(1)
+        assert member.knots is out.knots
+        assert np.shares_memory(member.coeffs, out.coeff_matrix)
+        np.testing.assert_array_equal(member.coeffs, out.coeff_matrix[1])
+        assert (member.q1, member.q0) == (float(out.q1s[1]), float(out.q0s[1]))
+        assert type(member.q1) is float and type(member.q0) is float
+        for arr in (out.knots, out.q1s, out.q0s, out.coeff_matrix, member.coeffs):
+            assert not arr.flags.writeable
+        s = rs.dnn_to_spline(net_max_knots())
+        assert not s.knots.flags.writeable and not s.coeffs.flags.writeable
+
+
 def integer_network(rng: np.random.Generator) -> rs.ReluNetwork:
     """Depth 2-4, hidden widths 1-4, integer parameters in [-2, 2].
 
