@@ -31,7 +31,7 @@ def active_knots(spline: CplSpline, tol: Tolerances = DEFAULT_TOL) -> list[tuple
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Plain record of an observed knot count against the width bound."""
+    """Plain record of an observed knot count against ``knot_bound``, an upper bound."""
 
     observed: int
     bound: int

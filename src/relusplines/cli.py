@@ -23,7 +23,6 @@ from .core import (
     DimensionMismatchError,
     InterlacingError,
     ReluNetwork,
-    SynthesisOptions,
     Tolerances,
     knot_bound,
 )
@@ -114,7 +113,7 @@ def _cmd_synth(args) -> int:
 
     if args.no_source:
         seeds = _comma_list(args.seeds, "--seeds") if args.seeds else None
-        net = synth_two_hidden_no_source(flat, *arch, SynthesisOptions(seeds=seeds))
+        net = synth_two_hidden_no_source(flat, *arch, seeds=seeds)
         wanted = flat
     else:
         if hierarchy.level3 is None:

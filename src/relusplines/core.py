@@ -45,7 +45,6 @@ __all__ = [
     "CplSpline",
     "SplineBundle",
     "KnotHierarchy",
-    "SynthesisOptions",
     "canonicalize",
     "knot_bound",
     "DimensionMismatchError",
@@ -415,47 +414,6 @@ class KnotHierarchy:
         return 0 if self.level3 is None else self.level3.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class SynthesisOptions:
-    """Free parameters of the synthesis constructions.
-
-    Each build reads only some fields and raises ValueError, naming itself
-    and the field, when another one is set away from its default.
-
-    a3       output row (nonzero): magnitudes for ``synth_two_hidden``, which
-             fixes the signs; the signed row for ``synth_two_hidden_no_source``
-    eps      per-unit signs (+-1), ``synth_three_hidden``
-    a4       explicit final weights, ``synth_three_hidden``
-    seeds    first-interval slopes (nonzero), ``synth_two_hidden_no_source``
-    c_out    source weight of the final layer, ``synth_two_hidden`` and
-             ``synth_three_hidden`` (the no-source build has none)
-    b_out    bias of the final layer, every build
-    plus_variant  global sign of the output row, ``synth_two_hidden``
-    """
-
-    a3: np.ndarray | None = None
-    eps: np.ndarray | None = None
-    a4: np.ndarray | None = None
-    seeds: np.ndarray | None = None
-    c_out: float = 0.0
-    b_out: float = 0.0
-    plus_variant: bool = True
-
-    def __post_init__(self):
-        for name in ("a3", "eps", "a4", "seeds"):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, _frozen_array(value, ndim=1, name=name))
-        object.__setattr__(self, "c_out", _finite_float(self.c_out, "c_out"))
-        object.__setattr__(self, "b_out", _finite_float(self.b_out, "b_out"))
-        if self.a3 is not None and np.any(self.a3 == 0):
-            raise ValueError("a3 entries must be nonzero")
-        if self.seeds is not None and np.any(self.seeds == 0):
-            raise ValueError("seeds must be nonzero")
-        if self.eps is not None and np.any(np.abs(self.eps) != 1):
-            raise ValueError("eps entries must be +-1")
-
-
 def _merge_columns(coords, is_new, columns, tol: Tolerances):
     """Merge knot columns within merge_tol; original knots win the coordinate.
 
@@ -513,7 +471,11 @@ def canonicalize(spline: CplSpline, tol: Tolerances = DEFAULT_TOL) -> CplSpline:
 
 
 def knot_bound(widths) -> int:
-    """Largest possible number of active knots for the given width chain."""
+    """Upper bound prod(n_l + 1) - 1 on the active knots of a width chain.
+
+    It is attained with one hidden layer (``spline_to_shallow``) and with
+    two (``synth_two_hidden``); deeper chains can fall short of it.
+    """
     widths = tuple(int(w) for w in widths)
     if len(widths) < 3:
         raise DimensionMismatchError("width chain needs at least one hidden layer")

@@ -79,14 +79,16 @@ def probe_grid(knots, margin: float = 1.0, per_interval: int = 1) -> np.ndarray:
     Knotless input yields {-margin, 0, margin}.  Two splines sharing the
     knot set agree everywhere iff they agree on this grid (per_interval
     >= 1), so grid comparison decides equality of piecewise-linear
-    functions exactly.
+    functions exactly.  Non-finite knots or margin raise ValueError.
     """
-    if not margin > 0:
-        raise ValueError("margin must be positive")
+    if not 0 < margin < np.inf:
+        raise ValueError("margin must be positive and finite")
     per_interval = int(per_interval)
     if per_interval < 1:
         raise ValueError("per_interval must be at least 1")
     knots = np.asarray(knots, dtype=float)
+    if not np.isfinite(knots).all():
+        raise ValueError("knots contain non-finite entries")
     if knots.size == 0:
         return np.array([-margin, 0.0, margin])
     if np.any(np.diff(knots) <= 0):

@@ -23,7 +23,6 @@ example ``redundancy_residual``'s ``index_set``) are 0-based.
 
 from __future__ import annotations
 
-import dataclasses
 import warnings
 
 import numpy as np
@@ -40,8 +39,9 @@ from .core import (
     Layer,
     ReluNetwork,
     SplineBundle,
-    SynthesisOptions,
     Tolerances,
+    _finite_float,
+    _frozen_array,
 )
 from .evaluate import eval_bundle
 # dnn_to_spline is not called here; bench/selftest.py reaches it as synth.dnn_to_spline
@@ -77,25 +77,20 @@ def _slope_rows(c_signs, x, zeros) -> np.ndarray:
     return mu
 
 
-def _read_options(opts: SynthesisOptions | None, build: str, reads: tuple) -> SynthesisOptions:
-    """``opts``, or the defaults; a field set away from its default must be in ``reads``."""
-    if opts is None:
-        return SynthesisOptions()
-    for field in dataclasses.fields(opts):
-        value = getattr(opts, field.name)
-        changed = value is not None if field.default is None else value != field.default
-        if changed and field.name not in reads:
-            raise ValueError(f"{build} does not read SynthesisOptions.{field.name}")
-    return opts
-
-
 def _per_unit(value, default, n: int, name: str):
-    """A per-unit option: ``default`` when unset, else the option of length n."""
+    """A per-unit parameter: ``default`` when None, else finite, 1-D and n long."""
     if value is None:
         return default
+    value = _frozen_array(value, ndim=1, name=name)
     if value.shape[0] != n:
         raise DimensionMismatchError(f"{name} must have length {n}")
     return value
+
+
+def _nonzero(values: np.ndarray, what: str) -> np.ndarray:
+    if np.any(values == 0):
+        raise ValueError(f"{what} must be nonzero")
+    return values
 
 
 def _two_hidden_layers(h: KnotHierarchy) -> tuple[Layer, Layer]:
@@ -105,19 +100,28 @@ def _two_hidden_layers(h: KnotHierarchy) -> tuple[Layer, Layer]:
     return Layer(np.ones((h.n1, 1)), -h.level1), Layer(a2, -h.level2[:, 0] * c_signs, c_signs)
 
 
-def synth_two_hidden(h: KnotHierarchy, opts: SynthesisOptions | None = None) -> ReluNetwork:
+def synth_two_hidden(
+    h: KnotHierarchy,
+    *,
+    a3=None,
+    plus_variant: bool = True,
+    c_out: float = 0.0,
+    b_out: float = 0.0,
+) -> ReluNetwork:
     """Width (1, n1, n2, 1) network whose active knots are exactly level1+level2.
 
     Source signs alternate (+1 on unit 1), biases put each unit's first
     zero where prescribed, and the output row's signs alternate the other
-    way so contributions at shared knots never cancel.  ``opts.a3`` scales
-    the output row magnitudes; ``opts.plus_variant`` flips it globally.
+    way so contributions at shared knots never cancel.  ``a3`` (n2 nonzero
+    entries, default ones) gives the output row's magnitudes, whose signs
+    the build fixes; ``plus_variant=False`` flips the row.  ``c_out`` and
+    ``b_out`` are the final layer's source weight and bias.
 
     The guarantee needs two units: with n2 = 1 and n1 > 1 no unit is
     positive at the even-position level-1 knots, which therefore drop out
     (warned, not raised).
     """
-    opts = _read_options(opts, "synth_two_hidden", ("a3", "plus_variant", "c_out", "b_out"))
+    c_out, b_out = _finite_float(c_out, "c_out"), _finite_float(b_out, "b_out")
     if h.level3 is not None:
         raise ValueError("two-hidden synthesis takes a two-level hierarchy")
     n1, n2 = h.n1, h.n2
@@ -127,15 +131,10 @@ def synth_two_hidden(h: KnotHierarchy, opts: SynthesisOptions | None = None) -> 
             RuntimeWarning,
             stacklevel=2,
         )
-    magnitudes = np.abs(_per_unit(opts.a3, np.ones(n2), n2, "a3"))
-    sign = 1.0 if opts.plus_variant else -1.0
-    a3 = sign * np.where(np.arange(1, n2 + 1) % 2 == 0, 1.0, -1.0) * magnitudes
-    return ReluNetwork(
-        (
-            *_two_hidden_layers(h),
-            Layer(a3.reshape(1, n2), np.array([opts.b_out]), np.array([opts.c_out])),
-        )
-    )
+    magnitudes = np.abs(_nonzero(_per_unit(a3, np.ones(n2), n2, "a3"), "a3 entries"))
+    sign = 1.0 if plus_variant else -1.0
+    row = sign * np.where(np.arange(1, n2 + 1) % 2 == 0, 1.0, -1.0) * magnitudes
+    return ReluNetwork((*_two_hidden_layers(h), Layer(row.reshape(1, n2), [b_out], [c_out])))
 
 
 def _flat_knots(knots, expected: int, widths: tuple) -> np.ndarray:
@@ -160,24 +159,26 @@ def _flat_knots(knots, expected: int, widths: tuple) -> np.ndarray:
 
 
 def synth_two_hidden_no_source(
-    knots, n1: int, n2: int, opts: SynthesisOptions | None = None
+    knots, n1: int, n2: int, *, seeds=None, a3=None, b_out: float = 0.0
 ) -> ReluNetwork:
     """Prescribed-knot network with every source channel equal to zero.
 
     Takes a flat strictly increasing list of n1 (n2 + 1) knots, n1 >= 1,
     read in blocks [x_k, zeros of unit 1..n2 in (x_k, x_{k+1})].  Without a
     source channel each unit is constant left of x_1, so there are no knots
-    there; ``opts.seeds`` sets the first-interval slopes (default
-    alternating -1, +1, ...), which must change sign somewhere when
-    n1 > 1.  ``opts.a3`` is the signed output row (default ones) and
-    ``opts.b_out`` the final bias.
+    there; ``seeds`` (n2 nonzero entries) sets the first-interval slopes
+    (default alternating -1, +1, ...), which must change sign somewhere
+    when n1 > 1.  ``a3`` (n2 nonzero entries) is the signed output row
+    (default ones) and ``b_out`` the final bias; the final source weight
+    is zero like every other.
     """
-    opts = _read_options(opts, "synth_two_hidden_no_source", ("seeds", "a3", "b_out"))
+    b_out = _finite_float(b_out, "b_out")
     if n1 < 1:
         raise InterlacingError(f"level 1 needs at least one knot, got n1 = {n1}")
     blocks = _flat_knots(knots, n1 * (n2 + 1), (n1, n2)).reshape(n1, n2 + 1)
     x1, zeros = blocks[:, 0], blocks[:, 1:].T
-    seeds = _per_unit(opts.seeds, np.where(np.arange(1, n2 + 1) % 2 == 1, -1.0, 1.0), n2, "seeds")
+    seeds = _per_unit(seeds, np.where(np.arange(1, n2 + 1) % 2 == 1, -1.0, 1.0), n2, "seeds")
+    _nonzero(seeds, "seeds")
     if n1 > 1 and (np.all(seeds > 0) or np.all(seeds < 0)):
         raise ValueError("seeds need at least one sign change when n1 > 1")
     # the slope recursion from interval 1 on, where the zeros interlace x1[1:]
@@ -185,12 +186,12 @@ def synth_two_hidden_no_source(
     mu[:, 1:] = _slope_rows(seeds, x1[1:], zeros)
     a2 = np.diff(mu, axis=1)
     b2 = seeds * (x1[0] - zeros[:, 0])
-    a3 = _per_unit(opts.a3, np.ones(n2), n2, "a3")
+    row = _nonzero(_per_unit(a3, np.ones(n2), n2, "a3"), "a3 entries")
     return ReluNetwork(
         (
             Layer(np.ones((n1, 1)), -x1),
             Layer(a2, b2, np.zeros(n2)),
-            Layer(a3.reshape(1, n2), np.array([opts.b_out]), np.zeros(1)),
+            Layer(row.reshape(1, n2), [b_out], np.zeros(1)),
         )
     )
 
@@ -303,7 +304,11 @@ def _zero_sign_masks(bundle: SplineBundle, targets: np.ndarray, tol: Tolerances)
 
 def synth_three_hidden(
     h: KnotHierarchy,
-    opts: SynthesisOptions | None = None,
+    *,
+    eps=None,
+    a4=None,
+    c_out: float = 0.0,
+    b_out: float = 0.0,
     tol: Tolerances = DEFAULT_TOL,
     rng: np.random.Generator | None = None,
 ) -> ReluNetwork:
@@ -311,19 +316,25 @@ def synth_three_hidden(
 
     Layers 1-2 follow the two-hidden build.  Third-layer unit r puts its
     zeros at level3 row r, seen as one zero per interval of the first
-    level-2 column; its sign eps_r comes from ``opts.eps`` or greedy
-    selection over the unit values at the lower-level knots.  The final
-    row defaults to -eps (all positive parts add up with one sign); on an
-    activity failure up to 32 seeded random retries with magnitudes in
-    [0.5, 2] are attempted before raising ActivityError.  n3 below
-    log2(n1 + (n1+1) n2) only triggers a warning since the post-hoc check
-    decides success.
+    level-2 column; its sign eps_r comes from ``eps`` (n3 entries of +-1)
+    or greedy selection over the unit values at the lower-level knots.
+    The final row is ``a4`` (n3 entries), tried once, or defaults to -eps
+    (all positive parts add up with one sign); on an activity failure of
+    the default, up to 32 random retries drawn from ``rng`` (default seed
+    0) with magnitudes in [0.5, 2] are attempted before raising
+    ActivityError.  ``c_out`` and ``b_out`` are the final layer's source
+    weight and bias.  n3 below log2(n1 + (n1+1) n2) only triggers a
+    warning since the post-hoc check decides success.
     """
-    opts = _read_options(opts, "synth_three_hidden", ("eps", "a4", "c_out", "b_out"))
+    c_out, b_out = _finite_float(c_out, "c_out"), _finite_float(b_out, "b_out")
     if h.level3 is None:
         raise ValueError("three-hidden synthesis needs a three-level hierarchy")
-    rng = rng if rng is not None else np.random.default_rng(0)
     n1, n2, n3 = h.n1, h.n2, h.n3
+    eps = _per_unit(eps, None, n3, "eps")
+    if eps is not None and np.any(np.abs(eps) != 1):
+        raise ValueError("eps entries must be +-1")
+    a4 = _per_unit(a4, None, n3, "a4")
+    rng = rng if rng is not None else np.random.default_rng(0)
     lower_count = n1 + (n1 + 1) * n2
     if 2**n3 < lower_count:
         warnings.warn(
@@ -341,7 +352,6 @@ def synth_three_hidden(
 
     first, second = _two_hidden_layers(h)
     bundle3 = layer_transfer(_first_bundle(first, second, tol), a3, c3, b3, tol)
-    eps = _per_unit(opts.eps, None, n3, "eps")
     if eps is None:
         targets = np.sort(np.concatenate((h.level1, h.level2.ravel())))
         try:
@@ -363,17 +373,16 @@ def synth_three_hidden(
     )
     layers_fixed = (first, second, Layer(a3 * eps[:, None], b3 * eps, c3 * eps))
     wanted = prescribed_knots(h)
-    a4 = _per_unit(opts.a4, -eps, n3, "a4")
-    attempts = 1 if opts.a4 is not None else 1 + _RETRY_BUDGET
+    attempts = 1 if a4 is not None else 1 + _RETRY_BUDGET
+    row = (-eps if a4 is None else a4).reshape(1, n3)
     missing = wanted
     for _ in range(attempts):
-        last = Layer(a4.reshape(1, n3), np.array([opts.b_out]), np.array([opts.c_out]))
         # dnn_to_spline's last step on the returned network
-        spline = layer_transfer(signed3, last.A, last.c, last.b, tol).member(0)
+        spline = layer_transfer(signed3, row, [c_out], [b_out], tol).member(0)
         missing = _missing_prescribed(spline, wanted, tol)
         if missing.size == 0:
-            return ReluNetwork(layers_fixed + (last,))
-        a4 = rng.choice([-1.0, 1.0], n3) * rng.uniform(0.5, 2.0, n3)
+            return ReluNetwork(layers_fixed + (Layer(row, [b_out], [c_out]),))
+        row = (rng.choice([-1.0, 1.0], n3) * rng.uniform(0.5, 2.0, n3)).reshape(1, n3)
     raise ActivityError(
         f"prescribed knots {missing.tolist()} stayed inactive after retries", missing
     )

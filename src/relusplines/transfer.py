@@ -20,7 +20,8 @@ Input from callers is checked once, by the value types: the network, or
 builds into a ``Layer`` whoever calls it.  The bundles computed here are
 not checked again.  Each step's bundle, ``_first_bundle``'s included, is
 wrapped without a copy after one finiteness scan, so an overflow still
-raises ValueError.
+raises ValueError; the steps run under ``np.errstate(all="ignore")``, so
+that ValueError is all the caller sees of it.
 
 Sign decisions use tol.zero_tol.  A unit value at a knot counts as zero
 when |f(x)| <= zero_tol * (1 + |mu x|), which keeps the test meaningful
@@ -96,12 +97,14 @@ def first_layer_canonicalize(
     second = net.layers[1]
     a1 = first.A[:, 0]
     n1 = a1.shape[0]
-    hinges, columns, c2, b2 = _unit_hinges(
-        a1, first.b, second.A, second.c, second.b, tol.zero_tol
-    )
-    order = np.argsort(hinges, kind="stable")
-    knots = hinges[order]
-    distinct = np.diff(knots) > tol.merge_tol
+    # an overflow surfaces as a ValueError below, from the checks
+    with np.errstate(all="ignore"):
+        hinges, columns, c2, b2 = _unit_hinges(
+            a1, first.b, second.A, second.c, second.b, tol.zero_tol
+        )
+        order = np.argsort(hinges, kind="stable")
+        knots = hinges[order]
+        distinct = np.diff(knots) > tol.merge_tol
     if knots.shape[0] < n1 or not np.all(distinct):
         problem = "dead units" if knots.shape[0] < n1 else "coinciding hinges"
         # units left after dropping dead ones and collapsing shared hinges
@@ -137,62 +140,66 @@ def layer_transfer(
             f"layer expects width {layer.in_width} but bundle has {bundle.width} members"
         )
 
-    knots = bundle.knots
-    coeffs = bundle.coeff_matrix
-    q1, q0 = bundle.q1s, bundle.q0s
-    zero_tol = tol.zero_tol
-    m, n = coeffs.shape
-    # piecewise form of every member: slope mu[j, v], intercept eta[j, v]
-    mu = np.empty((m, n + 1))
-    mu[:, 0] = q1
-    np.add(q1[:, None], coeffs.cumsum(axis=1), out=mu[:, 1:])
-    eta = np.empty((m, n + 1))
-    eta[:, 0] = q0
-    np.subtract(q0[:, None], (coeffs * knots).cumsum(axis=1), out=eta[:, 1:])
+    # an overflow surfaces as the ValueError of the bundle's finiteness scan
+    with np.errstate(all="ignore"):
+        knots = bundle.knots
+        coeffs = bundle.coeff_matrix
+        q1, q0 = bundle.q1s, bundle.q0s
+        zero_tol = tol.zero_tol
+        m, n = coeffs.shape
+        # piecewise form of every member: slope mu[j, v], intercept eta[j, v]
+        mu = np.empty((m, n + 1))
+        mu[:, 0] = q1
+        np.add(q1[:, None], coeffs.cumsum(axis=1), out=mu[:, 1:])
+        eta = np.empty((m, n + 1))
+        eta[:, 0] = q0
+        np.subtract(q0[:, None], (coeffs * knots).cumsum(axis=1), out=eta[:, 1:])
 
-    # -1/0/+1 class of each member at each knot, from the piece left of it,
-    # between the signs of the tails at -inf and +inf (those of the outer
-    # slopes, negated on the left); the zero band scales with |mu x| so that
-    # cancellation does not flip signs
-    scaled = mu[:, :-1] * knots
-    values = scaled + eta[:, :-1]
-    ends = np.empty((m, n + 2))
-    ends[:, 0] = -np.sign(q1)
-    zero = np.abs(values) <= zero_tol * (1.0 + np.abs(scaled))
-    ends[:, 1:-1] = np.where(zero, 0.0, np.sign(values))
-    ends[:, -1] = np.sign(mu[:, -1])
-    classes = ends[:, 1:-1]
+        # -1/0/+1 class of each member at each knot, from the piece left of it,
+        # between the signs of the tails at -inf and +inf (those of the outer
+        # slopes, negated on the left); the zero band scales with |mu x| so that
+        # cancellation does not flip signs
+        scaled = mu[:, :-1] * knots
+        values = scaled + eta[:, :-1]
+        ends = np.empty((m, n + 2))
+        ends[:, 0] = -np.sign(q1)
+        zero = np.abs(values) <= zero_tol * (1.0 + np.abs(scaled))
+        ends[:, 1:-1] = np.where(zero, 0.0, np.sign(values))
+        ends[:, -1] = np.sign(mu[:, -1])
+        classes = ends[:, 1:-1]
 
-    # hinge coefficients of relu(f_j) at the shared knots
-    split = np.maximum(mu[:, 1:], 0.0) + np.maximum(-mu[:, :-1], 0.0)
-    kept = np.where(classes > 0, coeffs, np.where(classes == 0, split, 0.0))
+        # hinge coefficients of relu(f_j) at the shared knots
+        split = np.maximum(mu[:, 1:], 0.0) + np.maximum(-mu[:, :-1], 0.0)
+        kept = np.where(classes > 0, coeffs, np.where(classes == 0, split, 0.0))
 
-    # a piece crosses zero inside its interval exactly when the classes at
-    # its two ends are strictly opposite, which rules out double counting
-    # next to a knot that already classified as zero
-    members, pieces = np.nonzero((np.abs(mu) > zero_tol) & (ends[:, :-1] * ends[:, 1:] == -1))
-    slopes = mu[members, pieces]
-    cross_x = -eta[members, pieces] / slopes
+        # a piece crosses zero inside its interval exactly when the classes at
+        # its two ends are strictly opposite, which rules out double counting
+        # next to a knot that already classified as zero
+        members, pieces = np.nonzero((np.abs(mu) > zero_tol) & (ends[:, :-1] * ends[:, 1:] == -1))
+        slopes = mu[members, pieces]
+        cross_x = -eta[members, pieces] / slopes
 
-    # relu(f_j) left of every knot: f_j itself if falling, relu(q0) if flat
-    falling = q1 < -zero_tol
-    tail_q1 = np.where(falling, q1, 0.0)
-    tail_q0 = np.where(falling, q0, np.where(np.abs(q1) <= zero_tol, np.maximum(q0, 0.0), 0.0))
+        # relu(f_j) left of every knot: f_j itself if falling, relu(q0) if flat
+        falling = q1 < -zero_tol
+        tail_q1 = np.where(falling, q1, 0.0)
+        tail_q0 = np.where(falling, q0, np.where(np.abs(q1) <= zero_tol, np.maximum(q0, 0.0), 0.0))
 
-    coords = np.concatenate((knots, cross_x))
-    is_new = np.arange(coords.shape[0]) >= n
-    columns = np.concatenate((A @ kept, A[:, members] * np.abs(slopes)), axis=1)
-    merged_x, merged_cols = _merge_columns(coords, is_new, columns, tol)
-    return SplineBundle._computed(merged_x, c + A @ tail_q1, b + A @ tail_q0, merged_cols)
+        coords = np.concatenate((knots, cross_x))
+        is_new = np.arange(coords.shape[0]) >= n
+        columns = np.concatenate((A @ kept, A[:, members] * np.abs(slopes)), axis=1)
+        merged_x, merged_cols = _merge_columns(coords, is_new, columns, tol)
+        return SplineBundle._computed(merged_x, c + A @ tail_q1, b + A @ tail_q0, merged_cols)
 
 
 def _first_bundle(first: Layer, second: Layer, tol: Tolerances) -> SplineBundle:
     """The layer-2 units as a bundle over the first layer's merged hinges."""
-    hinges, columns, q1s, q0s = _unit_hinges(
-        first.A[:, 0], first.b, second.A, second.c, second.b, tol.zero_tol
-    )
-    knots, columns = _merge_columns(hinges, np.ones(hinges.shape[0], bool), columns, tol)
-    return SplineBundle._computed(knots, q1s, q0s, columns)
+    # an overflow surfaces as the ValueError of the bundle's finiteness scan
+    with np.errstate(all="ignore"):
+        hinges, columns, q1s, q0s = _unit_hinges(
+            first.A[:, 0], first.b, second.A, second.c, second.b, tol.zero_tol
+        )
+        knots, columns = _merge_columns(hinges, np.ones(hinges.shape[0], bool), columns, tol)
+        return SplineBundle._computed(knots, q1s, q0s, columns)
 
 
 def dnn_to_spline(net: ReluNetwork, tol: Tolerances = DEFAULT_TOL) -> CplSpline:

@@ -80,12 +80,12 @@ class TestAcceptance:
 
     def test_02_three_hidden_pipeline(self):
         h = rs.hierarchy_from_flat(FOURTEEN_KNOTS, 2, 2, 2)
-        opts = rs.SynthesisOptions(eps=np.array([1.0, -1.0]), a4=np.array([-1.0, 1.0]))
+        params = dict(eps=np.array([1.0, -1.0]), a4=np.array([-1.0, 1.0]))
 
         def pipeline():
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                return rs.dnn_to_spline(rs.synth_three_hidden(h, opts))
+                return rs.dnn_to_spline(rs.synth_three_hidden(h, **params))
 
         pipeline()  # warm up
         spline, elapsed = timed(pipeline)
@@ -102,9 +102,7 @@ class TestAcceptance:
                ok, f"{elapsed * 1e3:.2f} ms")
 
     def test_03_no_source_synthesis(self):
-        net = rs.synth_two_hidden_no_source(
-            NINE_KNOTS, 3, 2, rs.SynthesisOptions(seeds=np.array([-1.0, 1.0]))
-        )
+        net = rs.synth_two_hidden_no_source(NINE_KNOTS, 3, 2, seeds=np.array([-1.0, 1.0]))
         ok = (
             bool(np.array_equal(net.layers[1].A, NINE_A2))
             and bool(np.array_equal(net.layers[1].b, NINE_B2))

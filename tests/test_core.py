@@ -1,4 +1,8 @@
-"""Core types: validation, canonical form, knot bound, piecewise form."""
+"""Core types: validation, canonical form, knot bound, piecewise form; and
+rejections across the package that no other test reaches."""
+
+import contextlib
+import io
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relusplines as rs
+from relusplines.cli import main
 
 from helpers import net_max_knots, piecewise_form
 
@@ -222,6 +227,19 @@ class TestKnotBound:
         with pytest.raises(rs.DimensionMismatchError):
             rs.knot_bound((2, 3, 1))
 
+    def test_upper_bound_not_reached_by_deep_width_one_chains(self):
+        # the bound is attained with one and two hidden layers, not always
+        # deeper: random (1, 1, 1, 1, 1) networks stay at 5 knots of 7
+        assert rs.knot_bound((1, 1, 1, 1, 1)) == 7
+        rng = np.random.default_rng(211)
+        most = 0
+        for _ in range(1500):
+            w = rng.normal(size=(4, 3))
+            first = rs.Layer([[w[0, 0]]], [w[0, 1]])
+            rest = tuple(rs.Layer([[w[i, 0]]], [w[i, 1]], [w[i, 2]]) for i in range(1, 4))
+            most = max(most, rs.dnn_to_spline(rs.ReluNetwork((first,) + rest)).n_knots)
+        assert 3 <= most <= 5
+
 
 class TestPiecewiseForm:
     def test_recursions(self):
@@ -350,13 +368,107 @@ class TestKnotHierarchyMatchesLoop:
         assert 300 < raised < 1200
 
 
-class TestSynthesisOptions:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            rs.SynthesisOptions(a3=[1.0, 0.0])
-        with pytest.raises(ValueError):
-            rs.SynthesisOptions(eps=[1.0, 0.5])
-        with pytest.raises(ValueError):
-            rs.SynthesisOptions(seeds=[0.0])
-        opts = rs.SynthesisOptions(a3=[1.0, 2.0], eps=[-1.0, 1.0], c_out=0.5)
-        assert opts.c_out == 0.5
+
+def _cli_synth(tmp_path, obj, *flags):
+    """Exit code and stderr of ``relusplines synth`` on a file FILE holding obj."""
+    path = tmp_path / "knots.json"
+    rs.dump_json(path, obj)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["synth", str(path), "-o", str(tmp_path / "net.json"), *flags])
+    return code, err.getvalue().strip().replace(str(path), "FILE")
+
+
+def _layers(*specs):
+    return rs.ReluNetwork(tuple(rs.Layer(*spec) for spec in specs))
+
+
+FLAT = {"knots": [1.0, 2.0, 3.0, 4.0, 5.0]}
+# each rejection, with the exception and message (or the exit code and
+# stderr, or the verdict) it must give
+REJECTIONS = {
+    "knot_bound-negative-width": (
+        lambda _: rs.knot_bound((1, -1, 1)),
+        (rs.DimensionMismatchError, "widths must be non-negative"),
+    ),
+    "network-non-scalar-input": (
+        lambda _: _layers(([[1.0, 1.0]], [0.0]), ([[1.0]], [0.0], [0.0])),
+        (rs.DimensionMismatchError, "layer 1 must take a scalar input"),
+    ),
+    "network-non-scalar-output": (
+        lambda _: _layers(([[1.0]], [0.0]), ([[1.0], [1.0]], [0.0, 0.0], [0.0, 0.0])),
+        (rs.DimensionMismatchError, "the last layer must produce a scalar"),
+    ),
+    "bundle-q1s-q0s-lengths": (
+        lambda _: rs.SplineBundle([0.0], [1.0, 1.0], [0.0], [[1.0], [1.0]]),
+        (rs.DimensionMismatchError, "q1s/q0s length must match coeff_matrix rows"),
+    ),
+    "bundle-column-count": (
+        lambda _: rs.SplineBundle([0.0, 1.0], [1.0], [0.0], [[1.0]]),
+        (rs.DimensionMismatchError, "coeff_matrix columns must match knot count"),
+    ),
+    "hierarchy-empty-level1": (
+        lambda _: rs.KnotHierarchy([], np.empty((1, 1))),
+        (rs.InterlacingError, "level1 needs at least one knot"),
+    ),
+    "hierarchy-level2-shape": (
+        lambda _: rs.KnotHierarchy([0.0], [[-1.0, 1.0, 2.0]]),
+        (rs.DimensionMismatchError, "level2 must have shape (n2, 2), got (1, 3)"),
+    ),
+    "hierarchy-level3-shape": (
+        lambda _: rs.KnotHierarchy([0.0], [[-2.0, 1.0], [-1.0, 2.0]], [[-3.0, -1.5]]),
+        (rs.DimensionMismatchError, "level3 must have shape (n3, 3), got (1, 2)"),
+    ),
+    "array-ndim": (
+        lambda _: rs.CplSpline(0.0, 0.0, [[0.0]], [1.0]),
+        (rs.DimensionMismatchError, "knots must be 1-dimensional, got shape (1, 1)"),
+    ),
+    "flat-knots-non-finite": (
+        lambda _: rs.hierarchy_from_flat([0.0, np.nan, 2.0], 1, 1),
+        (ValueError, "knots contain non-finite entries"),
+    ),
+    "epsilon_select-mask-shape": (
+        lambda _: rs.epsilon_select([[1.0, -1.0]], (np.ones((1, 2), bool), np.ones((2, 1), bool))),
+        (rs.DimensionMismatchError, "zero_cover masks must match the value matrix"),
+    ),
+    "is_normalized-interior-channel": (
+        lambda _: rs.is_normalized(
+            _layers(([[1.0]], [0.0]), ([[1.0]], [0.0], [0.5]), ([[1.0]], [0.0], [0.0]))
+        ),
+        False,
+    ),
+    "loader-matrix-not-list": (
+        lambda _: rs.network_from_obj({"widths": [1, 1], "layers": [{"A": 1.0, "b": [0.0]}]}),
+        (rs.SchemaError, "layers[0].A must be a list of rows"),
+    ),
+    "loader-not-object": (
+        lambda _: rs.spline_from_obj([0.0, 1.0]),
+        (rs.SchemaError, "spline must be an object"),
+    ),
+    "loader-layers-not-list": (
+        lambda _: rs.network_from_obj({"widths": [1, 1], "layers": {}}),
+        (rs.SchemaError, "layers must be a list"),
+    ),
+    "cli-synth-arch-count": (
+        lambda tmp: _cli_synth(tmp, FLAT, "--arch", "1,1,1,1"),
+        (2, "error: --arch must be n1,n2 or n1,n2,n3"),
+    ),
+    "cli-synth-no-source-arch-count": (
+        lambda tmp: _cli_synth(tmp, FLAT, "--arch", "1,1,1", "--no-source"),
+        (2, "error: --no-source takes --arch n1,n2"),
+    ),
+    "cli-synth-neither-format": (
+        lambda tmp: _cli_synth(tmp, {"widths": [1, 1]}, "--arch", "1,1"),
+        (2, "error: FILE: neither a hierarchy (level1) nor flat (knots)"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTIONS))
+def test_rejection(case, tmp_path):
+    call, expected = REJECTIONS[case]
+    try:
+        got = call(tmp_path)
+    except Exception as err:
+        got = (type(err), str(err))
+    assert got == expected

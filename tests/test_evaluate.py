@@ -167,6 +167,13 @@ class TestProbeGrid:
             rs.probe_grid([0.0, 1.0], per_interval=0)
         with pytest.raises(ValueError):
             rs.probe_grid([1.0, 0.0])
+        # a non-finite grid point cannot decide equality anywhere
+        for knots in ([0.0, np.nan], [np.inf]):
+            with pytest.raises(ValueError, match="^knots contain non-finite entries$"):
+                rs.probe_grid(knots)
+        for margin in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="^margin must be positive and finite$"):
+                rs.probe_grid([0.0, 1.0], margin=margin)
 
     def test_decides_piecewise_linear_equality(self):
         # agreeing on the grid forces equality everywhere for shared knots

@@ -81,8 +81,7 @@ class TestSynthTwoHidden:
         )
 
     def test_tail_matches_channel_formula(self):
-        opts = rs.SynthesisOptions(c_out=0.75, b_out=-2.0)
-        net = rs.synth_two_hidden(max15_hierarchy(), opts)
+        net = rs.synth_two_hidden(max15_hierarchy(), c_out=0.75, b_out=-2.0)
         s = rs.dnn_to_spline(net)
         a3, c2, b2 = net.layers[2].A[0], net.layers[1].c, net.layers[1].b
         assert s.q1 == pytest.approx(0.75 - np.sum(a3 * np.maximum(-c2, 0.0)), abs=1e-12)
@@ -90,9 +89,9 @@ class TestSynthTwoHidden:
 
     def test_output_row_options(self):
         h = max15_hierarchy()
-        plus = rs.synth_two_hidden(h, rs.SynthesisOptions(a3=np.array([2.0, -3.0, 0.5])))
+        plus = rs.synth_two_hidden(h, a3=np.array([2.0, -3.0, 0.5]))
         np.testing.assert_array_equal(plus.layers[2].A[0], [-2.0, 3.0, -0.5])
-        minus = rs.synth_two_hidden(h, rs.SynthesisOptions(plus_variant=False))
+        minus = rs.synth_two_hidden(h, plus_variant=False)
         np.testing.assert_array_equal(minus.layers[2].A[0], [1.0, -1.0, 1.0])
         assert_prescribed_active(minus, h)
 
@@ -102,7 +101,7 @@ class TestSynthTwoHidden:
 
     def test_a3_length_checked(self):
         with pytest.raises(rs.DimensionMismatchError):
-            rs.synth_two_hidden(max15_hierarchy(), rs.SynthesisOptions(a3=np.array([1.0])))
+            rs.synth_two_hidden(max15_hierarchy(), a3=np.array([1.0]))
 
     def test_random_hierarchies(self):
         rng = np.random.default_rng(67)
@@ -137,24 +136,18 @@ class TestSynthTwoHiddenNoSource:
 
     def test_rows_scale_linearly_with_seeds(self):
         base = rs.synth_two_hidden_no_source(NINE_KNOTS, 3, 2)
-        scaled = rs.synth_two_hidden_no_source(
-            NINE_KNOTS, 3, 2, rs.SynthesisOptions(seeds=np.array([-2.0, 1.0]))
-        )
+        scaled = rs.synth_two_hidden_no_source(NINE_KNOTS, 3, 2, seeds=np.array([-2.0, 1.0]))
         np.testing.assert_allclose(scaled.layers[1].A[0], 2.0 * base.layers[1].A[0], atol=1e-12)
         np.testing.assert_allclose(scaled.layers[1].b[0], 2.0 * base.layers[1].b[0], atol=1e-12)
         np.testing.assert_allclose(scaled.layers[1].A[1], base.layers[1].A[1], atol=1e-12)
 
     def test_same_sign_seeds_rejected_for_deep_first_level(self):
         with pytest.raises(ValueError):
-            rs.synth_two_hidden_no_source(
-                NINE_KNOTS, 3, 2, rs.SynthesisOptions(seeds=np.array([1.0, 2.0]))
-            )
+            rs.synth_two_hidden_no_source(NINE_KNOTS, 3, 2, seeds=np.array([1.0, 2.0]))
 
     def test_same_sign_seeds_allowed_for_single_knot(self):
         # negative seeds keep every unit positive at the level-1 knot
-        net = rs.synth_two_hidden_no_source(
-            [1.0, 2.0, 3.0], 1, 2, rs.SynthesisOptions(seeds=np.array([-1.0, -2.0]))
-        )
+        net = rs.synth_two_hidden_no_source([1.0, 2.0, 3.0], 1, 2, seeds=np.array([-1.0, -2.0]))
         np.testing.assert_allclose(active_set(net), [1.0, 2.0, 3.0], atol=1e-12)
 
     def test_count_and_order_validated(self):
@@ -264,9 +257,7 @@ class TestSynthThreeHidden:
         with pytest.warns(RuntimeWarning):
             auto = rs.synth_three_hidden(fourteen_hierarchy())
         with pytest.warns(RuntimeWarning):
-            manual = rs.synth_three_hidden(
-                fourteen_hierarchy(), rs.SynthesisOptions(eps=np.array([1.0, -1.0]))
-            )
+            manual = rs.synth_three_hidden(fourteen_hierarchy(), eps=np.array([1.0, -1.0]))
         for la, lb in zip(auto.layers, manual.layers):
             np.testing.assert_array_equal(la.A, lb.A)
             np.testing.assert_array_equal(la.b, lb.b)
@@ -281,24 +272,20 @@ class TestSynthThreeHidden:
 
     def test_explicit_a4_single_attempt(self):
         with pytest.warns(RuntimeWarning):
-            net = rs.synth_three_hidden(
-                fourteen_hierarchy(), rs.SynthesisOptions(a4=np.array([1.0, -1.0]))
-            )
+            net = rs.synth_three_hidden(fourteen_hierarchy(), a4=np.array([1.0, -1.0]))
         np.testing.assert_array_equal(net.layers[3].A[0], [1.0, -1.0])
         assert_prescribed_active(net, fourteen_hierarchy())
 
     def test_dead_output_weights_raise_activity_error(self):
-        opts = rs.SynthesisOptions(a4=np.array([1e-12, 1e-12]))
         with pytest.warns(RuntimeWarning):
             with pytest.raises(rs.ActivityError) as info:
-                rs.synth_three_hidden(fourteen_hierarchy(), opts)
+                rs.synth_three_hidden(fourteen_hierarchy(), a4=np.array([1e-12, 1e-12]))
         assert len(info.value.inactive) == 14
 
     def test_bad_eps_exhausts_retries(self):
-        opts = rs.SynthesisOptions(eps=np.array([1.0, 1.0]))
         with pytest.warns(RuntimeWarning):
             with pytest.raises(rs.ActivityError) as info:
-                rs.synth_three_hidden(fourteen_hierarchy(), opts)
+                rs.synth_three_hidden(fourteen_hierarchy(), eps=np.array([1.0, 1.0]))
         assert 6.0 in np.asarray(info.value.inactive).tolist()
 
     def test_requires_three_levels(self):
@@ -339,15 +326,14 @@ class TestThreeHiddenRetryRescues:
         assert_prescribed_active(net, h)
         # not the default +-1 row: the magnitudes of the second retry
         np.testing.assert_allclose(np.abs(net.layers[-1].A[0]), [1.7199, 1.8691], atol=1e-4)
-        _, attempts = outcome_and_attempts(rs.synth_three_hidden, h, None, 0, monkeypatch)
+        _, attempts = outcome_and_attempts(rs.synth_three_hidden, h, {}, 0, monkeypatch)
         assert len(attempts) == 3
 
     @pytest.mark.parametrize("a4", [[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
     def test_unit_final_rows_leave_one_knot_inactive(self, a4):
-        opts = rs.SynthesisOptions(a4=np.array(a4))
         with pytest.warns(RuntimeWarning, match="below log2"):
             with pytest.raises(rs.ActivityError) as info:
-                rs.synth_three_hidden(self.hierarchy(), opts)
+                rs.synth_three_hidden(self.hierarchy(), a4=np.array(a4))
         assert info.value.inactive == [0.39711552308603415]
 
 
@@ -477,14 +463,15 @@ class TestZeroSignMasks:
         assert plus_ok.shape == (2, 3) and not plus_ok.any() and not minus_ok.any()
 
 
-def reference_three_hidden(h, opts=None, tol=rs.DEFAULT_TOL, rng=None):
+def reference_three_hidden(
+    h, *, eps=None, a4=None, c_out=0.0, b_out=0.0, tol=rs.DEFAULT_TOL, rng=None
+):
     """Reference: the three-hidden build with one full conversion per attempt.
 
     Layer 3 is evaluated member by member, the sign masks come from the
     member loop above, and every attempt converts the whole network with
     ``dnn_to_spline``; the attempts use ``rng`` exactly as the library does.
     """
-    opts = opts or rs.SynthesisOptions()
     rng = rng if rng is not None else np.random.default_rng(0)
     n1, n2, n3 = h.n1, h.n2, h.n3
     c_signs = np.where(np.arange(1, n2 + 1) % 2 == 1, 1.0, -1.0)
@@ -496,34 +483,32 @@ def reference_three_hidden(h, opts=None, tol=rs.DEFAULT_TOL, rng=None):
     c3 = 1.0 + a3[:, even].sum(axis=1)
     b3 = -h.level3[:, 0] - a3[:, even] @ walls[even]
     bundle3 = rs.layer_transfer(rs.SplineBundle(h.level1, c_signs, b2, a2), a3, c3, b3, tol)
-    if opts.eps is None:
+    if eps is None:
         targets = np.sort(np.concatenate((h.level1, h.level2.ravel())))
         values = np.stack([rs.eval_spline(bundle3.member(r), targets) for r in range(n3)])
         try:
             eps = rs.epsilon_select(values, looped_zero_sign_masks(bundle3, targets, tol), tol)
         except rs.CoverageError as err:
             eps = err.partial
-    else:
-        eps = opts.eps
     layers_fixed = (
         rs.Layer(np.ones((n1, 1)), -h.level1),
         rs.Layer(a2, b2, c_signs),
         rs.Layer(a3 * eps[:, None], b3 * eps, c3 * eps),
     )
     wanted = rs.prescribed_knots(h)
-    a4 = opts.a4 if opts.a4 is not None else -eps
+    row = np.asarray(a4, float) if a4 is not None else -eps
     missing = wanted
-    for _ in range(1 if opts.a4 is not None else 33):
-        last = rs.Layer(a4.reshape(1, n3), np.array([opts.b_out]), np.array([opts.c_out]))
+    for _ in range(1 if a4 is not None else 33):
+        last = rs.Layer(row.reshape(1, n3), np.array([b_out]), np.array([c_out]))
         net = rs.ReluNetwork(layers_fixed + (last,))
         missing = synth._missing_prescribed(rs.dnn_to_spline(net, tol), wanted, tol)
         if missing.size == 0:
             return net
-        a4 = rng.choice([-1.0, 1.0], n3) * rng.uniform(0.5, 2.0, n3)
+        row = rng.choice([-1.0, 1.0], n3) * rng.uniform(0.5, 2.0, n3)
     raise rs.ActivityError("reference attempts exhausted", missing)
 
 
-def outcome_and_attempts(build, h, opts, seed, monkeypatch):
+def outcome_and_attempts(build, h, params, seed, monkeypatch):
     """Returned layers or inactive knots, plus every attempt's spline as bytes."""
     attempts = []
     checked = synth._missing_prescribed
@@ -536,7 +521,7 @@ def outcome_and_attempts(build, h, opts, seed, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         try:
-            net = build(h, opts, rng=np.random.default_rng(seed))
+            net = build(h, **params, rng=np.random.default_rng(seed))
             result = [
                 (la.A.tobytes(), la.b.tobytes(), None if la.c is None else la.c.tobytes())
                 for la in net.layers
@@ -548,9 +533,9 @@ def outcome_and_attempts(build, h, opts, seed, monkeypatch):
 
 
 class TestThreeHiddenMatchesConversionLoop:
-    def assert_same(self, h, monkeypatch, opts=None, seed=0):
-        got = outcome_and_attempts(rs.synth_three_hidden, h, opts, seed, monkeypatch)
-        want = outcome_and_attempts(reference_three_hidden, h, opts, seed, monkeypatch)
+    def assert_same(self, h, monkeypatch, seed=0, **params):
+        got = outcome_and_attempts(rs.synth_three_hidden, h, params, seed, monkeypatch)
+        want = outcome_and_attempts(reference_three_hidden, h, params, seed, monkeypatch)
         assert got == want
         return got
 
@@ -568,9 +553,9 @@ class TestThreeHiddenMatchesConversionLoop:
     def test_options_and_retries(self, monkeypatch):
         h = fourteen_hierarchy()
         self.assert_same(h, monkeypatch)
-        self.assert_same(h, monkeypatch, rs.SynthesisOptions(eps=np.array([1.0, 1.0])), seed=3)
-        self.assert_same(h, monkeypatch, rs.SynthesisOptions(a4=np.array([1.0, -1.0])))
-        self.assert_same(h, monkeypatch, rs.SynthesisOptions(c_out=0.5, b_out=-2.0))
+        self.assert_same(h, monkeypatch, eps=np.array([1.0, 1.0]), seed=3)
+        self.assert_same(h, monkeypatch, a4=np.array([1.0, -1.0]))
+        self.assert_same(h, monkeypatch, c_out=0.5, b_out=-2.0)
 
     def test_even_eight_cubed_fails_the_same_way(self, monkeypatch):
         result, attempts = self.assert_same(even_three_level(8, 8, 8), monkeypatch)
@@ -582,8 +567,8 @@ class TestThreeHiddenCallCounts:
         "opts,attempts",
         [
             (None, 1),
-            (rs.SynthesisOptions(eps=np.array([1.0, 1.0])), 33),
-            (rs.SynthesisOptions(a4=np.array([1e-12, 1e-12])), 1),
+            ({"eps": np.array([1.0, 1.0])}, 33),
+            ({"a4": np.array([1e-12, 1e-12])}, 1),
         ],
     )
     def test_one_transfer_per_attempt_and_no_conversion(self, monkeypatch, opts, attempts):
@@ -604,7 +589,7 @@ class TestThreeHiddenCallCounts:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             try:
-                rs.synth_three_hidden(fourteen_hierarchy(), opts)
+                rs.synth_three_hidden(fourteen_hierarchy(), **(opts or {}))
             except rs.ActivityError:
                 pass
         # layer 3 (two members in, two out), then the final row once per attempt
@@ -652,20 +637,20 @@ class TestHierarchyFromFlatMatchesLoop:
                 np.testing.assert_array_equal(h.level3, level3)
 
 
-# a value away from the default for every SynthesisOptions field, sized for
-# the builds below, which all have n2 = 2 (and n3 = 2)
+# a value away from the default for every build parameter, sized for the
+# builds below, which all have n2 = 2 (and n3 = 2)
 CHANGED_OPTIONS = dict(
     a3=[2.0, -3.0], eps=[-1.0, 1.0], a4=[2.0, -1.0], seeds=[-2.0, 1.0],
     c_out=0.75, b_out=-2.0, plus_variant=False,
 )
 BUILDS = {
-    "synth_two_hidden": lambda opts: rs.synth_two_hidden(
-        rs.hierarchy_from_flat(np.arange(1.0, 12.0), 3, 2), opts
+    "synth_two_hidden": lambda **params: rs.synth_two_hidden(
+        rs.hierarchy_from_flat(np.arange(1.0, 12.0), 3, 2), **params
     ),
-    "synth_two_hidden_no_source": lambda opts: rs.synth_two_hidden_no_source(
-        NINE_KNOTS, 3, 2, opts
+    "synth_two_hidden_no_source": lambda **params: rs.synth_two_hidden_no_source(
+        NINE_KNOTS, 3, 2, **params
     ),
-    "synth_three_hidden": lambda opts: rs.synth_three_hidden(fourteen_hierarchy(), opts),
+    "synth_three_hidden": lambda **params: rs.synth_three_hidden(fourteen_hierarchy(), **params),
 }
 READS = {
     "synth_two_hidden": {"a3", "plus_variant", "c_out", "b_out"},
@@ -678,10 +663,45 @@ READS = {
 @pytest.mark.parametrize("field", sorted(CHANGED_OPTIONS))
 @pytest.mark.parametrize("build", sorted(BUILDS))
 def test_every_option_is_read_or_refused(build, field):
-    opts = rs.SynthesisOptions(**{field: CHANGED_OPTIONS[field]})
+    # each build's parameters change its output; another build's is not a parameter
+    params = {field: CHANGED_OPTIONS[field]}
     if field in READS[build]:
-        default, changed = BUILDS[build](None), BUILDS[build](opts)
+        default, changed = BUILDS[build](), BUILDS[build](**params)
         assert rs.network_to_obj(changed) != rs.network_to_obj(default)
     else:
-        with pytest.raises(ValueError, match=f"^{build} does not read SynthesisOptions.{field}$"):
-            BUILDS[build](opts)
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{field}'"):
+            BUILDS[build](**params)
+
+
+class TestBuildParameters:
+    @pytest.mark.filterwarnings("ignore:width 2 is below log2")
+    def test_validation(self):
+        two = BUILDS["synth_two_hidden"]
+        no_source = BUILDS["synth_two_hidden_no_source"]
+        three = BUILDS["synth_three_hidden"]
+        for build in (two, no_source):
+            with pytest.raises(ValueError, match="^a3 entries must be nonzero$"):
+                build(a3=[1.0, 0.0])
+            with pytest.raises(ValueError, match="^a3 contains non-finite entries$"):
+                build(a3=[1.0, np.nan])
+            with pytest.raises(rs.DimensionMismatchError, match="^a3 must be 1-dimensional"):
+                build(a3=[[1.0, 1.0]])
+        with pytest.raises(ValueError, match="^eps entries must be \\+-1$"):
+            three(eps=[1.0, 0.5])
+        with pytest.raises(ValueError, match="^a4 contains non-finite entries$"):
+            three(a4=[1.0, np.inf])
+        with pytest.raises(rs.DimensionMismatchError, match="^a4 must have length 2$"):
+            three(a4=[1.0])
+        with pytest.raises(ValueError, match="^seeds must be nonzero$"):
+            rs.synth_two_hidden_no_source([1.0, 2.0], 1, 1, seeds=[0.0])
+        for build in (two, three):
+            with pytest.raises(ValueError, match="^c_out must be finite, got inf$"):
+                build(c_out=np.inf)
+        for build in BUILDS.values():
+            with pytest.raises(ValueError, match="^b_out must be finite, got nan$"):
+                build(b_out=np.nan)
+        net = two(a3=[1.0, 2.0], c_out=0.5)
+        assert net.layers[-1].c[0] == 0.5
+        np.testing.assert_array_equal(np.abs(net.layers[-1].A[0]), [1.0, 2.0])
+        net = three(eps=[-1.0, 1.0], c_out=0.5)
+        np.testing.assert_array_equal(net.layers[-1].A[0], [1.0, -1.0])

@@ -1,5 +1,7 @@
 """Network-to-spline translation in both directions."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -499,6 +501,17 @@ class TestComputedBundlesCheckedOnce:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match=f"^{kind} contains non-finite entries$"):
                 rs.dnn_to_spline(overflow_network(kind))
+
+    @pytest.mark.parametrize("kind", ["coeff_matrix", "q1s", "q0s", "bundle knots"])
+    def test_overflow_raises_without_numpy_warnings(self, kind):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{kind} contains non-finite entries$"):
+                rs.dnn_to_spline(overflow_network(kind))
+            if kind == "bundle knots":
+                # the first-layer rewrite meets the same infinite hinge
+                with pytest.raises(ValueError, match="^layer bias contains non-finite entries$"):
+                    rs.first_layer_canonicalize(overflow_network(kind))
 
     def test_checks_grow_by_one_layer_check_per_step(self, monkeypatch):
         real = rs.core._frozen_array
