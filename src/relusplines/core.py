@@ -21,12 +21,15 @@ Conventions:
 * All arithmetic is float64.  Instances are frozen and their arrays are
   marked read-only, so values can be shared freely across threads.
 * The value types are where inputs are checked, once, on construction;
-  functions that take raw arrays build these types instead of checking.
-  Input from callers is always checked this way.  Bundles and splines the
-  library computes itself are wrapped by ``_wrap``, without a copy and
-  without the full input checks: a bundle's member is a view of a checked
-  bundle, and each layer step's bundle gets one finiteness scan
-  (``SplineBundle._computed``), so an overflow still raises ValueError.
+  functions that take raw arrays build these types instead of checking,
+  and functions that take these types (a layer step takes a ``Layer``)
+  do not check them again.  Input from callers is always checked this
+  way.  Bundles and splines the library computes itself are wrapped by
+  ``_wrap``, without a copy and without the full input checks: a bundle's
+  member is a view of a checked bundle, the knotless layer-1 bundle holds
+  the checked first layer's arrays, and each layer step's bundle gets one
+  finiteness scan (``SplineBundle._computed``), so an overflow still
+  raises ValueError.
 """
 
 from __future__ import annotations

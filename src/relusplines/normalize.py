@@ -27,15 +27,17 @@ def positive_scale_normalize(net: ReluNetwork, tol: Tolerances = DEFAULT_TOL) ->
     """
     _, net = first_layer_canonicalize(net, tol)
     layers = list(net.layers)
-    for i in range(1, len(layers) - 1):
-        layer = layers[i]
-        magnitude = np.abs(layer.c)
-        live = magnitude > tol.zero_tol
-        d = np.where(live, magnitude, 1.0)
-        signs = np.where(live, np.sign(layer.c), 0.0)
-        layers[i] = Layer(layer.A / d[:, None], layer.b / d, signs)
-        successor = layers[i + 1]
-        layers[i + 1] = Layer(successor.A * d[None, :], successor.b, successor.c)
+    # an overflow surfaces as the ValueError of the Layer check
+    with np.errstate(all="ignore"):
+        for i in range(1, len(layers) - 1):
+            layer = layers[i]
+            magnitude = np.abs(layer.c)
+            live = magnitude > tol.zero_tol
+            d = np.where(live, magnitude, 1.0)
+            signs = np.where(live, np.sign(layer.c), 0.0)
+            layers[i] = Layer(layer.A / d[:, None], layer.b / d, signs)
+            successor = layers[i + 1]
+            layers[i + 1] = Layer(successor.A * d[None, :], successor.b, successor.c)
     return ReluNetwork(tuple(layers))
 
 

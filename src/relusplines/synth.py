@@ -10,12 +10,14 @@ keeping the knot alive through the last ReLU.
 
 Every step works on whole bundles.  The slope recursion runs over
 intervals for all units at once.  The three-hidden build converts its
-first three layers once: unit values and slopes at the lower-level knots
-(for the signs) are read off that layer-3 bundle, flipping its rows by
-eps gives the returned network's layer-3 bundle bit for bit, and each
-activity attempt, retries included, is one ``layer_transfer`` of it
-through the final row, which is exactly the last step of
-``dnn_to_spline`` on that network.
+first three layers once, as ``dnn_to_spline`` does: the knotless bundle
+of the layer-1 units, then one ``layer_transfer`` step each for layers 2
+and 3.  Unit values and slopes at the lower-level knots (for the signs)
+are read off that layer-3 bundle, flipping its rows by eps gives the
+returned network's layer-3 bundle bit for bit, and each activity attempt,
+retries included, builds its final ``Layer`` once and makes one
+``layer_transfer`` step of that bundle through it, which is exactly the
+last step of ``dnn_to_spline`` on the network it returns.
 
 Index convention: unit/knot positions in error messages and subsets (for
 example ``redundancy_residual``'s ``index_set``) are 0-based.
@@ -45,7 +47,7 @@ from .core import (
 )
 from .evaluate import eval_bundle
 # dnn_to_spline is not called here; bench/selftest.py reaches it as synth.dnn_to_spline
-from .transfer import _first_bundle, dnn_to_spline, layer_transfer  # noqa: F401
+from .transfer import _unit_bundle, dnn_to_spline, layer_transfer  # noqa: F401
 
 __all__ = [
     "synth_two_hidden",
@@ -351,7 +353,8 @@ def synth_three_hidden(
     b3 = -h.level3[:, 0] - a3[:, even] @ walls[even]
 
     first, second = _two_hidden_layers(h)
-    bundle3 = layer_transfer(_first_bundle(first, second, tol), a3, c3, b3, tol)
+    bundle2 = layer_transfer(_unit_bundle(first), second, tol)
+    bundle3 = layer_transfer(bundle2, Layer(a3, b3, c3), tol)
     if eps is None:
         targets = np.sort(np.concatenate((h.level1, h.level2.ravel())))
         try:
@@ -377,11 +380,12 @@ def synth_three_hidden(
     row = (-eps if a4 is None else a4).reshape(1, n3)
     missing = wanted
     for _ in range(attempts):
+        last = Layer(row, [b_out], [c_out])
         # dnn_to_spline's last step on the returned network
-        spline = layer_transfer(signed3, row, [c_out], [b_out], tol).member(0)
+        spline = layer_transfer(signed3, last, tol).member(0)
         missing = _missing_prescribed(spline, wanted, tol)
         if missing.size == 0:
-            return ReluNetwork(layers_fixed + (Layer(row, [b_out], [c_out]),))
+            return ReluNetwork(layers_fixed + (last,))
         row = (rng.choice([-1.0, 1.0], n3) * rng.uniform(0.5, 2.0, n3)).reshape(1, n3)
     raise ActivityError(
         f"prescribed knots {missing.tolist()} stayed inactive after retries", missing

@@ -1,27 +1,28 @@
 """Exact translation between ReLU networks and their spline form.
 
-The deep-to-spline direction walks the layers.  The first layer turns each
-unit into one hinge (``_unit_hinges``), so every layer-2 unit is a spline
-over a shared knot vector; a one-hidden-layer network is the one member of
-that bundle.  Each later layer is one ``layer_transfer`` step on the whole
-bundle, and ``sigma_compose`` is that step on a one-member bundle.  The
-step keeps a hinge where the unit is positive, zeroes it where the unit is
-negative, splits it where the unit vanishes exactly, and inserts a new
-hinge wherever an affine piece crosses zero inside its interval.
-Crossings are located as -eta/mu from the per-interval form, so all knot
-arithmetic is closed form; no sampling or fitting is involved.
+The deep-to-spline direction walks the layers.  Layer 1 is a knotless
+bundle: unit k is the line a1[k] t + b1[k].  Every later layer, layer 2
+included, is one ``layer_transfer`` step on the whole bundle, so the
+layer-2 step turns each unit's zero crossing into its hinge; a
+one-hidden-layer network is the one member of that bundle, and
+``sigma_compose`` is the step on a one-member bundle.  The step keeps a
+hinge where the unit is positive, zeroes it where the unit is negative,
+splits it where the unit vanishes exactly, and inserts a new hinge
+wherever an affine piece crosses zero inside its interval.  Crossings are
+located as -eta/mu from the per-interval form, so all knot arithmetic is
+closed form; no sampling or fitting is involved.
 
 Every step merges its knots once, with ``core._merge_columns``, and the
 merge in the last step already yields the canonical spline.
 ``canonicalize`` is the same merge on one row, for raw hinge collections.
 
 Input from callers is checked once, by the value types: the network, or
-``layer_transfer``'s bundle, and each step's A, c and b, which the step
-builds into a ``Layer`` whoever calls it.  The bundles computed here are
-not checked again.  Each step's bundle, ``_first_bundle``'s included, is
-wrapped without a copy after one finiteness scan, so an overflow still
-raises ValueError; the steps run under ``np.errstate(all="ignore")``, so
-that ValueError is all the caller sees of it.
+``layer_transfer``'s bundle and ``Layer``, which the step takes as they
+are.  The bundles computed here are not checked again.  The layer-1 bundle
+wraps the checked first layer's arrays, and each step's bundle is wrapped
+without a copy after one finiteness scan, so an overflow still raises
+ValueError; the steps run under ``np.errstate(all="ignore")``, so that
+ValueError is all the caller sees of it.
 
 Sign decisions use tol.zero_tol.  A unit value at a knot counts as zero
 when |f(x)| <= zero_tol * (1 + |mu x|), which keeps the test meaningful
@@ -42,6 +43,7 @@ from .core import (
     SplineBundle,
     Tolerances,
     _merge_columns,
+    _wrap,
 )
 
 __all__ = [
@@ -53,21 +55,14 @@ __all__ = [
 ]
 
 
-def _unit_hinges(a1, b1, A2, c2, b2, zero_tol: float):
-    """Layer-2 units sum_k A2[:, k] relu(a1[k] t + b1[k]) + c2 t + b2 as hinges.
+def _unit_bundle(first: Layer) -> SplineBundle:
+    """Layer 1 as a knotless bundle, member k the line a1[k] t + b1[k], not copied."""
+    q1s, q0s, n1 = first.A[:, 0], first.b, first.out_width
+    return _wrap(SplineBundle, knots=np.empty(0), q1s=q1s, q0s=q0s, coeff_matrix=np.empty((n1, 0)))
 
-    A unit with a1[k] > 0 hinges at -b1[k]/a1[k] with column A2[:, k] a1[k].
-    One with a1[k] < 0 hinges at the same spot with column -A2[:, k] a1[k]
-    and folds its left-side affine part into (q1s, q0s).  Dead units
-    (|a1[k]| <= zero_tol) only add A2[:, k] relu(b1[k]) to q0s.  Returns the
-    live units' knots, unsorted, with their columns, q1s and q0s.
-    """
-    live = np.abs(a1) > zero_tol
-    knots = -b1[live] / a1[live]
-    columns = A2[:, live] * np.abs(a1[live])[None, :]
-    q1s = c2 - A2 @ np.where(live, np.maximum(-a1, 0.0), 0.0)
-    q0s = b2 + A2 @ np.where(live, np.where(a1 < 0, b1, 0.0), np.maximum(b1, 0.0))
-    return knots, columns, q1s, q0s
+
+# relu(f) itself: the step of sigma_compose
+_IDENTITY = Layer([[1.0]], [0.0], [0.0])
 
 
 def sigma_compose(f: CplSpline, tol: Tolerances = DEFAULT_TOL) -> CplSpline:
@@ -79,7 +74,7 @@ def sigma_compose(f: CplSpline, tol: Tolerances = DEFAULT_TOL) -> CplSpline:
     affine pieces contributes at most one zero crossing.
     """
     bundle = SplineBundle(f.knots, [f.q1], [f.q0], f.coeffs.reshape(1, -1))
-    return layer_transfer(bundle, [[1.0]], [0.0], [0.0], tol).member(0)
+    return layer_transfer(bundle, _IDENTITY, tol).member(0)
 
 
 def first_layer_canonicalize(
@@ -91,50 +86,49 @@ def first_layer_canonicalize(
     affine part that folds into the next layer's source channel and bias.
     Returns the layer-2 bundle (knots, q1s = c, q0s = b, coefficients) and
     the rewritten network.  Already-canonical networks come back bit for
-    bit.  Dead units or coinciding hinges raise DegenerateFirstLayerError.
+    bit.  Dead units or coinciding hinges raise DegenerateFirstLayerError,
+    and a hinge that overflows raises the ValueError of the ``Layer`` check.
     """
-    first = net.layers[0]
-    second = net.layers[1]
+    first, second = net.layers[:2]
     a1 = first.A[:, 0]
     n1 = a1.shape[0]
-    # an overflow surfaces as a ValueError below, from the checks
+    # an overflow surfaces as a ValueError from the Layer checks; the hinges'
+    # check comes first, so an infinite hinge is not taken for a coinciding one
     with np.errstate(all="ignore"):
-        hinges, columns, c2, b2 = _unit_hinges(
-            a1, first.b, second.A, second.c, second.b, tol.zero_tol
-        )
+        live = np.abs(a1) > tol.zero_tol
+        hinges = -first.b[live] / a1[live]
         order = np.argsort(hinges, kind="stable")
         knots = hinges[order]
+        unit = Layer(np.ones((knots.shape[0], 1)), -knots)
         distinct = np.diff(knots) > tol.merge_tol
-    if knots.shape[0] < n1 or not np.all(distinct):
-        problem = "dead units" if knots.shape[0] < n1 else "coinciding hinges"
-        # units left after dropping dead ones and collapsing shared hinges
-        width = 1 + int(np.sum(distinct)) if knots.size else 0
-        raise DegenerateFirstLayerError(
-            f"first layer has {problem}; effective width {width} of {n1}", width
-        )
-    scaled = columns[:, order]
-    rewritten = ReluNetwork(
-        (
-            Layer(np.ones((n1, 1)), -knots),
-            Layer(scaled, b2, c2),
-            *net.layers[2:],
-        )
-    )
+        if knots.shape[0] < n1 or not np.all(distinct):
+            problem = "dead units" if knots.shape[0] < n1 else "coinciding hinges"
+            # units left after dropping dead ones and collapsing shared hinges
+            width = 1 + int(np.sum(distinct)) if knots.size else 0
+            raise DegenerateFirstLayerError(
+                f"first layer has {problem}; effective width {width} of {n1}", width
+            )
+        # every unit is live; a falling one leaves its line a1 t + b1 on the left
+        scaled = (second.A * np.abs(a1))[:, order]
+        c2 = second.c - second.A @ np.maximum(-a1, 0.0)
+        b2 = second.b + second.A @ np.where(a1 < 0, first.b, 0.0)
+    rewritten = ReluNetwork((unit, Layer(scaled, b2, c2), *net.layers[2:]))
     bundle = SplineBundle(knots, c2, b2, scaled)
     return bundle, rewritten
 
 
 def layer_transfer(
-    bundle: SplineBundle, A, c, b, tol: Tolerances = DEFAULT_TOL
+    bundle: SplineBundle, layer: Layer, tol: Tolerances = DEFAULT_TOL
 ) -> SplineBundle:
-    """Push a bundle through ReLU and one affine layer with source channel.
+    """Push a bundle through ReLU and one checked layer with source channel.
 
     Output member k is sum_j A[k, j] relu(f_j) + c[k] t + b[k].  The shared
     knot vector grows by each member's zero crossings; columns that end up
     inactive for every output are removed.
     """
-    layer = Layer(np.atleast_2d(A), np.atleast_1d(b), np.atleast_1d(c))
     A, c, b = layer.A, layer.c, layer.b
+    if c is None:
+        raise DimensionMismatchError("layer_transfer needs a layer with a source channel")
     if layer.in_width != bundle.width:
         raise DimensionMismatchError(
             f"layer expects width {layer.in_width} but bundle has {bundle.width} members"
@@ -191,22 +185,11 @@ def layer_transfer(
         return SplineBundle._computed(merged_x, c + A @ tail_q1, b + A @ tail_q0, merged_cols)
 
 
-def _first_bundle(first: Layer, second: Layer, tol: Tolerances) -> SplineBundle:
-    """The layer-2 units as a bundle over the first layer's merged hinges."""
-    # an overflow surfaces as the ValueError of the bundle's finiteness scan
-    with np.errstate(all="ignore"):
-        hinges, columns, q1s, q0s = _unit_hinges(
-            first.A[:, 0], first.b, second.A, second.c, second.b, tol.zero_tol
-        )
-        knots, columns = _merge_columns(hinges, np.ones(hinges.shape[0], bool), columns, tol)
-        return SplineBundle._computed(knots, q1s, q0s, columns)
-
-
 def dnn_to_spline(net: ReluNetwork, tol: Tolerances = DEFAULT_TOL) -> CplSpline:
     """Canonical spline equal to the network everywhere."""
-    bundle = _first_bundle(net.layers[0], net.layers[1], tol)
-    for layer in net.layers[2:]:
-        bundle = layer_transfer(bundle, layer.A, layer.c, layer.b, tol)
+    bundle = _unit_bundle(net.layers[0])
+    for layer in net.layers[1:]:
+        bundle = layer_transfer(bundle, layer, tol)
     return bundle.member(0)
 
 

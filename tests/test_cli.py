@@ -465,6 +465,22 @@ class TestNormalize:
         assert "effective width 1 of 2" in err
         assert not (tmp_path / "net.json").exists()
 
+    def test_overflowing_hinges_are_an_error(self, tmp_path, capsys):
+        # both hinges -1e300 / 1e-9 overflow to -inf: not a coinciding pair
+        obj = {
+            "widths": [1, 2, 1],
+            "layers": [
+                {"A": [[1e-9], [1e-9]], "b": [1e300, 1e300]},
+                {"A": [[1.0, 1.0]], "b": [0.0]},
+            ],
+        }
+        bad = tmp_path / "inf.json"
+        rs.dump_json(bad, obj)
+        code, _, err = run(capsys, "normalize", bad, "-o", tmp_path / "net.json")
+        assert code == 2
+        assert err == "error: layer bias contains non-finite entries\n"
+        assert not (tmp_path / "net.json").exists()
+
     def test_shallow_reports_no_interior(self, tmp_path, capsys):
         obj = {
             "widths": [1, 2, 1],

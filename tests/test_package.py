@@ -64,6 +64,23 @@ def test_every_public_name_is_used_outside_the_tests():
     assert unused == []
 
 
+def test_every_private_helper_is_used_in_the_source():
+    # a private top-level function or class must be read in src/ outside its
+    # own definition, so a deleted path cannot live on as a helper only tests
+    # call; imports are not reads
+    used, private = set(), []
+    for path in SOURCES:
+        for stmt in ast.parse(path.read_text()).body:
+            names = _loaded_names(stmt, attributes=True)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names.discard(stmt.name)
+                if stmt.name.startswith("_"):
+                    private.append(f"{path.name}:{stmt.name}")
+            used |= names
+    unused = [name for name in private if name.split(":")[1] not in used]
+    assert unused == []
+
+
 def test_every_parameter_is_read():
     unread = []
     for path in SOURCES:

@@ -482,7 +482,8 @@ def reference_three_hidden(
     even = np.arange(1, n2 + 1) % 2 == 0
     c3 = 1.0 + a3[:, even].sum(axis=1)
     b3 = -h.level3[:, 0] - a3[:, even] @ walls[even]
-    bundle3 = rs.layer_transfer(rs.SplineBundle(h.level1, c_signs, b2, a2), a3, c3, b3, tol)
+    bundle2 = rs.SplineBundle(h.level1, c_signs, b2, a2)
+    bundle3 = rs.layer_transfer(bundle2, rs.Layer(a3, b3, c3), tol)
     if eps is None:
         targets = np.sort(np.concatenate((h.level1, h.level2.ravel())))
         values = np.stack([rs.eval_spline(bundle3.member(r), targets) for r in range(n3)])
@@ -575,9 +576,9 @@ class TestThreeHiddenCallCounts:
         calls = []
         real_transfer = synth.layer_transfer
 
-        def counting(bundle, A, *args, **kwargs):
-            calls.append((bundle.width, np.shape(A)[0]))
-            return real_transfer(bundle, A, *args, **kwargs)
+        def counting(bundle, layer, *args, **kwargs):
+            calls.append((bundle.width, layer.out_width))
+            return real_transfer(bundle, layer, *args, **kwargs)
 
         def refuse(*args, **kwargs):
             raise AssertionError("synthesis must not convert the whole network")
@@ -592,8 +593,8 @@ class TestThreeHiddenCallCounts:
                 rs.synth_three_hidden(fourteen_hierarchy(), **(opts or {}))
             except rs.ActivityError:
                 pass
-        # layer 3 (two members in, two out), then the final row once per attempt
-        assert calls == [(2, 2)] + [(2, 1)] * attempts
+        # layers 2 and 3 (two members in, two out), then the final row once per attempt
+        assert calls == [(2, 2), (2, 2)] + [(2, 1)] * attempts
 
 
 def looped_hierarchy_from_flat(ks, n1, n2, n3=None):

@@ -107,10 +107,15 @@ def hinge_shallow_to_spline(c2, b2, a1, a2, b1, tol=rs.DEFAULT_TOL):
     for name, arr in (("a1", a1), ("a2", a2), ("b1", b1)):
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"{name} contains non-finite entries")
-    knots, columns, q1s, q0s = rs.transfer._unit_hinges(
-        a1, b1, a2[None, :], np.array([float(c2)]), np.array([float(b2)]), tol.zero_tol
-    )
-    return rs.canonicalize(rs.CplSpline(q1s[0], q0s[0], knots, columns[0]), tol)
+    # a rising unit hinges at -b1/a1 with weight a2 a1; a falling one hinges
+    # there with weight -a2 a1 and leaves a2 (a1 t + b1) on the left; a dead
+    # one (|a1| <= zero_tol) only adds a2 relu(b1)
+    live = np.abs(a1) > tol.zero_tol
+    knots = -b1[live] / a1[live]
+    coeffs = a2[live] * np.abs(a1[live])
+    q1 = float(c2) - a2 @ np.where(live, np.maximum(-a1, 0.0), 0.0)
+    q0 = float(b2) + a2 @ np.where(live, np.where(a1 < 0, b1, 0.0), np.maximum(b1, 0.0))
+    return rs.canonicalize(rs.CplSpline(q1, q0, knots, coeffs), tol)
 
 
 class TestShallowToSplineMatchesHinges:
@@ -341,7 +346,7 @@ class TestLayerTransfer:
             knots = np.arange(float(n)) if integer else np.sort(rng.uniform(-5, 5, n))
             bundle = rs.SplineBundle(knots, draw(m), draw(m), draw((m, n)))
             A, c, b = draw((k, m)), draw(k), draw(k)
-            fast = rs.layer_transfer(bundle, A, c, b)
+            fast = rs.layer_transfer(bundle, rs.Layer(A, b, c))
             slow = looped_layer_transfer(bundle, A, c, b)
             np.testing.assert_array_equal(fast.knots, slow.knots)
             np.testing.assert_array_equal(fast.coeff_matrix, slow.coeff_matrix)
@@ -358,12 +363,12 @@ class TestLayerTransfer:
             bundle = rs.SplineBundle(
                 f.knots, np.array([f.q1]), np.array([f.q0]), f.coeffs.reshape(1, -1)
             )
-            out = rs.layer_transfer(bundle, [[1.0]], [0.0], [0.0])
+            out = rs.layer_transfer(bundle, rs.Layer([[1.0]], [0.0], [0.0]))
             assert_splines_match(rs.canonicalize(out.member(0)), rs.sigma_compose(f), tol=1e-12)
 
     def test_source_channel_and_bias(self):
         bundle = rs.SplineBundle([0.0], [1.0], [0.0], [[1.0]])
-        out = rs.layer_transfer(bundle, [[2.0]], [0.5], [-1.0])
+        out = rs.layer_transfer(bundle, rs.Layer([[2.0]], [-1.0], [0.5]))
         member = out.member(0)
         ts = np.linspace(-3, 3, 25)
         inner = ts + np.maximum(ts, 0.0)
@@ -373,7 +378,12 @@ class TestLayerTransfer:
     def test_width_mismatch(self):
         bundle = rs.SplineBundle([0.0], [1.0], [0.0], [[1.0]])
         with pytest.raises(rs.DimensionMismatchError):
-            rs.layer_transfer(bundle, [[1.0, 2.0]], [0.0], [0.0])
+            rs.layer_transfer(bundle, rs.Layer([[1.0, 2.0]], [0.0], [0.0]))
+
+    def test_layer_without_source_channel(self):
+        bundle = rs.SplineBundle([0.0], [1.0], [0.0], [[1.0]])
+        with pytest.raises(rs.DimensionMismatchError, match="source channel"):
+            rs.layer_transfer(bundle, rs.Layer([[1.0]], [0.0]))
 
     @pytest.mark.parametrize(
         "A,c,b",
@@ -386,7 +396,7 @@ class TestLayerTransfer:
     def test_non_finite_layer(self, A, c, b):
         bundle = rs.SplineBundle([0.0], [1.0], [0.0], [[1.0]])
         with pytest.raises(ValueError) as info:
-            rs.layer_transfer(bundle, A, c, b)
+            rs.layer_transfer(bundle, rs.Layer(A, b, c))
         assert not isinstance(info.value, rs.DimensionMismatchError)
 
     @pytest.mark.parametrize(
@@ -395,12 +405,12 @@ class TestLayerTransfer:
     def test_channel_and_bias_lengths(self, c, b):
         bundle = rs.SplineBundle([0.0], [1.0], [0.0], [[1.0]])
         with pytest.raises(rs.DimensionMismatchError):
-            rs.layer_transfer(bundle, [[1.0]], c, b)
+            rs.layer_transfer(bundle, rs.Layer([[1.0]], b, c))
 
     def test_inactive_columns_dropped(self):
         # identical members cancel under A = (1, -1); their knot column drops
         bundle = rs.SplineBundle([0.0], [0.0, 0.0], [0.0, 0.0], [[1.0], [1.0]])
-        out = rs.layer_transfer(bundle, [[1.0, -1.0]], [0.0], [0.0])
+        out = rs.layer_transfer(bundle, rs.Layer([[1.0, -1.0]], [0.0], [0.0]))
         assert out.knots.shape[0] == 0
         member = out.member(0)
         assert (member.q1, member.q0) == (0.0, 0.0)
@@ -509,11 +519,24 @@ class TestComputedBundlesCheckedOnce:
             with pytest.raises(ValueError, match=f"^{kind} contains non-finite entries$"):
                 rs.dnn_to_spline(overflow_network(kind))
             if kind == "bundle knots":
-                # the first-layer rewrite meets the same infinite hinge
-                with pytest.raises(ValueError, match="^layer bias contains non-finite entries$"):
-                    rs.first_layer_canonicalize(overflow_network(kind))
+                # the first-layer rewrite meets the same infinite hinge, one
+                # unit or two, and does not take two of them for coinciding
+                first = rs.Layer([[1e-9], [1e-9]], [1e300, 1e300])
+                two = rs.ReluNetwork((first, rs.Layer([[1.0, 1.0]], [0.0], [0.0])))
+                message = "^layer bias contains non-finite entries$"
+                for net in (overflow_network(kind), two):
+                    with pytest.raises(ValueError, match=message) as info:
+                        rs.first_layer_canonicalize(net)
+                    assert not isinstance(info.value, rs.DegenerateFirstLayerError)
 
-    def test_checks_grow_by_one_layer_check_per_step(self, monkeypatch):
+    def test_normalize_overflow_raises_without_numpy_warnings(self):
+        # the rescaled layer 3 overflows: 1e200 * 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^layer matrix contains non-finite entries$"):
+                rs.positive_scale_normalize(overflow_network("q1s"))
+
+    def test_steps_make_no_array_checks(self, monkeypatch):
         real = rs.core._frozen_array
         counts = []
         for depth in (4, 8, 12):
@@ -528,12 +551,13 @@ class TestComputedBundlesCheckedOnce:
             rs.dnn_to_spline(net)
             monkeypatch.setattr(rs.core, "_frozen_array", real)
             counts.append(len(calls))
-        # four more steps may only add their Layer checks of A, c and b
-        assert max(np.diff(counts)) <= 3 * 4, counts
+        # the steps take the network's checked layers, and wrap what they compute
+        assert counts == [0, 0, 0], counts
 
     def test_computed_arrays_are_shared_and_read_only(self):
         bundle = rs.SplineBundle([0.0, 1.0], [1.0, -1.0], [0.0, 1.0], [[1.0, -2.0], [0.5, 1.0]])
-        out = rs.layer_transfer(bundle, [[1.0, 2.0], [-1.0, 1.0]], [0.0, 1.0], [0.5, 0.0])
+        layer = rs.Layer([[1.0, 2.0], [-1.0, 1.0]], [0.5, 0.0], [0.0, 1.0])
+        out = rs.layer_transfer(bundle, layer)
         member = out.member(1)
         assert member.knots is out.knots
         assert np.shares_memory(member.coeffs, out.coeff_matrix)
