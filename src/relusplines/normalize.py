@@ -5,14 +5,19 @@ weight can be pushed into the following layer.  After normalization the
 first layer is A1 = 1, b1 = -knots (sorted), and every interior source
 channel entry is -1, 0 or +1; networks already in this form pass through
 bit for bit.
+
+One pass computes the form.  Each first-layer unit relu(a t + b) equals
+|a| relu(t - x) at its hinge x = -b/a, up to an affine part; the units are
+sorted by hinge, and |a| and the affine part fold into layer 2.  The pass
+then walks the later layers once: layer l is divided by D = diag(|c_l|)
+and D moves into layer l + 1, so every layer is built once.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Layer, ReluNetwork, Tolerances
-from .transfer import first_layer_canonicalize
+from .core import DEFAULT_TOL, DegenerateFirstLayerError, Layer, ReluNetwork, Tolerances
 
 __all__ = ["positive_scale_normalize", "is_normalized"]
 
@@ -20,24 +25,46 @@ __all__ = ["positive_scale_normalize", "is_normalized"]
 def positive_scale_normalize(net: ReluNetwork, tol: Tolerances = DEFAULT_TOL) -> ReluNetwork:
     """Equal function, unit first-layer weights, sign-only interior channels.
 
-    Works upward through the hidden layers: layer l is divided by
-    D = diag(|c_l|) (entries within zero_tol of zero keep scale 1) and
-    layer l + 1 is multiplied by D on the right.  Degenerate first layers
-    raise DegenerateFirstLayerError as in first_layer_canonicalize.
+    Layer 1 becomes A1 = 1, b1 = -knots with the hinges sorted; then layer
+    l is divided by D = diag(|c_l|) (entries within zero_tol of zero keep
+    scale 1) and layer l + 1 is multiplied by D on the right.  Dead units or
+    coinciding hinges raise DegenerateFirstLayerError, and an overflow
+    raises the ValueError of the ``Layer`` check.
     """
-    _, net = first_layer_canonicalize(net, tol)
-    layers = list(net.layers)
-    # an overflow surfaces as the ValueError of the Layer check
+    first, second = net.layers[:2]
+    a1 = first.A[:, 0]
+    n1 = a1.shape[0]
+    # an overflow surfaces as a ValueError from the Layer checks; the hinges'
+    # check comes first, so an infinite hinge is not taken for a coinciding one
     with np.errstate(all="ignore"):
-        for i in range(1, len(layers) - 1):
-            layer = layers[i]
-            magnitude = np.abs(layer.c)
-            live = magnitude > tol.zero_tol
-            d = np.where(live, magnitude, 1.0)
-            signs = np.where(live, np.sign(layer.c), 0.0)
-            layers[i] = Layer(layer.A / d[:, None], layer.b / d, signs)
-            successor = layers[i + 1]
-            layers[i + 1] = Layer(successor.A * d[None, :], successor.b, successor.c)
+        live = np.abs(a1) > tol.zero_tol
+        hinges = -first.b[live] / a1[live]
+        order = np.argsort(hinges, kind="stable")
+        knots = hinges[order]
+        layers = [Layer(np.ones((knots.shape[0], 1)), -knots)]
+        distinct = np.diff(knots) > tol.merge_tol
+        if knots.shape[0] < n1 or not np.all(distinct):
+            problem = "dead units" if knots.shape[0] < n1 else "coinciding hinges"
+            # units left after dropping dead ones and collapsing shared hinges
+            width = 1 + int(np.sum(distinct)) if knots.size else 0
+            raise DegenerateFirstLayerError(
+                f"first layer has {problem}; effective width {width} of {n1}", width
+            )
+        # every unit is live; a falling one leaves its line a1 t + b1 on the left
+        folded = Layer(
+            (second.A * np.abs(a1))[:, order],
+            second.b + second.A @ np.where(a1 < 0, first.b, 0.0),
+            second.c - second.A @ np.maximum(-a1, 0.0),
+        )
+        # checked before rescaling: dividing by an infinite |c2| would hide it
+        A, b, c = folded.A, folded.b, folded.c
+        for successor in net.layers[2:]:
+            magnitude = np.abs(c)
+            signed = magnitude > tol.zero_tol
+            d = np.where(signed, magnitude, 1.0)
+            layers.append(Layer(A / d[:, None], b / d, np.where(signed, np.sign(c), 0.0)))
+            A, b, c = successor.A * d[None, :], successor.b, successor.c
+        layers.append(Layer(A, b, c))
     return ReluNetwork(tuple(layers))
 
 

@@ -120,18 +120,19 @@ def synth_two_hidden(
     ``b_out`` are the final layer's source weight and bias.
 
     The guarantee needs two units: with n2 = 1 and n1 > 1 no unit is
-    positive at the even-position level-1 knots, which therefore drop out
-    (warned, not raised).
+    positive at the even-position level-1 knots, which would drop out, so
+    that case raises ActivityError listing them.
     """
     c_out, b_out = _finite_float(c_out, "c_out"), _finite_float(b_out, "b_out")
     if h.level3 is not None:
         raise ValueError("two-hidden synthesis takes a two-level hierarchy")
     n1, n2 = h.n1, h.n2
     if n2 == 1 and n1 > 1:
-        warnings.warn(
-            "a single second-layer unit cannot keep even-position level-1 knots active",
-            RuntimeWarning,
-            stacklevel=2,
+        inactive = h.level1[1::2]
+        raise ActivityError(
+            "a single second-layer unit cannot keep the even-position level-1 knots "
+            f"{inactive.tolist()} active",
+            inactive,
         )
     magnitudes = np.abs(_nonzero(_per_unit(a3, np.ones(n2), n2, "a3"), "a3 entries"))
     sign = 1.0 if plus_variant else -1.0

@@ -36,7 +36,6 @@ import numpy as np
 from .core import (
     DEFAULT_TOL,
     CplSpline,
-    DegenerateFirstLayerError,
     DimensionMismatchError,
     Layer,
     ReluNetwork,
@@ -48,7 +47,6 @@ from .core import (
 
 __all__ = [
     "sigma_compose",
-    "first_layer_canonicalize",
     "layer_transfer",
     "dnn_to_spline",
     "spline_to_shallow",
@@ -75,46 +73,6 @@ def sigma_compose(f: CplSpline, tol: Tolerances = DEFAULT_TOL) -> CplSpline:
     """
     bundle = SplineBundle(f.knots, [f.q1], [f.q0], f.coeffs.reshape(1, -1))
     return layer_transfer(bundle, _IDENTITY, tol).member(0)
-
-
-def first_layer_canonicalize(
-    net: ReluNetwork, tol: Tolerances = DEFAULT_TOL
-) -> tuple[SplineBundle, ReluNetwork]:
-    """Rewrite layer 1 as A1 = 1, b1 = -knots without changing the function.
-
-    Each unit relu(a t + b) equals |a| relu(t - x) at x = -b/a, up to an
-    affine part that folds into the next layer's source channel and bias.
-    Returns the layer-2 bundle (knots, q1s = c, q0s = b, coefficients) and
-    the rewritten network.  Already-canonical networks come back bit for
-    bit.  Dead units or coinciding hinges raise DegenerateFirstLayerError,
-    and a hinge that overflows raises the ValueError of the ``Layer`` check.
-    """
-    first, second = net.layers[:2]
-    a1 = first.A[:, 0]
-    n1 = a1.shape[0]
-    # an overflow surfaces as a ValueError from the Layer checks; the hinges'
-    # check comes first, so an infinite hinge is not taken for a coinciding one
-    with np.errstate(all="ignore"):
-        live = np.abs(a1) > tol.zero_tol
-        hinges = -first.b[live] / a1[live]
-        order = np.argsort(hinges, kind="stable")
-        knots = hinges[order]
-        unit = Layer(np.ones((knots.shape[0], 1)), -knots)
-        distinct = np.diff(knots) > tol.merge_tol
-        if knots.shape[0] < n1 or not np.all(distinct):
-            problem = "dead units" if knots.shape[0] < n1 else "coinciding hinges"
-            # units left after dropping dead ones and collapsing shared hinges
-            width = 1 + int(np.sum(distinct)) if knots.size else 0
-            raise DegenerateFirstLayerError(
-                f"first layer has {problem}; effective width {width} of {n1}", width
-            )
-        # every unit is live; a falling one leaves its line a1 t + b1 on the left
-        scaled = (second.A * np.abs(a1))[:, order]
-        c2 = second.c - second.A @ np.maximum(-a1, 0.0)
-        b2 = second.b + second.A @ np.where(a1 < 0, first.b, 0.0)
-    rewritten = ReluNetwork((unit, Layer(scaled, b2, c2), *net.layers[2:]))
-    bundle = SplineBundle(knots, c2, b2, scaled)
-    return bundle, rewritten
 
 
 def layer_transfer(

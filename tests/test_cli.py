@@ -249,11 +249,10 @@ class TestSynth:
         # a single second-layer unit cannot keep even-position level-1 knots
         flat = tmp_path / "five.json"
         rs.dump_json(flat, {"knots": [0.0, 1.0, 2.0, 3.0, 4.0]})
-        with pytest.warns(RuntimeWarning, match="single second-layer unit"):
-            code, _, err = run(capsys, "synth", flat, "--arch", "2,1",
-                               "-o", tmp_path / "net.json")
+        code, _, err = run(capsys, "synth", flat, "--arch", "2,1", "-o", tmp_path / "net.json")
         assert code == 5
-        assert "inactive prescribed knots: [3.0]" in err
+        assert "even-position level-1 knots [3.0] active" in err
+        assert not (tmp_path / "net.json").exists()
 
     def test_no_source_empty_first_level(self, tmp_path, capsys):
         empty = tmp_path / "empty.json"

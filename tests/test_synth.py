@@ -111,13 +111,19 @@ class TestSynthTwoHidden:
 
     def test_single_unit_drops_even_knots(self):
         # one unit is negative at every second level-1 knot, so that hinge
-        # cannot survive; the build warns instead of failing
-        h = rs.hierarchy_from_flat([0.0, 1.0, 2.0, 3.0, 4.0], 2, 1)
-        with pytest.warns(RuntimeWarning, match="single second-layer unit"):
-            net = rs.synth_two_hidden(h)
-        active = active_set(net)
-        assert np.min(np.abs(active - h.level1[0])) <= 1e-9
-        assert np.min(np.abs(active - h.level1[1])) > 0.5
+        # cannot survive; the build raises instead of returning without it
+        for n1 in range(2, 7):
+            h = rs.hierarchy_from_flat(np.arange(2.0 * n1 + 1), n1, 1)
+            with pytest.raises(rs.ActivityError, match="single second-layer unit") as info:
+                rs.synth_two_hidden(h)
+            assert info.value.inactive == h.level1[1::2].tolist()
+            # the network the build would return loses exactly those knots
+            first, second = rs.synth._two_hidden_layers(h)
+            net = rs.ReluNetwork((first, second, rs.Layer([[-1.0]], [0.0], [0.0])))
+            missing = rs.synth._missing_prescribed(
+                rs.dnn_to_spline(net), rs.prescribed_knots(h), rs.DEFAULT_TOL
+            )
+            assert missing.tolist() == info.value.inactive
 
 
 class TestSynthTwoHiddenNoSource:

@@ -10,11 +10,8 @@ from hypothesis import strategies as st
 import relusplines as rs
 
 from helpers import (
-    MAX15_B2_TILDE,
-    MAX15_C2_TILDE,
     MAX15_COEFFS,
     MAX15_KNOTS,
-    MAX15_LEVEL1,
     MAX15_Q0,
     MAX15_Q1,
     NINE_KNOTS,
@@ -226,69 +223,6 @@ class TestSigmaCompose:
     def test_requires_sorted_knots(self):
         with pytest.raises(ValueError):
             rs.sigma_compose(rs.CplSpline(0.0, 0.0, [1.0, 0.0], [1.0, 1.0]))
-
-
-class TestFirstLayerCanonicalize:
-    def test_reference_rewrite(self):
-        bundle, net = rs.first_layer_canonicalize(net_max_knots())
-        np.testing.assert_array_equal(bundle.knots, MAX15_LEVEL1)
-        np.testing.assert_allclose(bundle.q1s, MAX15_C2_TILDE, atol=1e-12)
-        np.testing.assert_allclose(bundle.q0s, MAX15_B2_TILDE, atol=1e-12)
-        np.testing.assert_array_equal(net.layers[0].A, np.ones((3, 1)))
-        np.testing.assert_array_equal(net.layers[0].b, -MAX15_LEVEL1)
-
-    def test_function_preserved(self):
-        original = net_max_knots()
-        _, rewritten = rs.first_layer_canonicalize(original)
-        grid = rs.probe_grid(MAX15_KNOTS, margin=3.0, per_interval=2)
-        err = np.abs(rs.eval_network(original, grid) - rs.eval_network(rewritten, grid))
-        assert np.max(err) < 1e-12
-
-    def test_idempotent_bit_for_bit(self):
-        _, once = rs.first_layer_canonicalize(net_max_knots())
-        _, twice = rs.first_layer_canonicalize(once)
-        for la, lb in zip(once.layers, twice.layers):
-            np.testing.assert_array_equal(la.A, lb.A)
-            np.testing.assert_array_equal(la.b, lb.b)
-            if la.c is not None:
-                np.testing.assert_array_equal(la.c, lb.c)
-
-    def test_unsorted_negative_slopes(self):
-        rng = np.random.default_rng(31)
-        for _ in range(25):
-            net = random_network(rng)
-            hinges = -net.layers[0].b / net.layers[0].A[:, 0]
-            gap = np.min(np.diff(np.sort(hinges))) if hinges.size > 1 else 1.0
-            if gap <= 1e-9:
-                continue
-            bundle, rewritten = rs.first_layer_canonicalize(net)
-            assert np.all(np.diff(bundle.knots) > 0)
-            grid = rs.probe_grid(bundle.knots, margin=4.0, per_interval=2)
-            fa = rs.eval_network(net, grid)
-            fb = rs.eval_network(rewritten, grid)
-            assert np.max(np.abs(fa - fb) / (1.0 + np.abs(fa))) < 1e-9
-
-    def test_dead_unit_raises(self):
-        net = rs.ReluNetwork(
-            (
-                rs.Layer([[1.0], [0.0]], [0.0, 1.0]),
-                rs.Layer([[1.0, 1.0]], [0.0], [0.0]),
-            )
-        )
-        with pytest.raises(rs.DegenerateFirstLayerError) as info:
-            rs.first_layer_canonicalize(net)
-        assert info.value.effective_width == 1
-
-    def test_shared_hinge_raises(self):
-        net = rs.ReluNetwork(
-            (
-                rs.Layer([[1.0], [2.0]], [-1.0, -2.0]),
-                rs.Layer([[1.0, 1.0]], [0.0], [0.0]),
-            )
-        )
-        with pytest.raises(rs.DegenerateFirstLayerError) as info:
-            rs.first_layer_canonicalize(net)
-        assert info.value.effective_width == 1
 
 
 def looped_layer_transfer(bundle, A, c, b, tol=rs.DEFAULT_TOL):
@@ -519,14 +453,14 @@ class TestComputedBundlesCheckedOnce:
             with pytest.raises(ValueError, match=f"^{kind} contains non-finite entries$"):
                 rs.dnn_to_spline(overflow_network(kind))
             if kind == "bundle knots":
-                # the first-layer rewrite meets the same infinite hinge, one
-                # unit or two, and does not take two of them for coinciding
+                # normalization meets the same infinite hinge, one unit or
+                # two, and does not take two of them for coinciding
                 first = rs.Layer([[1e-9], [1e-9]], [1e300, 1e300])
                 two = rs.ReluNetwork((first, rs.Layer([[1.0, 1.0]], [0.0], [0.0])))
                 message = "^layer bias contains non-finite entries$"
                 for net in (overflow_network(kind), two):
                     with pytest.raises(ValueError, match=message) as info:
-                        rs.first_layer_canonicalize(net)
+                        rs.positive_scale_normalize(net)
                     assert not isinstance(info.value, rs.DegenerateFirstLayerError)
 
     def test_normalize_overflow_raises_without_numpy_warnings(self):
@@ -553,6 +487,29 @@ class TestComputedBundlesCheckedOnce:
             counts.append(len(calls))
         # the steps take the network's checked layers, and wrap what they compute
         assert counts == [0, 0, 0], counts
+
+    def test_normalize_builds_each_layer_once(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        widths = (1, 64, 64, 64, 64, 1)
+        layers = [rs.Layer(rng.uniform(0.5, 2.0, (64, 1)), rng.uniform(-2.0, 2.0, 64))]
+        layers += [
+            rs.Layer(rng.normal(size=(m, n)), rng.normal(size=m), rng.normal(size=m))
+            for n, m in zip(widths[1:-1], widths[2:])
+        ]
+        net = rs.ReluNetwork(tuple(layers))
+        real = rs.core._frozen_array
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["name"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rs.core, "_frozen_array", counting)
+        rs.positive_scale_normalize(net)
+        monkeypatch.setattr(rs.core, "_frozen_array", real)
+        # one Layer check per layer (2 arrays for layer 1, 3 for the others),
+        # plus the check of the folded layer 2 before it is rescaled
+        assert len(calls) == 2 + 3 * 4 + 3, calls
 
     def test_computed_arrays_are_shared_and_read_only(self):
         bundle = rs.SplineBundle([0.0, 1.0], [1.0, -1.0], [0.0, 1.0], [[1.0, -2.0], [0.5, 1.0]])
