@@ -225,6 +225,28 @@ class TestSigmaCompose:
             rs.sigma_compose(rs.CplSpline(0.0, 0.0, [1.0, 0.0], [1.0, 1.0]))
 
 
+class TestFirstLayerCanonicalize:
+    """The layer-1 rewrite of positive_scale_normalize, seen through the transfer."""
+
+    def test_function_preserved(self):
+        original = net_max_knots()
+        rewritten = rs.positive_scale_normalize(original)
+        grid = rs.probe_grid(MAX15_KNOTS, margin=3.0, per_interval=2)
+        err = np.abs(rs.eval_network(original, grid) - rs.eval_network(rewritten, grid))
+        assert np.max(err) < 1e-12
+        assert_splines_match(rs.dnn_to_spline(rewritten), rs.dnn_to_spline(original), tol=1e-12)
+
+    def test_idempotent_bit_for_bit(self):
+        once = rs.positive_scale_normalize(net_max_knots())
+        twice = rs.positive_scale_normalize(once)
+        for la, lb in zip(once.layers, twice.layers):
+            np.testing.assert_array_equal(la.A, lb.A)
+            np.testing.assert_array_equal(la.b, lb.b)
+            if la.c is not None:
+                np.testing.assert_array_equal(la.c, lb.c)
+        assert_splines_match(rs.dnn_to_spline(twice), rs.dnn_to_spline(once), tol=0.0)
+
+
 def looped_layer_transfer(bundle, A, c, b, tol=rs.DEFAULT_TOL):
     """Reference layer step, member by member and piece by piece."""
     A = np.asarray(A, dtype=float)
