@@ -108,8 +108,6 @@ def _cmd_synth(args) -> int:
         hierarchy = None if args.no_source else hierarchy_from_flat(flat, *arch)
     else:
         raise SchemaError(f"{args.knots}: neither a hierarchy (level1) nor flat (knots)")
-    if args.seed is not None and (args.no_source or hierarchy.level3 is None):
-        raise SchemaError("--seed needs a three-level build, the only one with random retries")
 
     if args.no_source:
         seeds = _comma_list(args.seeds, "--seeds") if args.seeds else None
@@ -119,8 +117,7 @@ def _cmd_synth(args) -> int:
         if hierarchy.level3 is None:
             net = synth_two_hidden(hierarchy)
         else:
-            rng = np.random.default_rng(args.seed or 0)
-            net = synth_three_hidden(hierarchy, tol=tol, rng=rng)
+            net = synth_three_hidden(hierarchy, tol=tol)
         wanted = prescribed_knots(hierarchy)
 
     missing = _missing_prescribed(dnn_to_spline(net, tol), wanted, tol)
@@ -196,7 +193,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_tol_flags(p)
     p.set_defaults(func=_cmd_to_spline)
 
-    p = sub.add_parser("synth", help="build a network with prescribed knots")
+    # no flag prefixes, so an unknown --seed is not read as --seeds
+    p = sub.add_parser("synth", help="build a network with prescribed knots", allow_abbrev=False)
     p.add_argument("knots", help="hierarchy JSON or flat {\"knots\": [...]} file")
     p.add_argument("--arch", default=None, metavar="N1,N2[,N3]",
                    help="hidden widths when the knots file is flat")
@@ -204,8 +202,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="force all source channels to zero (flat file, two widths)")
     p.add_argument("--seeds", default=None, metavar="S1,S2,...",
                    help="first-interval slopes for --no-source")
-    p.add_argument("--seed", type=int, default=None, metavar="U",
-                   help="seed for the randomized retries of a three-level build (default 0)")
     p.add_argument("-o", "--out", required=True, help="output network JSON file")
     _add_tol_flags(p)
     p.set_defaults(func=_cmd_synth)

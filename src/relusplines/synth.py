@@ -13,11 +13,10 @@ intervals for all units at once.  The three-hidden build converts its
 first three layers once, as ``dnn_to_spline`` does: the knotless bundle
 of the layer-1 units, then one ``layer_transfer`` step each for layers 2
 and 3.  Unit values and slopes at the lower-level knots (for the signs)
-are read off that layer-3 bundle, flipping its rows by eps gives the
-returned network's layer-3 bundle bit for bit, and each activity attempt,
-retries included, builds its final ``Layer`` once and makes one
-``layer_transfer`` step of that bundle through it, which is exactly the
-last step of ``dnn_to_spline`` on the network it returns.
+are read off that layer-3 bundle, and flipping its rows by eps gives the
+returned network's layer-3 bundle bit for bit.  The output row enters
+linearly, so one step of that bundle through the final ``Layer`` (the last
+step of ``dnn_to_spline`` on the returned network) decides activity once.
 
 Index convention: unit/knot positions in error messages and subsets (for
 example ``redundancy_residual``'s ``index_set``) are 0-based.
@@ -59,8 +58,6 @@ __all__ = [
     "prescribed_knots",
 ]
 
-_RETRY_BUDGET = 32
-
 
 def _slope_rows(c_signs, x, zeros) -> np.ndarray:
     """Per-interval slopes of units with the given zeros and source signs.
@@ -95,6 +92,16 @@ def _nonzero(values: np.ndarray, what: str) -> np.ndarray:
     return values
 
 
+def _refuse_single_unit(h: KnotHierarchy) -> None:
+    """With n2 = 1 and n1 > 1 no unit is positive at the even-position level-1 knots."""
+    if h.n2 == 1 and h.n1 > 1:
+        raise ActivityError(
+            "a single second-layer unit cannot keep the even-position level-1 knots "
+            f"{h.level1[1::2].tolist()} active",
+            h.level1[1::2],
+        )
+
+
 def _two_hidden_layers(h: KnotHierarchy) -> tuple[Layer, Layer]:
     """Layers 1 and 2 shared by both deep builds (source signs alternate)."""
     c_signs = np.where(np.arange(1, h.n2 + 1) % 2 == 1, 1.0, -1.0)
@@ -117,27 +124,18 @@ def synth_two_hidden(
     way so contributions at shared knots never cancel.  ``a3`` (n2 nonzero
     entries, default ones) gives the output row's magnitudes, whose signs
     the build fixes; ``plus_variant=False`` flips the row.  ``c_out`` and
-    ``b_out`` are the final layer's source weight and bias.
-
-    The guarantee needs two units: with n2 = 1 and n1 > 1 no unit is
-    positive at the even-position level-1 knots, which would drop out, so
-    that case raises ActivityError listing them.
+    ``b_out`` are the final layer's source weight and bias.  The guarantee
+    needs two units: n2 = 1 with n1 > 1 raises ActivityError listing the
+    even-position level-1 knots, where no unit is positive.
     """
     c_out, b_out = _finite_float(c_out, "c_out"), _finite_float(b_out, "b_out")
     if h.level3 is not None:
         raise ValueError("two-hidden synthesis takes a two-level hierarchy")
-    n1, n2 = h.n1, h.n2
-    if n2 == 1 and n1 > 1:
-        inactive = h.level1[1::2]
-        raise ActivityError(
-            "a single second-layer unit cannot keep the even-position level-1 knots "
-            f"{inactive.tolist()} active",
-            inactive,
-        )
-    magnitudes = np.abs(_nonzero(_per_unit(a3, np.ones(n2), n2, "a3"), "a3 entries"))
+    _refuse_single_unit(h)
+    magnitudes = np.abs(_nonzero(_per_unit(a3, np.ones(h.n2), h.n2, "a3"), "a3 entries"))
     sign = 1.0 if plus_variant else -1.0
-    row = sign * np.where(np.arange(1, n2 + 1) % 2 == 0, 1.0, -1.0) * magnitudes
-    return ReluNetwork((*_two_hidden_layers(h), Layer(row.reshape(1, n2), [b_out], [c_out])))
+    row = sign * np.where(np.arange(1, h.n2 + 1) % 2 == 0, 1.0, -1.0) * magnitudes
+    return ReluNetwork((*_two_hidden_layers(h), Layer(row.reshape(1, h.n2), [b_out], [c_out])))
 
 
 def _flat_knots(knots, expected: int, widths: tuple) -> np.ndarray:
@@ -291,15 +289,18 @@ def _zero_sign_masks(bundle: SplineBundle, targets: np.ndarray, tol: Tolerances)
 
     At a knot where a unit vanishes exactly, the composed hinge coefficient
     is relu(slope after) + relu(-slope before); flipping the unit flips
-    both slopes.  Targets are knots of the bundle, so slopes are read off
-    the bundle's slope matrix; a target that is not a knot (none within
-    merge_tol, or past the last one) allows neither sign.
+    both slopes.  Slopes are read off the bundle's slope matrix at each
+    target's nearer neighbouring knot (ties go right), as in
+    ``_missing_prescribed``; with none within merge_tol, neither sign does.
     """
     q1s = bundle.q1s[:, None]
     mu = np.concatenate((q1s, q1s + bundle.coeff_matrix.cumsum(axis=1)), axis=1)
-    pos = np.searchsorted(bundle.knots, targets)
-    on_knot = np.abs(np.append(bundle.knots, np.inf)[pos] - targets) <= tol.merge_tol
-    before, after = mu[:, pos], mu[:, np.minimum(pos + 1, bundle.knots.shape[0])]
+    fenced = np.concatenate(([-np.inf], bundle.knots, [np.inf]))
+    right = np.searchsorted(fenced, targets)
+    nearer = np.where(targets - fenced[right - 1] < fenced[right] - targets, right - 1, right)
+    on_knot = np.abs(fenced[nearer] - targets) <= tol.merge_tol
+    # fenced[f] is knot f - 1, with slopes mu[f - 1] and mu[f]; a fence is never on a knot
+    before, after = mu[:, nearer - 1], mu[:, np.minimum(nearer, mu.shape[1] - 1)]
     plus_ok = on_knot & (np.maximum(after, 0.0) + np.maximum(-before, 0.0) > tol.zero_tol)
     minus_ok = on_knot & (np.maximum(-after, 0.0) + np.maximum(before, 0.0) > tol.zero_tol)
     return plus_ok, minus_ok
@@ -317,27 +318,31 @@ def synth_three_hidden(
 ) -> ReluNetwork:
     """Width (1, n1, n2, n3, 1) network activating all three knot levels.
 
-    Layers 1-2 follow the two-hidden build.  Third-layer unit r puts its
-    zeros at level3 row r, seen as one zero per interval of the first
-    level-2 column; its sign eps_r comes from ``eps`` (n3 entries of +-1)
-    or greedy selection over the unit values at the lower-level knots.
-    The final row is ``a4`` (n3 entries), tried once, or defaults to -eps
-    (all positive parts add up with one sign); on an activity failure of
-    the default, up to 32 random retries drawn from ``rng`` (default seed
-    0) with magnitudes in [0.5, 2] are attempted before raising
-    ActivityError.  ``c_out`` and ``b_out`` are the final layer's source
-    weight and bias.  n3 below log2(n1 + (n1+1) n2) only triggers a
-    warning since the post-hoc check decides success.
+    Layers 1-2 follow the two-hidden build (n2 = 1 < n1 raises alike).
+    Third-layer unit r puts its zeros at level3 row r, seen as one zero per
+    interval of the first level-2 column; its sign eps_r comes from ``eps``
+    (n3 entries of +-1) or greedy selection over the unit values at the
+    lower-level knots.  The final row is ``a4`` (n3 entries) or -eps (all
+    positive parts add up with one sign); ``c_out`` and ``b_out`` are the
+    final layer's source weight and bias.  n3 below log2(n1 + (n1+1) n2)
+    only triggers a warning since the post-hoc check decides success.
+    Knot k's output coefficient is row . G[:, k], G's member r being
+    relu(unit r), so one attempt decides: a miss raises ActivityError that
+    sorts the missing knots into those kept by no third-layer unit (G's
+    column within zero_tol or absent: no row helps) and those cancelled by
+    this row (another ``a4`` can keep them).  ``rng`` has no effect.
     """
     c_out, b_out = _finite_float(c_out, "c_out"), _finite_float(b_out, "b_out")
+    if rng is not None:
+        warnings.warn("rng has no effect and will be removed", DeprecationWarning, stacklevel=2)
     if h.level3 is None:
         raise ValueError("three-hidden synthesis needs a three-level hierarchy")
+    _refuse_single_unit(h)
     n1, n2, n3 = h.n1, h.n2, h.n3
     eps = _per_unit(eps, None, n3, "eps")
     if eps is not None and np.any(np.abs(eps) != 1):
         raise ValueError("eps entries must be +-1")
     a4 = _per_unit(a4, None, n3, "a4")
-    rng = rng if rng is not None else np.random.default_rng(0)
     lower_count = n1 + (n1 + 1) * n2
     if 2**n3 < lower_count:
         warnings.warn(
@@ -375,21 +380,19 @@ def synth_three_hidden(
     signed3 = SplineBundle._computed(
         bundle3.knots, eps * bundle3.q1s, eps * bundle3.q0s, eps[:, None] * bundle3.coeff_matrix
     )
-    layers_fixed = (first, second, Layer(a3 * eps[:, None], b3 * eps, c3 * eps))
+    last = Layer((-eps if a4 is None else a4).reshape(1, n3), [b_out], [c_out])
     wanted = prescribed_knots(h)
-    attempts = 1 if a4 is not None else 1 + _RETRY_BUDGET
-    row = (-eps if a4 is None else a4).reshape(1, n3)
-    missing = wanted
-    for _ in range(attempts):
-        last = Layer(row, [b_out], [c_out])
-        # dnn_to_spline's last step on the returned network
-        spline = layer_transfer(signed3, last, tol).member(0)
-        missing = _missing_prescribed(spline, wanted, tol)
-        if missing.size == 0:
-            return ReluNetwork(layers_fixed + (last,))
-        row = (rng.choice([-1.0, 1.0], n3) * rng.uniform(0.5, 2.0, n3)).reshape(1, n3)
+    # dnn_to_spline's last step on the returned network
+    missing = _missing_prescribed(layer_transfer(signed3, last, tol).member(0), wanted, tol)
+    if missing.size == 0:
+        return ReluNetwork((first, second, Layer(a3 * eps[:, None], b3 * eps, c3 * eps), last))
+    g = layer_transfer(signed3, Layer(np.eye(n3), np.zeros(n3), np.zeros(n3)), tol)
+    kept = CplSpline(0.0, 0.0, g.knots, np.abs(g.coeff_matrix).max(axis=0, initial=0.0))
+    unkept = np.isin(missing, _missing_prescribed(kept, missing, tol))
     raise ActivityError(
-        f"prescribed knots {missing.tolist()} stayed inactive after retries", missing
+        "prescribed knots stayed inactive, kept by no third-layer unit: "
+        f"{missing[unkept].tolist()}, cancelled by this final row: {missing[~unkept].tolist()}",
+        missing,
     )
 
 

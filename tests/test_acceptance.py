@@ -188,7 +188,7 @@ class TestAcceptance:
         ok = True
         for _ in range(50):
             h = random_three_level(rng, 2, 2, 3)
-            net = rs.synth_three_hidden(h, rng=rng)
+            net = rs.synth_three_hidden(h)
             spline = rs.dnn_to_spline(net)
             wanted = rs.prescribed_knots(h)
             ok = ok and len(wanted) == 17

@@ -301,10 +301,6 @@ class TestSynth:
         [
             ("max_knots_hierarchy.json", ["--arch", "9,9,9"],
              "--arch and --no-source need a flat knots file"),
-            ("max_knots_hierarchy.json", ["--seed", "5"],
-             "--seed needs a three-level build, the only one with random retries"),
-            ("nine_flat_knots.json", ["--arch", "3,2", "--no-source", "--seed", "5"],
-             "--seed needs a three-level build, the only one with random retries"),
         ],
     )
     def test_unread_flags_rejected(self, tmp_path, capsys, knots, flags, message):
@@ -312,6 +308,24 @@ class TestSynth:
         code, out, err = run(capsys, "synth", FIXTURES / knots, *flags, "-o", out_path)
         assert (code, out) == (2, "")
         assert err.splitlines() == [f"error: {message}"]
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "knots,flags",
+        [
+            ("max_knots_hierarchy.json", ["--seed", "5"]),
+            ("nine_flat_knots.json", ["--arch", "3,2", "--no-source", "--seed", "5"]),
+        ],
+    )
+    def test_seed_is_an_unknown_flag(self, tmp_path, capsys, knots, flags):
+        # no build is random, and --seed is not taken as a prefix of --seeds
+        out_path = tmp_path / "net.json"
+        with pytest.raises(SystemExit) as info:
+            main(["synth", str(FIXTURES / knots), *flags, "-o", str(out_path)])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].endswith("error: unrecognized arguments: --seed 5")
         assert not out_path.exists()
 
     @pytest.mark.parametrize(
@@ -341,12 +355,14 @@ class TestSynth:
         assert err.splitlines() == ["error: widths must be non-negative, got (1, -1)"]
 
     def test_seed_on_three_levels(self, tmp_path, capsys):
+        # the three-level build makes one attempt, so it has nothing to seed
         out_path = tmp_path / "net.json"
-        with pytest.warns(RuntimeWarning, match="below log2"):
-            code, _, _ = run(capsys, "synth", FIXTURES / "fourteen_hierarchy.json",
-                             "--seed", "5", "-o", out_path)
-        assert code == 0
-        assert rs.load_json(out_path) == rs.load_json(FIXTURES / "three_hidden_network.json")
+        with pytest.raises(SystemExit) as info:
+            main(["synth", str(FIXTURES / "fourteen_hierarchy.json"), "--seed", "5",
+                  "-o", str(out_path)])
+        assert info.value.code == 2
+        assert "error: unrecognized arguments: --seed 5" in capsys.readouterr().err
+        assert not out_path.exists()
 
     def test_seeds_need_no_source(self, tmp_path, capsys):
         out_path = tmp_path / "net.json"

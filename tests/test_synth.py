@@ -302,12 +302,25 @@ class TestSynthThreeHidden:
         rng = np.random.default_rng(79)
         for _ in range(10):
             h = random_three_level(rng, 2, 2, 3)
-            net = rs.synth_three_hidden(h, rng=np.random.default_rng(1))
+            net = rs.synth_three_hidden(h)
             assert_prescribed_active(net, h)
+
+    @pytest.mark.filterwarnings("ignore:width 2 is below log2")
+    def test_rng_is_deprecated_and_unread(self):
+        default = rs.network_to_obj(rs.synth_three_hidden(fourteen_hierarchy()))
+        with pytest.warns(DeprecationWarning, match="^rng has no effect") as record:
+            net = rs.synth_three_hidden(fourteen_hierarchy(), rng=np.random.default_rng(5))
+        assert rs.network_to_obj(net) == default
+        # attributed to the caller, whose module's filters decide whether it shows
+        deprecations = [w for w in record if w.category is DeprecationWarning]
+        assert [w.filename for w in deprecations] == [__file__]
 
 
 # 35 knots with widely varying gaps (weights reach 3e14): the default final
-# row -eps leaves 0.39711552308603415 inactive, and a seeded retry rescues it
+# row -eps leaves 0.39711552308603415 inactive, and no final row keeps it,
+# since both units' coefficients there are within zero_tol.  A random row
+# with magnitudes near 1.8 gives it -1.45e-10 beside a largest 5.8e14, which
+# only the absolute zero_tol counts as active.
 RESCUED_KNOTS = [
     0.06197688071548724, 0.062017915767036275, 0.06209114504565219, 0.08029413271749664,
     0.08065267993596158, 0.11335117840805459, 0.1539567460047358, 0.15404316213520092,
@@ -325,15 +338,23 @@ class TestThreeHiddenRetryRescues:
     def hierarchy(self):
         return rs.hierarchy_from_flat(RESCUED_KNOTS, 6, 3, 2)
 
-    def test_third_attempt_activates_every_knot(self, monkeypatch):
+    def test_default_row_leaves_one_knot_kept_by_no_unit(self, monkeypatch):
         h = self.hierarchy()
+        knot = 0.39711552308603415
         with pytest.warns(RuntimeWarning, match="below log2"):
-            net = rs.synth_three_hidden(h)
-        assert_prescribed_active(net, h)
-        # not the default +-1 row: the magnitudes of the second retry
-        np.testing.assert_allclose(np.abs(net.layers[-1].A[0]), [1.7199, 1.8691], atol=1e-4)
-        _, attempts = outcome_and_attempts(rs.synth_three_hidden, h, {}, 0, monkeypatch)
-        assert len(attempts) == 3
+            with pytest.raises(rs.ActivityError) as info:
+                rs.synth_three_hidden(h)
+        assert info.value.inactive == [knot]
+        assert str(info.value) == (
+            f"prescribed knots stayed inactive, kept by no third-layer unit: [{knot}], "
+            "cancelled by this final row: []"
+        )
+        # each unit's own conversion agrees that no unit keeps the knot
+        layers, _ = reference_fixed_layers(h)
+        for spline in unit_splines(layers):
+            assert brute_force_missing(spline, np.array([knot])).tolist() == [knot]
+        result, checks = outcome_and_attempts(rs.synth_three_hidden, h, {}, monkeypatch)
+        assert result[0] == np.array([knot]).tobytes() and len(checks) == 2
 
     @pytest.mark.parametrize("a4", [[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
     def test_unit_final_rows_leave_one_knot_inactive(self, a4):
@@ -428,15 +449,17 @@ class TestMissingPrescribed:
 
 
 def looped_zero_sign_masks(bundle: rs.SplineBundle, targets: np.ndarray, tol=rs.DEFAULT_TOL):
-    """Reference: the masks member by member and target by target."""
+    """Reference: the masks member by member and target by target, each
+    target read at its nearest knot (the right one of two as near)."""
     plus_ok = np.zeros((bundle.width, targets.shape[0]), dtype=bool)
     minus_ok = np.zeros_like(plus_ok)
-    positions = np.searchsorted(bundle.knots, targets)
     for r in range(bundle.width):
         mu, _ = piecewise_form(bundle.member(r))
-        for i, (t, pos) in enumerate(zip(targets, positions)):
-            if pos >= bundle.knots.shape[0] or abs(bundle.knots[pos] - t) > tol.merge_tol:
+        for i, t in enumerate(targets):
+            gaps = np.abs(bundle.knots - t)
+            if gaps.size == 0 or gaps.min() > tol.merge_tol:
                 continue
+            pos = int(np.flatnonzero(gaps == gaps.min())[-1])
             before, after = mu[pos], mu[pos + 1]
             plus_ok[r, i] = max(after, 0.0) + max(-before, 0.0) > tol.zero_tol
             minus_ok[r, i] = max(-after, 0.0) + max(before, 0.0) > tol.zero_tol
@@ -446,8 +469,9 @@ def looped_zero_sign_masks(bundle: rs.SplineBundle, targets: np.ndarray, tol=rs.
 class TestZeroSignMasks:
     def test_matches_member_loop(self):
         # slopes exactly zero or within zero_tol on either side of a knot;
-        # targets on the knots, left of them (within and beyond merge_tol,
-        # where searchsorted still finds the knot) and past the last one
+        # targets on the knots, either side of them (within and beyond
+        # merge_tol; rounding leaves computed knots on either side) and
+        # past the last one
         rng = np.random.default_rng(131)
         tol = rs.DEFAULT_TOL
         for _ in range(300):
@@ -456,7 +480,7 @@ class TestZeroSignMasks:
             q1s = rng.choice([0.0, 1e-11, -1.0, 2.0], width)
             coeffs = rng.choice([0.0, 1e-11, -1e-11, 1.0, -1.0, 0.5], (width, k))
             bundle = rs.SplineBundle(knots, q1s, rng.uniform(-1, 1, width), coeffs)
-            near = knots - rng.choice([0.0, 0.5, 2.0], k) * tol.merge_tol
+            near = knots + rng.choice([0.0, 0.5, 2.0, -0.5, -2.0], k) * tol.merge_tol
             targets = np.sort(np.concatenate((near, rng.uniform(-25, 25, 3), [30.0])))
             got = _zero_sign_masks(bundle, targets, tol)
             want = looped_zero_sign_masks(bundle, targets, tol)
@@ -469,16 +493,12 @@ class TestZeroSignMasks:
         assert plus_ok.shape == (2, 3) and not plus_ok.any() and not minus_ok.any()
 
 
-def reference_three_hidden(
-    h, *, eps=None, a4=None, c_out=0.0, b_out=0.0, tol=rs.DEFAULT_TOL, rng=None
-):
-    """Reference: the three-hidden build with one full conversion per attempt.
+def reference_fixed_layers(h, eps=None, tol=rs.DEFAULT_TOL):
+    """Reference: layers 1 to 3 of the three-hidden build, and its signs.
 
-    Layer 3 is evaluated member by member, the sign masks come from the
-    member loop above, and every attempt converts the whole network with
-    ``dnn_to_spline``; the attempts use ``rng`` exactly as the library does.
+    Layer 3 is evaluated member by member and the sign masks come from the
+    member loop above.
     """
-    rng = rng if rng is not None else np.random.default_rng(0)
     n1, n2, n3 = h.n1, h.n2, h.n3
     c_signs = np.where(np.arange(1, n2 + 1) % 2 == 1, 1.0, -1.0)
     mu = synth._slope_rows(c_signs, h.level1, h.level2)
@@ -497,88 +517,116 @@ def reference_three_hidden(
             eps = rs.epsilon_select(values, looped_zero_sign_masks(bundle3, targets, tol), tol)
         except rs.CoverageError as err:
             eps = err.partial
-    layers_fixed = (
+    layers = (
         rs.Layer(np.ones((n1, 1)), -h.level1),
         rs.Layer(a2, b2, c_signs),
         rs.Layer(a3 * eps[:, None], b3 * eps, c3 * eps),
     )
-    wanted = rs.prescribed_knots(h)
+    return layers, eps
+
+
+def unit_splines(layers) -> list:
+    """relu of each signed third-layer unit, one whole conversion per unit."""
+    n3 = layers[-1].out_width
+    return [
+        rs.dnn_to_spline(rs.ReluNetwork(layers + (rs.Layer(np.eye(n3)[r : r + 1], [0.0], [0.0]),)))
+        for r in range(n3)
+    ]
+
+
+def reference_three_hidden(h, *, eps=None, a4=None, c_out=0.0, b_out=0.0, tol=rs.DEFAULT_TOL):
+    """Reference: the three-hidden build with one full conversion.
+
+    The one attempt converts the whole network with ``dnn_to_spline``.  A
+    missing knot is kept by no third-layer unit when every unit's own
+    conversion misses it too.  With one second-layer unit and n1 > 1 the
+    build refuses up front; the network it would return misses those knots.
+    """
+    n3 = h.n3
+    layers, eps = reference_fixed_layers(h, eps, tol)
     row = np.asarray(a4, float) if a4 is not None else -eps
-    missing = wanted
-    for _ in range(1 if a4 is not None else 33):
-        last = rs.Layer(row.reshape(1, n3), np.array([b_out]), np.array([c_out]))
-        net = rs.ReluNetwork(layers_fixed + (last,))
-        missing = synth._missing_prescribed(rs.dnn_to_spline(net, tol), wanted, tol)
-        if missing.size == 0:
-            return net
-        row = rng.choice([-1.0, 1.0], n3) * rng.uniform(0.5, 2.0, n3)
-    raise rs.ActivityError("reference attempts exhausted", missing)
+    last = rs.Layer(row.reshape(1, n3), np.array([b_out]), np.array([c_out]))
+    net = rs.ReluNetwork(layers + (last,))
+    wanted = rs.prescribed_knots(h)
+    if h.n2 == 1 and h.n1 > 1:
+        inactive = h.level1[1::2]
+        assert set(inactive) <= set(brute_force_missing(rs.dnn_to_spline(net, tol), wanted))
+        raise rs.ActivityError(
+            "a single second-layer unit cannot keep the even-position level-1 knots "
+            f"{inactive.tolist()} active",
+            inactive,
+        )
+    missing = synth._missing_prescribed(rs.dnn_to_spline(net, tol), wanted, tol)
+    if missing.size == 0:
+        return net
+    unit_misses = [np.isin(missing, brute_force_missing(s, missing)) for s in unit_splines(layers)]
+    unkept = np.all(unit_misses, axis=0)
+    raise rs.ActivityError(
+        f"prescribed knots stayed inactive, kept by no third-layer unit: "
+        f"{missing[unkept].tolist()}, cancelled by this final row: {missing[~unkept].tolist()}",
+        missing,
+    )
 
 
-def outcome_and_attempts(build, h, params, seed, monkeypatch):
-    """Returned layers or inactive knots, plus every attempt's spline as bytes."""
-    attempts = []
+def outcome_and_attempts(build, h, params, monkeypatch):
+    """Returned layers, or inactive knots and message, plus every activity check's spline."""
+    checks = []
     checked = synth._missing_prescribed
 
     def recording(spline, wanted, tol):
-        attempts.append((spline.q1, spline.q0, spline.knots.tobytes(), spline.coeffs.tobytes()))
+        checks.append((spline.q1, spline.q0, spline.knots.tobytes(), spline.coeffs.tobytes()))
         return checked(spline, wanted, tol)
 
     monkeypatch.setattr(synth, "_missing_prescribed", recording)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         try:
-            net = build(h, **params, rng=np.random.default_rng(seed))
+            net = build(h, **params)
             result = [
                 (la.A.tobytes(), la.b.tobytes(), None if la.c is None else la.c.tobytes())
                 for la in net.layers
             ]
         except rs.ActivityError as err:
-            result = np.asarray(err.inactive).tobytes()
+            result = (np.asarray(err.inactive).tobytes(), str(err))
     monkeypatch.setattr(synth, "_missing_prescribed", checked)
-    return result, attempts
+    return result, checks
 
 
 class TestThreeHiddenMatchesConversionLoop:
-    def assert_same(self, h, monkeypatch, seed=0, **params):
-        got = outcome_and_attempts(rs.synth_three_hidden, h, params, seed, monkeypatch)
-        want = outcome_and_attempts(reference_three_hidden, h, params, seed, monkeypatch)
-        assert got == want
+    def assert_same(self, h, monkeypatch, **params):
+        got = outcome_and_attempts(rs.synth_three_hidden, h, params, monkeypatch)
+        want = outcome_and_attempts(reference_three_hidden, h, params, monkeypatch)
+        # the build's second check, on a miss, is its diagnosis; the
+        # reference diagnoses with unit conversions, which it does not record
+        assert got[0] == want[0] and got[1][:1] == want[1]
         return got
 
     def test_random_hierarchies(self, monkeypatch):
-        # about two fifths of these run out of retries, the rest pass at once
+        # about two fifths of these fail their one attempt, the rest pass
         rng = np.random.default_rng(97)
-        retried = 0
-        for seed in range(40):
+        failed = 0
+        for _ in range(40):
             n1, n2, n3 = (int(v) for v in rng.integers(1, 5, 3))
             h = random_three_level(rng, n1, n2, n3)
-            _, attempts = self.assert_same(h, monkeypatch, seed=seed)
-            retried += len(attempts) > 1
-        assert retried >= 10
+            result, _ = self.assert_same(h, monkeypatch)
+            failed += isinstance(result, tuple)
+        assert failed >= 10
 
     def test_options_and_retries(self, monkeypatch):
         h = fourteen_hierarchy()
         self.assert_same(h, monkeypatch)
-        self.assert_same(h, monkeypatch, eps=np.array([1.0, 1.0]), seed=3)
+        self.assert_same(h, monkeypatch, eps=np.array([1.0, 1.0]))
         self.assert_same(h, monkeypatch, a4=np.array([1.0, -1.0]))
         self.assert_same(h, monkeypatch, c_out=0.5, b_out=-2.0)
 
     def test_even_eight_cubed_fails_the_same_way(self, monkeypatch):
-        result, attempts = self.assert_same(even_three_level(8, 8, 8), monkeypatch)
-        assert isinstance(result, bytes) and len(attempts) == 33
+        result, checks = self.assert_same(even_three_level(8, 8, 8), monkeypatch)
+        assert isinstance(result, tuple) and len(checks) == 2
 
 
 class TestThreeHiddenCallCounts:
-    @pytest.mark.parametrize(
-        "opts,attempts",
-        [
-            (None, 1),
-            ({"eps": np.array([1.0, 1.0])}, 33),
-            ({"a4": np.array([1e-12, 1e-12])}, 1),
-        ],
-    )
-    def test_one_transfer_per_attempt_and_no_conversion(self, monkeypatch, opts, attempts):
+    def steps(self, monkeypatch, h, **opts):
+        """Each layer_transfer step's (members in, members out), and the error raised."""
         calls = []
         real_transfer = synth.layer_transfer
 
@@ -596,11 +644,44 @@ class TestThreeHiddenCallCounts:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             try:
-                rs.synth_three_hidden(fourteen_hierarchy(), **(opts or {}))
-            except rs.ActivityError:
-                pass
-        # layers 2 and 3 (two members in, two out), then the final row once per attempt
-        assert calls == [(2, 2), (2, 2)] + [(2, 1)] * attempts
+                rs.synth_three_hidden(h, **opts)
+            except rs.ActivityError as err:
+                return calls, err
+        return calls, None
+
+    @pytest.mark.parametrize(
+        "opts,steps",
+        [
+            (None, 1),
+            ({"eps": np.array([1.0, 1.0])}, 2),
+            ({"a4": np.array([1e-12, 1e-12])}, 2),
+        ],
+    )
+    def test_one_transfer_per_attempt_and_no_conversion(self, monkeypatch, opts, steps):
+        calls, err = self.steps(monkeypatch, fourteen_hierarchy(), **(opts or {}))
+        # layers 2 and 3 (two members in, two out), the final row once, and
+        # on a miss one step through the identity for G
+        assert calls == [(2, 2), (2, 2), (2, 1), (2, 2)][: 2 + steps]
+        assert (err is None) == (steps == 1)
+
+    def test_even_eight_cubed_decides_once(self, monkeypatch):
+        # every failure of the random and evenly spread sweeps had a knot
+        # that no third-layer unit keeps, so no other final row would help
+        calls, err = self.steps(monkeypatch, even_three_level(8, 8, 8))
+        assert calls == [(8, 8), (8, 8), (8, 1), (8, 8)]
+        assert len(err.inactive) == 3
+        assert str(err).endswith(
+            f"kept by no third-layer unit: {err.inactive}, cancelled by this final row: []"
+        )
+
+    def test_single_second_layer_unit_raises_before_any_step(self, monkeypatch):
+        rng = np.random.default_rng(139)
+        for n1, n3 in ((2, 1), (3, 2), (4, 3), (5, 4), (6, 1)):
+            h = random_three_level(rng, n1, 1, n3)
+            calls, err = self.steps(monkeypatch, h)
+            assert calls == []
+            assert err.inactive == h.level1[1::2].tolist()
+            assert "single second-layer unit" in str(err)
 
 
 def looped_hierarchy_from_flat(ks, n1, n2, n3=None):
