@@ -92,8 +92,17 @@ def _nonzero(values: np.ndarray, what: str) -> np.ndarray:
     return values
 
 
+def _refuse_no_unit(level1: np.ndarray, n2: int) -> None:
+    """With n2 = 0 no unit keeps any level-1 knot."""
+    if n2 == 0:
+        raise ActivityError(
+            f"no second-layer unit keeps the level-1 knots {level1.tolist()} active", level1
+        )
+
+
 def _refuse_single_unit(h: KnotHierarchy) -> None:
-    """With n2 = 1 and n1 > 1 no unit is positive at the even-position level-1 knots."""
+    """n2 = 0 keeps no level-1 knot; n2 = 1 < n1 keeps no even-position one."""
+    _refuse_no_unit(h.level1, h.n2)
     if h.n2 == 1 and h.n1 > 1:
         raise ActivityError(
             "a single second-layer unit cannot keep the even-position level-1 knots "
@@ -125,8 +134,8 @@ def synth_two_hidden(
     entries, default ones) gives the output row's magnitudes, whose signs
     the build fixes; ``plus_variant=False`` flips the row.  ``c_out`` and
     ``b_out`` are the final layer's source weight and bias.  The guarantee
-    needs two units: n2 = 1 with n1 > 1 raises ActivityError listing the
-    even-position level-1 knots, where no unit is positive.
+    needs two units: n2 = 1 < n1 (n2 = 0) raises ActivityError listing the
+    even-position (all) level-1 knots, where no unit is positive.
     """
     c_out, b_out = _finite_float(c_out, "c_out"), _finite_float(b_out, "b_out")
     if h.level3 is not None:
@@ -171,13 +180,14 @@ def synth_two_hidden_no_source(
     (default alternating -1, +1, ...), which must change sign somewhere
     when n1 > 1.  ``a3`` (n2 nonzero entries) is the signed output row
     (default ones) and ``b_out`` the final bias; the final source weight
-    is zero like every other.
+    is zero like every other.  n2 = 0 raises ActivityError.
     """
     b_out = _finite_float(b_out, "b_out")
     if n1 < 1:
         raise InterlacingError(f"level 1 needs at least one knot, got n1 = {n1}")
     blocks = _flat_knots(knots, n1 * (n2 + 1), (n1, n2)).reshape(n1, n2 + 1)
     x1, zeros = blocks[:, 0], blocks[:, 1:].T
+    _refuse_no_unit(x1, n2)
     seeds = _per_unit(seeds, np.where(np.arange(1, n2 + 1) % 2 == 1, -1.0, 1.0), n2, "seeds")
     _nonzero(seeds, "seeds")
     if n1 > 1 and (np.all(seeds > 0) or np.all(seeds < 0)):
@@ -318,19 +328,19 @@ def synth_three_hidden(
 ) -> ReluNetwork:
     """Width (1, n1, n2, n3, 1) network activating all three knot levels.
 
-    Layers 1-2 follow the two-hidden build (n2 = 1 < n1 raises alike).
-    Third-layer unit r puts its zeros at level3 row r, seen as one zero per
-    interval of the first level-2 column; its sign eps_r comes from ``eps``
-    (n3 entries of +-1) or greedy selection over the unit values at the
-    lower-level knots.  The final row is ``a4`` (n3 entries) or -eps (all
-    positive parts add up with one sign); ``c_out`` and ``b_out`` are the
-    final layer's source weight and bias.  n3 below log2(n1 + (n1+1) n2)
-    only triggers a warning since the post-hoc check decides success.
-    Knot k's output coefficient is row . G[:, k], G's member r being
-    relu(unit r), so one attempt decides: a miss raises ActivityError that
-    sorts the missing knots into those kept by no third-layer unit (G's
-    column within zero_tol or absent: no row helps) and those cancelled by
-    this row (another ``a4`` can keep them).  ``rng`` has no effect.
+    Layers 1-2 follow the two-hidden build (n2 = 0 and n2 = 1 < n1 raise
+    alike, before any layer step).  Third-layer unit r puts its zeros at
+    level3 row r, seen as one zero per interval of the first level-2
+    column; its sign eps_r comes from ``eps`` (n3 entries of +-1) or greedy
+    selection over the unit values at the lower-level knots.  The final
+    row is ``a4`` (n3 entries) or -eps (all positive parts add up with one
+    sign); ``c_out`` and ``b_out`` are the final layer's source weight and
+    bias.  Knot k's output coefficient is row . G[:, k], G's member r being
+    relu(unit r), so one attempt decides: the build returns a network with
+    every prescribed knot active, or raises ActivityError that sorts the
+    missing knots into those kept by no third-layer unit (G's column within
+    zero_tol or absent: no row helps) and those cancelled by this row
+    (another ``a4`` can keep them).  ``rng`` has no effect.
     """
     c_out, b_out = _finite_float(c_out, "c_out"), _finite_float(b_out, "b_out")
     if rng is not None:
@@ -338,19 +348,11 @@ def synth_three_hidden(
     if h.level3 is None:
         raise ValueError("three-hidden synthesis needs a three-level hierarchy")
     _refuse_single_unit(h)
-    n1, n2, n3 = h.n1, h.n2, h.n3
+    n2, n3 = h.n2, h.n3
     eps = _per_unit(eps, None, n3, "eps")
     if eps is not None and np.any(np.abs(eps) != 1):
         raise ValueError("eps entries must be +-1")
     a4 = _per_unit(a4, None, n3, "a4")
-    lower_count = n1 + (n1 + 1) * n2
-    if 2**n3 < lower_count:
-        warnings.warn(
-            f"width {n3} is below log2({lower_count}); sign selection may not cover "
-            "every knot",
-            RuntimeWarning,
-            stacklevel=2,
-        )
 
     walls = h.level2[:, 0]
     a3 = np.diff(_slope_rows(np.ones(n3), walls, h.level3), axis=1)
@@ -368,12 +370,7 @@ def synth_three_hidden(
                 eval_bundle(bundle3, targets), _zero_sign_masks(bundle3, targets, tol), tol
             )
         except CoverageError as err:
-            warnings.warn(
-                f"greedy sign selection left knots uncovered ({err.uncovered}); "
-                "continuing with the partial choice",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+            # the activity check below reports the uncovered knots as kept by no unit
             eps = err.partial
 
     # eps flips rows exactly: this is dnn_to_spline's layer-3 bundle bit for bit

@@ -6,7 +6,6 @@ here, not imported, so a library change that drifts past them fails loudly.
 """
 
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -83,9 +82,7 @@ class TestAcceptance:
         params = dict(eps=np.array([1.0, -1.0]), a4=np.array([-1.0, 1.0]))
 
         def pipeline():
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                return rs.dnn_to_spline(rs.synth_three_hidden(h, **params))
+            return rs.dnn_to_spline(rs.synth_three_hidden(h, **params))
 
         pipeline()  # warm up
         spline, elapsed = timed(pipeline)

@@ -212,12 +212,37 @@ class TestSynth:
 
     def test_three_level_hierarchy(self, tmp_path, capsys):
         out_path = tmp_path / "net.json"
-        with pytest.warns(RuntimeWarning, match="below log2"):
-            code, out, _ = run(capsys, "synth", FIXTURES / "fourteen_hierarchy.json",
-                               "-o", out_path)
+        code, out, _ = run(capsys, "synth", FIXTURES / "fourteen_hierarchy.json",
+                           "-o", out_path)
         assert code == 0
         assert out == "prescribed knots active: 14/14\n"
         assert rs.load_json(out_path) == rs.load_json(FIXTURES / "three_hidden_network.json")
+
+    def test_three_level_success_writes_nothing_to_stderr(self, tmp_path):
+        # a fresh interpreter with the default warning filters, which print
+        # a RuntimeWarning to stderr
+        src = str(Path(rs.__file__).resolve().parent.parent)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        out_path = tmp_path / "net.json"
+        argv = ["synth", str(FIXTURES / "fourteen_hierarchy.json"), "-o", str(out_path)]
+        proc = subprocess.run([sys.executable, "-m", "relusplines.cli", *argv], env=env,
+                              capture_output=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, b"prescribed knots active: 14/14\n", b""
+        )
+
+    def test_three_level_failure_sorted_by_reason(self, tmp_path, capsys):
+        flat = tmp_path / "flat.json"
+        rs.dump_json(flat, {"knots": np.linspace(-10.0, 10.0, 152).tolist()})
+        out_path = tmp_path / "net.json"
+        code, out, err = run(capsys, "synth", flat, "--arch", "8,8,8", "-o", out_path)
+        assert (code, out) == (5, "")
+        assert err.splitlines() == [
+            "error: prescribed knots stayed inactive, kept by no third-layer unit: "
+            "[-0.7284768211920518, 0.4635761589403984, 10.0], cancelled by this final row: []"
+        ]
+        assert not out_path.exists()
 
     def test_flat_knots_with_architecture(self, tmp_path, capsys):
         flat = tmp_path / "flat.json"
@@ -270,7 +295,9 @@ class TestSynth:
         code, out, err = run(capsys, "synth", one, "--arch", "1,0", "--no-source",
                              "-o", tmp_path / "net.json")
         assert (code, out) == (5, "")
-        assert err.splitlines() == ["inactive prescribed knots: [1.0]"]
+        assert err.splitlines() == [
+            "error: no second-layer unit keeps the level-1 knots [1.0] active"
+        ]
 
     @pytest.mark.parametrize(
         "obj,message",

@@ -1,6 +1,7 @@
 """Prescribed-knot network construction."""
 
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,7 +171,9 @@ class TestSynthTwoHiddenNoSource:
     def test_negative_width_rejected(self):
         with pytest.raises(ValueError, match=r"^widths must be non-negative, got \(1, -1\)$"):
             rs.synth_two_hidden_no_source([], 1, -1)
-        assert rs.synth_two_hidden_no_source([5.0], 1, 0).widths == (1, 1, 0, 1)
+        # zero is a width, refused by activity instead
+        with pytest.raises(rs.ActivityError, match=r"level-1 knots \[5.0\] active$"):
+            rs.synth_two_hidden_no_source([5.0], 1, 0)
 
     def test_random_flat_knots(self):
         rng = np.random.default_rng(71)
@@ -239,8 +242,7 @@ class TestEpsilonSelect:
 
 class TestSynthThreeHidden:
     def test_reference_layers(self):
-        with pytest.warns(RuntimeWarning, match="below log2"):
-            net = rs.synth_three_hidden(fourteen_hierarchy())
+        net = rs.synth_three_hidden(fourteen_hierarchy())
         assert net.widths == (1, 2, 2, 2, 1)
         np.testing.assert_array_equal(net.layers[0].b, [-9.0, -12.0])
         np.testing.assert_allclose(net.layers[1].A, THREE_A2, atol=1e-12)
@@ -252,46 +254,38 @@ class TestSynthThreeHidden:
         np.testing.assert_array_equal(net.layers[3].A[0], THREE_A4)
 
     def test_all_prescribed_active_plus_one_extra(self):
-        with pytest.warns(RuntimeWarning):
-            net = rs.synth_three_hidden(fourteen_hierarchy())
+        net = rs.synth_three_hidden(fourteen_hierarchy())
         s = rs.dnn_to_spline(net)
         assert s.n_knots == 15
         assert_prescribed_active(net, fourteen_hierarchy())
         assert np.min(np.abs(s.knots - THREE_EXTRA_KNOT)) <= 1e-12
 
     def test_explicit_eps_matches_auto_selection(self):
-        with pytest.warns(RuntimeWarning):
-            auto = rs.synth_three_hidden(fourteen_hierarchy())
-        with pytest.warns(RuntimeWarning):
-            manual = rs.synth_three_hidden(fourteen_hierarchy(), eps=np.array([1.0, -1.0]))
+        auto = rs.synth_three_hidden(fourteen_hierarchy())
+        manual = rs.synth_three_hidden(fourteen_hierarchy(), eps=np.array([1.0, -1.0]))
         for la, lb in zip(auto.layers, manual.layers):
             np.testing.assert_array_equal(la.A, lb.A)
             np.testing.assert_array_equal(la.b, lb.b)
 
     def test_deterministic(self):
-        with pytest.warns(RuntimeWarning):
-            first = rs.synth_three_hidden(fourteen_hierarchy())
-        with pytest.warns(RuntimeWarning):
-            second = rs.synth_three_hidden(fourteen_hierarchy())
+        first = rs.synth_three_hidden(fourteen_hierarchy())
+        second = rs.synth_three_hidden(fourteen_hierarchy())
         for la, lb in zip(first.layers, second.layers):
             np.testing.assert_array_equal(la.A, lb.A)
 
     def test_explicit_a4_single_attempt(self):
-        with pytest.warns(RuntimeWarning):
-            net = rs.synth_three_hidden(fourteen_hierarchy(), a4=np.array([1.0, -1.0]))
+        net = rs.synth_three_hidden(fourteen_hierarchy(), a4=np.array([1.0, -1.0]))
         np.testing.assert_array_equal(net.layers[3].A[0], [1.0, -1.0])
         assert_prescribed_active(net, fourteen_hierarchy())
 
     def test_dead_output_weights_raise_activity_error(self):
-        with pytest.warns(RuntimeWarning):
-            with pytest.raises(rs.ActivityError) as info:
-                rs.synth_three_hidden(fourteen_hierarchy(), a4=np.array([1e-12, 1e-12]))
+        with pytest.raises(rs.ActivityError) as info:
+            rs.synth_three_hidden(fourteen_hierarchy(), a4=np.array([1e-12, 1e-12]))
         assert len(info.value.inactive) == 14
 
     def test_bad_eps_exhausts_retries(self):
-        with pytest.warns(RuntimeWarning):
-            with pytest.raises(rs.ActivityError) as info:
-                rs.synth_three_hidden(fourteen_hierarchy(), eps=np.array([1.0, 1.0]))
+        with pytest.raises(rs.ActivityError) as info:
+            rs.synth_three_hidden(fourteen_hierarchy(), eps=np.array([1.0, 1.0]))
         assert 6.0 in np.asarray(info.value.inactive).tolist()
 
     def test_requires_three_levels(self):
@@ -305,7 +299,6 @@ class TestSynthThreeHidden:
             net = rs.synth_three_hidden(h)
             assert_prescribed_active(net, h)
 
-    @pytest.mark.filterwarnings("ignore:width 2 is below log2")
     def test_rng_is_deprecated_and_unread(self):
         default = rs.network_to_obj(rs.synth_three_hidden(fourteen_hierarchy()))
         with pytest.warns(DeprecationWarning, match="^rng has no effect") as record:
@@ -341,9 +334,8 @@ class TestThreeHiddenRetryRescues:
     def test_default_row_leaves_one_knot_kept_by_no_unit(self, monkeypatch):
         h = self.hierarchy()
         knot = 0.39711552308603415
-        with pytest.warns(RuntimeWarning, match="below log2"):
-            with pytest.raises(rs.ActivityError) as info:
-                rs.synth_three_hidden(h)
+        with pytest.raises(rs.ActivityError) as info:
+            rs.synth_three_hidden(h)
         assert info.value.inactive == [knot]
         assert str(info.value) == (
             f"prescribed knots stayed inactive, kept by no third-layer unit: [{knot}], "
@@ -358,9 +350,8 @@ class TestThreeHiddenRetryRescues:
 
     @pytest.mark.parametrize("a4", [[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
     def test_unit_final_rows_leave_one_knot_inactive(self, a4):
-        with pytest.warns(RuntimeWarning, match="below log2"):
-            with pytest.raises(rs.ActivityError) as info:
-                rs.synth_three_hidden(self.hierarchy(), a4=np.array(a4))
+        with pytest.raises(rs.ActivityError) as info:
+            rs.synth_three_hidden(self.hierarchy(), a4=np.array(a4))
         assert info.value.inactive == [0.39711552308603415]
 
 
@@ -578,16 +569,14 @@ def outcome_and_attempts(build, h, params, monkeypatch):
         return checked(spline, wanted, tol)
 
     monkeypatch.setattr(synth, "_missing_prescribed", recording)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        try:
-            net = build(h, **params)
-            result = [
-                (la.A.tobytes(), la.b.tobytes(), None if la.c is None else la.c.tobytes())
-                for la in net.layers
-            ]
-        except rs.ActivityError as err:
-            result = (np.asarray(err.inactive).tobytes(), str(err))
+    try:
+        net = build(h, **params)
+        result = [
+            (la.A.tobytes(), la.b.tobytes(), None if la.c is None else la.c.tobytes())
+            for la in net.layers
+        ]
+    except rs.ActivityError as err:
+        result = (np.asarray(err.inactive).tobytes(), str(err))
     monkeypatch.setattr(synth, "_missing_prescribed", checked)
     return result, checks
 
@@ -641,12 +630,10 @@ class TestThreeHiddenCallCounts:
         monkeypatch.setattr(synth, "dnn_to_spline", refuse)
         monkeypatch.setattr(transfer, "dnn_to_spline", refuse)
         monkeypatch.setattr(rs, "dnn_to_spline", refuse)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            try:
-                rs.synth_three_hidden(h, **opts)
-            except rs.ActivityError as err:
-                return calls, err
+        try:
+            rs.synth_three_hidden(h, **opts)
+        except rs.ActivityError as err:
+            return calls, err
         return calls, None
 
     @pytest.mark.parametrize(
@@ -682,6 +669,58 @@ class TestThreeHiddenCallCounts:
             assert calls == []
             assert err.inactive == h.level1[1::2].tolist()
             assert "single second-layer unit" in str(err)
+
+
+NO_UNIT_BUILDS = {
+    "synth_two_hidden": lambda ks, n1: rs.synth_two_hidden(rs.hierarchy_from_flat(ks, n1, 0)),
+    "synth_two_hidden_no_source": lambda ks, n1: rs.synth_two_hidden_no_source(ks, n1, 0),
+    "synth_three_hidden": lambda ks, n1: rs.synth_three_hidden(
+        # the level-3 knot comes first
+        rs.hierarchy_from_flat(np.concatenate(([ks[0] - 1.0], ks)), n1, 0, 1)
+    ),
+}
+
+
+@pytest.mark.parametrize("n1", [1, 2, 3])
+@pytest.mark.parametrize("build", sorted(NO_UNIT_BUILDS))
+def test_no_second_layer_unit_raises_before_any_step(monkeypatch, build, n1):
+    calls = []
+    real_transfer = synth.layer_transfer
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real_transfer(*args, **kwargs)
+
+    monkeypatch.setattr(synth, "layer_transfer", counting)
+    level1 = np.arange(1.0, n1 + 1.0)
+    with pytest.raises(rs.ActivityError) as info:
+        NO_UNIT_BUILDS[build](level1, n1)
+    assert info.value.inactive == level1.tolist()
+    assert str(info.value) == (
+        f"no second-layer unit keeps the level-1 knots {level1.tolist()} active"
+    )
+    assert calls == []
+
+
+class TestOneReportChannel:
+    """A build reports through its result or ActivityError, never a warning."""
+
+    def test_reference_build_is_silent(self):
+        frozen = rs.load_json(Path(__file__).parent / "fixtures" / "three_hidden_network.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            net = rs.synth_three_hidden(fourteen_hierarchy())
+        assert rs.network_to_obj(net) == frozen
+
+    def test_uncovered_knot_is_reported_by_the_error_alone(self):
+        # greedy selection leaves -4.0 uncovered; no unit keeps it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(rs.ActivityError) as info:
+                rs.synth_three_hidden(even_three_level(2, 2, 1))
+        assert str(info.value).endswith(
+            "kept by no third-layer unit: [-4.0], cancelled by this final row: []"
+        )
 
 
 def looped_hierarchy_from_flat(ks, n1, n2, n3=None):
@@ -747,7 +786,6 @@ READS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:width 2 is below log2")
 @pytest.mark.parametrize("field", sorted(CHANGED_OPTIONS))
 @pytest.mark.parametrize("build", sorted(BUILDS))
 def test_every_option_is_read_or_refused(build, field):
@@ -762,7 +800,6 @@ def test_every_option_is_read_or_refused(build, field):
 
 
 class TestBuildParameters:
-    @pytest.mark.filterwarnings("ignore:width 2 is below log2")
     def test_validation(self):
         two = BUILDS["synth_two_hidden"]
         no_source = BUILDS["synth_two_hidden_no_source"]
