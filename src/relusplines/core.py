@@ -30,6 +30,10 @@ Conventions:
   the checked first layer's arrays, and each layer step's bundle gets one
   finiteness scan (``SplineBundle._computed``), so an overflow still
   raises ValueError.
+* The instance dict holds the fields, and on a network a synthesis build
+  returned one private entry more (``transfer._hand_over``): the checked
+  spline and its ``Tolerances``, which ``dnn_to_spline`` returns.  It is
+  no field, so equality, serialization and ``dataclasses.replace`` ignore it.
 """
 
 from __future__ import annotations

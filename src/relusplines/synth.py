@@ -8,15 +8,20 @@ three-hidden-layer build additionally selects per-unit signs eps so that
 at every lower-level knot at least one third-layer unit is positive,
 keeping the knot alive through the last ReLU.
 
+Every build converts the network it builds once, returns it with every
+prescribed knot active or raises ActivityError listing the missing ones,
+and hands the spline to ``dnn_to_spline`` on the returned network.
+
 Every step works on whole bundles.  The slope recursion runs over
-intervals for all units at once.  The three-hidden build converts its
-first three layers once, as ``dnn_to_spline`` does: the knotless bundle
-of the layer-1 units, then one ``layer_transfer`` step each for layers 2
-and 3.  Unit values and slopes at the lower-level knots (for the signs)
-are read off that layer-3 bundle, and flipping its rows by eps gives the
-returned network's layer-3 bundle bit for bit.  The output row enters
-linearly, so one step of that bundle through the final ``Layer`` (the last
-step of ``dnn_to_spline`` on the returned network) decides activity once.
+intervals for all units at once.  The two-hidden builds call
+``dnn_to_spline``.  The three-hidden build converts its first three layers
+once, as ``dnn_to_spline`` does: the knotless bundle of the layer-1 units,
+then one ``layer_transfer`` step each for layers 2 and 3.  Unit values and
+slopes at the lower-level knots (for the signs) are read off that layer-3
+bundle, and flipping its rows by eps gives the returned network's layer-3
+bundle bit for bit.  The output row enters linearly, so one step of that
+bundle through the final ``Layer`` (the last step of ``dnn_to_spline`` on
+the returned network) decides activity once and gives its spline.
 
 Index convention: unit/knot positions in error messages and subsets (for
 example ``redundancy_residual``'s ``index_set``) are 0-based.
@@ -45,8 +50,7 @@ from .core import (
     _frozen_array,
 )
 from .evaluate import eval_bundle
-# dnn_to_spline is not called here; bench/selftest.py reaches it as synth.dnn_to_spline
-from .transfer import _unit_bundle, dnn_to_spline, layer_transfer  # noqa: F401
+from .transfer import _hand_over, _unit_bundle, dnn_to_spline, layer_transfer
 
 __all__ = [
     "synth_two_hidden",
@@ -111,6 +115,15 @@ def _refuse_single_unit(h: KnotHierarchy) -> None:
         )
 
 
+def _checked(net: ReluNetwork, wanted: np.ndarray, tol: Tolerances) -> ReluNetwork:
+    """``net`` handed its spline, or ActivityError listing the knots it misses, sorted."""
+    spline = dnn_to_spline(net, tol)
+    missing = _missing_prescribed(spline, wanted, tol)
+    if missing.size:
+        raise ActivityError(f"prescribed knots stayed inactive: {missing.tolist()}", missing)
+    return _hand_over(net, spline, tol)
+
+
 def _two_hidden_layers(h: KnotHierarchy) -> tuple[Layer, Layer]:
     """Layers 1 and 2 shared by both deep builds (source signs alternate)."""
     c_signs = np.where(np.arange(1, h.n2 + 1) % 2 == 1, 1.0, -1.0)
@@ -125,6 +138,7 @@ def synth_two_hidden(
     plus_variant: bool = True,
     c_out: float = 0.0,
     b_out: float = 0.0,
+    tol: Tolerances = DEFAULT_TOL,
 ) -> ReluNetwork:
     """Width (1, n1, n2, 1) network whose active knots are exactly level1+level2.
 
@@ -135,7 +149,8 @@ def synth_two_hidden(
     the build fixes; ``plus_variant=False`` flips the row.  ``c_out`` and
     ``b_out`` are the final layer's source weight and bias.  The guarantee
     needs two units: n2 = 1 < n1 (n2 = 0) raises ActivityError listing the
-    even-position (all) level-1 knots, where no unit is positive.
+    even-position (all) level-1 knots, where no unit is positive, and so
+    does a network whose conversion under ``tol`` misses a knot.
     """
     c_out, b_out = _finite_float(c_out, "c_out"), _finite_float(b_out, "b_out")
     if h.level3 is not None:
@@ -144,7 +159,8 @@ def synth_two_hidden(
     magnitudes = np.abs(_nonzero(_per_unit(a3, np.ones(h.n2), h.n2, "a3"), "a3 entries"))
     sign = 1.0 if plus_variant else -1.0
     row = sign * np.where(np.arange(1, h.n2 + 1) % 2 == 0, 1.0, -1.0) * magnitudes
-    return ReluNetwork((*_two_hidden_layers(h), Layer(row.reshape(1, h.n2), [b_out], [c_out])))
+    net = ReluNetwork((*_two_hidden_layers(h), Layer(row.reshape(1, h.n2), [b_out], [c_out])))
+    return _checked(net, prescribed_knots(h), tol)
 
 
 def _flat_knots(knots, expected: int, widths: tuple) -> np.ndarray:
@@ -169,7 +185,8 @@ def _flat_knots(knots, expected: int, widths: tuple) -> np.ndarray:
 
 
 def synth_two_hidden_no_source(
-    knots, n1: int, n2: int, *, seeds=None, a3=None, b_out: float = 0.0
+    knots, n1: int, n2: int, *, seeds=None, a3=None, b_out: float = 0.0,
+    tol: Tolerances = DEFAULT_TOL,
 ) -> ReluNetwork:
     """Prescribed-knot network with every source channel equal to zero.
 
@@ -180,12 +197,14 @@ def synth_two_hidden_no_source(
     (default alternating -1, +1, ...), which must change sign somewhere
     when n1 > 1.  ``a3`` (n2 nonzero entries) is the signed output row
     (default ones) and ``b_out`` the final bias; the final source weight
-    is zero like every other.  n2 = 0 raises ActivityError.
+    is zero like every other.  n2 = 0 raises ActivityError, and so does a
+    network whose conversion under ``tol`` misses a prescribed knot.
     """
     b_out = _finite_float(b_out, "b_out")
     if n1 < 1:
         raise InterlacingError(f"level 1 needs at least one knot, got n1 = {n1}")
-    blocks = _flat_knots(knots, n1 * (n2 + 1), (n1, n2)).reshape(n1, n2 + 1)
+    ks = _flat_knots(knots, n1 * (n2 + 1), (n1, n2))
+    blocks = ks.reshape(n1, n2 + 1)
     x1, zeros = blocks[:, 0], blocks[:, 1:].T
     _refuse_no_unit(x1, n2)
     seeds = _per_unit(seeds, np.where(np.arange(1, n2 + 1) % 2 == 1, -1.0, 1.0), n2, "seeds")
@@ -198,13 +217,14 @@ def synth_two_hidden_no_source(
     a2 = np.diff(mu, axis=1)
     b2 = seeds * (x1[0] - zeros[:, 0])
     row = _nonzero(_per_unit(a3, np.ones(n2), n2, "a3"), "a3 entries")
-    return ReluNetwork(
+    net = ReluNetwork(
         (
             Layer(np.ones((n1, 1)), -x1),
             Layer(a2, b2, np.zeros(n2)),
             Layer(row.reshape(1, n2), [b_out], np.zeros(1)),
         )
     )
+    return _checked(net, ks, tol)
 
 
 def redundancy_residual(h: KnotHierarchy, index_set, j: int) -> float:
@@ -379,10 +399,12 @@ def synth_three_hidden(
     )
     last = Layer((-eps if a4 is None else a4).reshape(1, n3), [b_out], [c_out])
     wanted = prescribed_knots(h)
-    # dnn_to_spline's last step on the returned network
-    missing = _missing_prescribed(layer_transfer(signed3, last, tol).member(0), wanted, tol)
+    # dnn_to_spline's last step on the returned network, so its spline bit for bit
+    spline = layer_transfer(signed3, last, tol).member(0)
+    missing = _missing_prescribed(spline, wanted, tol)
     if missing.size == 0:
-        return ReluNetwork((first, second, Layer(a3 * eps[:, None], b3 * eps, c3 * eps), last))
+        third = Layer(a3 * eps[:, None], b3 * eps, c3 * eps)
+        return _hand_over(ReluNetwork((first, second, third, last)), spline, tol)
     g = layer_transfer(signed3, Layer(np.eye(n3), np.zeros(n3), np.zeros(n3)), tol)
     kept = CplSpline(0.0, 0.0, g.knots, np.abs(g.coeff_matrix).max(axis=0, initial=0.0))
     unkept = np.isin(missing, _missing_prescribed(kept, missing, tol))

@@ -143,8 +143,22 @@ def layer_transfer(
         return SplineBundle._computed(merged_x, c + A @ tail_q1, b + A @ tail_q0, merged_cols)
 
 
+def _hand_over(net: ReluNetwork, spline: CplSpline, tol: Tolerances) -> ReluNetwork:
+    """``net`` carrying the spline a synthesis build checked, for ``dnn_to_spline``."""
+    net.__dict__["_spline"] = (tol, spline)
+    return net
+
+
 def dnn_to_spline(net: ReluNetwork, tol: Tolerances = DEFAULT_TOL) -> CplSpline:
-    """Canonical spline equal to the network everywhere."""
+    """Canonical spline equal to the network everywhere.
+
+    Under the ``tol`` it was built with, a network a synthesis build
+    returned gives the spline that build converted; every other call
+    converts, and stores nothing.
+    """
+    handed = net.__dict__.get("_spline")
+    if handed is not None and handed[0] == tol:
+        return handed[1]
     bundle = _unit_bundle(net.layers[0])
     for layer in net.layers[1:]:
         bundle = layer_transfer(bundle, layer, tol)

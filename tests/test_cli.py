@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import relusplines as rs
-from relusplines import cli
+from relusplines import cli, synth, transfer
 from relusplines.cli import main
 
 from helpers import reference_csv
@@ -243,6 +243,53 @@ class TestSynth:
             "[-0.7284768211920518, 0.4635761589403984, 10.0], cancelled by this final row: []"
         ]
         assert not out_path.exists()
+
+    def test_converts_each_network_once(self, tmp_path, monkeypatch, capsys):
+        # the build's layer steps 2 and 3 and its final row; the CLI adds none
+        calls = []
+        real = transfer.layer_transfer
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].out_width)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(transfer, "layer_transfer", counting)
+        monkeypatch.setattr(synth, "layer_transfer", counting)
+        code, out, _ = run(capsys, "synth", FIXTURES / "fourteen_hierarchy.json",
+                           "-o", tmp_path / "net.json")
+        assert (code, out) == (0, "prescribed knots active: 14/14\n")
+        assert calls == [2, 2, 1]
+
+    def test_two_level_miss_is_the_library_error(self, tmp_path, capsys):
+        knots = np.linspace(-10.0, 10.0, 120)
+        flat = tmp_path / "flat.json"
+        rs.dump_json(flat, {"knots": knots.tolist()})
+        out_path = tmp_path / "net.json"
+        code, out, err = run(capsys, "synth", flat, "--arch", "10,10", "-o", out_path)
+        with pytest.raises(rs.ActivityError) as info:
+            rs.synth_two_hidden(rs.hierarchy_from_flat(knots, 10, 10))
+        assert len(info.value.inactive) == 6
+        assert (code, out, err.splitlines()) == (5, "", [f"error: {info.value}"])
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("knots,flags", [
+        ("max_knots_hierarchy.json", []),
+        ("nine_flat_knots.json", ["--arch", "3,2", "--no-source"]),
+        ("fourteen_hierarchy.json", []),
+    ])
+    def test_builds_check_under_the_tolerance_flags(self, tmp_path, monkeypatch, capsys,
+                                                    knots, flags):
+        seen = []
+        real = synth._hand_over
+
+        def recording(net, spline, tol):
+            seen.append(tol)
+            return real(net, spline, tol)
+
+        monkeypatch.setattr(synth, "_hand_over", recording)
+        code, _, _ = run(capsys, "synth", FIXTURES / knots, *flags, "--tol-zero", "1e-9",
+                         "--tol-merge", "1e-13", "-o", tmp_path / "net.json")
+        assert (code, seen) == (0, [rs.Tolerances(1e-9, 1e-13)])
 
     def test_flat_knots_with_architecture(self, tmp_path, capsys):
         flat = tmp_path / "flat.json"

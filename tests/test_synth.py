@@ -1,5 +1,6 @@
 """Prescribed-knot network construction."""
 
+import dataclasses
 import warnings
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from helpers import (
     even_three_level,
     fourteen_hierarchy,
     max15_hierarchy,
+    net_max_knots,
     piecewise_form,
     random_flat_knots,
     random_three_level,
@@ -830,3 +832,152 @@ class TestBuildParameters:
         np.testing.assert_array_equal(np.abs(net.layers[-1].A[0]), [1.0, 2.0])
         net = three(eps=[-1.0, 1.0], c_out=0.5)
         np.testing.assert_array_equal(net.layers[-1].A[0], [1.0, -1.0])
+
+
+def spline_bits(s: rs.CplSpline) -> tuple:
+    return (np.float64(s.q1).tobytes(), np.float64(s.q0).tobytes(), s.knots.tobytes(),
+            s.coeffs.tobytes())
+
+
+def gapped_flat_knots(rng: np.random.Generator, count: int) -> np.ndarray:
+    """Knots on (-10, 10) whose gaps differ by at most a factor of 3."""
+    gaps = rng.uniform(0.5, 1.5, count + 1)
+    return -10.0 + 20.0 * np.cumsum(gaps)[:-1] / np.sum(gaps)
+
+
+def handoff_sweep():
+    """(label, build) pairs of every build, seeded: sizes that reach the bound,
+    evenly spread and with random gaps, the fixtures, random hierarchies."""
+    for n in (2, 3, 4, 5, 10):
+        h = rs.hierarchy_from_flat(np.linspace(-10.0, 10.0, n + n * (n + 1)), n, n)
+        yield f"two-{n}-even", lambda h=h: rs.synth_two_hidden(h)
+    for n1, n2, n3 in ((3, 3, 3), (4, 4, 4), (5, 5, 5), (6, 6, 6), (7, 7, 6)):
+        h = even_three_level(n1, n2, n3)
+        yield f"three-{n1}x{n2}x{n3}-even", lambda h=h: rs.synth_three_hidden(h)
+    for seed in (1, 2):
+        rng = np.random.default_rng([seed, 3])
+        for copy in range(4):
+            for n in range(2, 6):
+                h = rs.hierarchy_from_flat(gapped_flat_knots(rng, n + n * (n + 1)), n, n)
+                yield f"two-{n}-gaps-{seed}-{copy}", lambda h=h: rs.synth_two_hidden(h)
+            for n1, n2, n3 in ((4, 4, 4), (5, 5, 5), (6, 6, 5)):
+                count = n1 + n2 * (n1 + 1) + n3 * (n2 + 1)
+                h = rs.hierarchy_from_flat(gapped_flat_knots(rng, count), n1, n2, n3)
+                yield f"three-gaps-{seed}-{copy}", lambda h=h: rs.synth_three_hidden(h)
+    yield "max15", lambda: rs.synth_two_hidden(max15_hierarchy())
+    yield "fourteen", lambda: rs.synth_three_hidden(fourteen_hierarchy())
+    yield "nine", lambda: rs.synth_two_hidden_no_source(NINE_KNOTS, 3, 2)
+    rng = np.random.default_rng(163)
+    for i in range(40):
+        n1, n2, n3 = (int(v) for v in rng.integers(1, 5, 3))
+        h = random_three_level(rng, n1, n2, n3)
+        yield f"random-three-{i}", lambda h=h: rs.synth_three_hidden(h)
+    for i in range(20):
+        n1, n2 = int(rng.integers(1, 6)), int(rng.integers(2, 6))
+        ks = random_flat_knots(rng, n1 * (n2 + 1))
+        yield f"random-no-source-{i}", lambda ks=ks, n1=n1, n2=n2: (
+            rs.synth_two_hidden_no_source(ks, n1, n2)
+        )
+
+
+class TestSplineHandOver:
+    """A build hands dnn_to_spline the spline its check converted, and only that."""
+
+    def test_handed_spline_is_a_fresh_conversion_bit_for_bit(self):
+        built = raised = 0
+        for label, build in handoff_sweep():
+            try:
+                net = build()
+            except rs.ActivityError:
+                raised += 1
+                continue
+            built += 1
+            handed = rs.dnn_to_spline(net)
+            assert rs.dnn_to_spline(net) is handed, label
+            fresh = rs.dnn_to_spline(rs.ReluNetwork(net.layers))
+            assert fresh is not handed, label
+            assert spline_bits(handed) == spline_bits(fresh), label
+        # two-10-even and some random three-level builds raise
+        assert built >= 100 and raised >= 2
+
+    def test_other_tolerances_convert_afresh(self):
+        other = rs.Tolerances(zero_tol=1e-9, merge_tol=1e-12)
+        for build in (BUILDS["synth_two_hidden"], BUILDS["synth_two_hidden_no_source"],
+                      BUILDS["synth_three_hidden"]):
+            net = build()
+            handed = rs.dnn_to_spline(net)
+            got = rs.dnn_to_spline(net, other)
+            assert got is not handed and got is not rs.dnn_to_spline(net, other)
+            fresh = rs.dnn_to_spline(rs.ReluNetwork(net.layers), other)
+            assert spline_bits(got) == spline_bits(fresh)
+            # a build under other tolerances hands over under those alone
+            net = build(tol=other)
+            assert rs.dnn_to_spline(net, other) is rs.dnn_to_spline(net, other)
+            assert rs.dnn_to_spline(net) is not rs.dnn_to_spline(net)
+            # an equal Tolerances, not only the same object, finds the spline
+            assert rs.dnn_to_spline(net, rs.Tolerances(1e-9, 1e-12)) is rs.dnn_to_spline(
+                net, other
+            )
+
+    def test_no_other_network_carries_a_spline(self):
+        built = rs.synth_three_hidden(fourteen_hierarchy())
+        for net in (
+            net_max_knots(),
+            rs.ReluNetwork(built.layers),
+            dataclasses.replace(built),
+            rs.network_from_obj(rs.network_to_obj(built)),
+        ):
+            first, second = rs.dnn_to_spline(net), rs.dnn_to_spline(net)
+            assert first is not second
+            assert spline_bits(first) == spline_bits(second)
+        # the entry is no field: serialization sees the layers alone
+        assert [f.name for f in dataclasses.fields(built)] == ["layers"]
+        assert rs.network_to_obj(built) == rs.network_to_obj(rs.ReluNetwork(built.layers))
+
+
+def unchecked(monkeypatch, build, *args):
+    """The network a build computes, without its activity check."""
+    with monkeypatch.context() as patched:
+        patched.setattr(synth, "_checked", lambda net, wanted, tol: net)
+        return build(*args)
+
+
+def fresh_misses(net: rs.ReluNetwork, wanted) -> list:
+    spline = rs.dnn_to_spline(rs.ReluNetwork(net.layers))
+    return _missing_prescribed(spline, wanted, rs.DEFAULT_TOL).tolist()
+
+
+class TestTwoHiddenFailsLoudly:
+    """A two-hidden build whose spline misses prescribed knots raises."""
+
+    def assert_raises_its_misses(self, monkeypatch, build, args, wanted):
+        with pytest.raises(rs.ActivityError) as info:
+            build(*args)
+        expected = fresh_misses(unchecked(monkeypatch, build, *args), wanted)
+        assert info.value.inactive == expected
+        assert info.value.inactive == sorted(info.value.inactive)
+        assert str(info.value) == f"prescribed knots stayed inactive: {expected}"
+        return len(expected)
+
+    @pytest.mark.parametrize("n,missed", [(10, 6), (40, 452)])
+    def test_positional_even_builds(self, monkeypatch, n, missed):
+        h = rs.hierarchy_from_flat(np.linspace(-10.0, 10.0, n + n * (n + 1)), n, n)
+        count = self.assert_raises_its_misses(
+            monkeypatch, rs.synth_two_hidden, (h,), rs.prescribed_knots(h)
+        )
+        assert count == missed
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_gap_twelve_by_twelve(self, monkeypatch, seed):
+        h = rs.hierarchy_from_flat(gapped_flat_knots(np.random.default_rng(seed), 168), 12, 12)
+        count = self.assert_raises_its_misses(
+            monkeypatch, rs.synth_two_hidden, (h,), rs.prescribed_knots(h)
+        )
+        assert count > 0
+
+    def test_no_source_even_eight_by_eight(self, monkeypatch):
+        ks = np.linspace(-10.0, 10.0, 72)
+        count = self.assert_raises_its_misses(
+            monkeypatch, rs.synth_two_hidden_no_source, (ks, 8, 8), ks
+        )
+        assert count == 1
