@@ -18,7 +18,6 @@ import numpy as np
 from .core import (
     DEFAULT_TOL,
     ActivityError,
-    CoverageError,
     DegenerateFirstLayerError,
     DimensionMismatchError,
     InterlacingError,
@@ -251,7 +250,6 @@ _EXIT_CODES = (
     (DimensionMismatchError, 3),
     (InterlacingError, 4),
     (ActivityError, 5),
-    (CoverageError, 5),
     (ValueError, 2),
 )
 

@@ -135,30 +135,28 @@ def synth_two_hidden(
     h: KnotHierarchy,
     *,
     a3=None,
-    plus_variant: bool = True,
     c_out: float = 0.0,
     b_out: float = 0.0,
     tol: Tolerances = DEFAULT_TOL,
 ) -> ReluNetwork:
     """Width (1, n1, n2, 1) network whose active knots are exactly level1+level2.
 
-    Source signs alternate (+1 on unit 1), biases put each unit's first
-    zero where prescribed, and the output row's signs alternate the other
-    way so contributions at shared knots never cancel.  ``a3`` (n2 nonzero
-    entries, default ones) gives the output row's magnitudes, whose signs
-    the build fixes; ``plus_variant=False`` flips the row.  ``c_out`` and
-    ``b_out`` are the final layer's source weight and bias.  The guarantee
-    needs two units: n2 = 1 < n1 (n2 = 0) raises ActivityError listing the
+    Source signs alternate (+1 on unit 1) and biases put each unit's first
+    zero where prescribed.  ``a3`` (n2 nonzero entries) is the signed
+    output row; its default alternates the other way (-1 on unit 1) so
+    contributions at shared knots never cancel.  ``c_out`` and ``b_out``
+    are the final layer's source weight and bias.  The guarantee needs two
+    units: n2 = 1 < n1 (n2 = 0) raises ActivityError listing the
     even-position (all) level-1 knots, where no unit is positive, and so
-    does a network whose conversion under ``tol`` misses a knot.
+    does a network whose conversion under ``tol`` misses a knot (a row
+    that cancels one, say).
     """
     c_out, b_out = _finite_float(c_out, "c_out"), _finite_float(b_out, "b_out")
     if h.level3 is not None:
         raise ValueError("two-hidden synthesis takes a two-level hierarchy")
     _refuse_single_unit(h)
-    magnitudes = np.abs(_nonzero(_per_unit(a3, np.ones(h.n2), h.n2, "a3"), "a3 entries"))
-    sign = 1.0 if plus_variant else -1.0
-    row = sign * np.where(np.arange(1, h.n2 + 1) % 2 == 0, 1.0, -1.0) * magnitudes
+    alternating = np.where(np.arange(1, h.n2 + 1) % 2 == 0, 1.0, -1.0)
+    row = _nonzero(_per_unit(a3, alternating, h.n2, "a3"), "a3 entries")
     net = ReluNetwork((*_two_hidden_layers(h), Layer(row.reshape(1, h.n2), [b_out], [c_out])))
     return _checked(net, prescribed_knots(h), tol)
 
@@ -248,6 +246,21 @@ def redundancy_residual(h: KnotHierarchy, index_set, j: int) -> float:
     return float(exclusive - 1.0 - inclusive)
 
 
+def _greedy_signs(values: np.ndarray, plus_ok, minus_ok, tol: Tolerances):
+    """``epsilon_select``'s greedy pass: its signs and the columns they leave uncovered."""
+    zeroish = np.abs(values) <= tol.zero_tol
+    covers_plus = (values > tol.zero_tol) | (zeroish & plus_ok)
+    covers_minus = (values < -tol.zero_tol) | (zeroish & minus_ok)
+    eps = np.ones(values.shape[0])
+    uncovered = np.ones(values.shape[1], dtype=bool)
+    for r in range(values.shape[0]):
+        gain_plus = np.count_nonzero(uncovered & covers_plus[r])
+        if np.count_nonzero(uncovered & covers_minus[r]) > gain_plus:
+            eps[r] = -1.0
+        uncovered &= ~(covers_plus[r] if eps[r] > 0 else covers_minus[r])
+    return eps, np.flatnonzero(uncovered)
+
+
 def epsilon_select(values, zero_cover=None, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Greedy +-1 signs so every column is positive for some row.
 
@@ -256,36 +269,20 @@ def epsilon_select(values, zero_cover=None, tol: Tolerances = DEFAULT_TOL) -> np
     still-uncovered columns (ties go to +1), which is at least half of
     them.  Entries within zero_tol of zero are decided by ``zero_cover``,
     a (plus_ok, minus_ok) pair of boolean matrices (default: either sign
-    covers).  Raises CoverageError if columns remain uncovered.
+    covers).  Raises CoverageError if columns remain uncovered, the only
+    place it comes from: ``synth_three_hidden`` reports them through
+    ActivityError.
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    n_units, n_cols = values.shape
-    if zero_cover is None:
-        plus_ok = np.ones_like(values, dtype=bool)
-        minus_ok = np.ones_like(values, dtype=bool)
-    else:
+    plus_ok = minus_ok = True
+    if zero_cover is not None:
         plus_ok, minus_ok = (np.atleast_2d(np.asarray(m, bool)) for m in zero_cover)
         if plus_ok.shape != values.shape or minus_ok.shape != values.shape:
             raise DimensionMismatchError("zero_cover masks must match the value matrix")
-    zeroish = np.abs(values) <= tol.zero_tol
-    covers_plus = (values > tol.zero_tol) | (zeroish & plus_ok)
-    covers_minus = (values < -tol.zero_tol) | (zeroish & minus_ok)
-    eps = np.empty(n_units)
-    uncovered = np.ones(n_cols, dtype=bool)
-    for r in range(n_units):
-        gain_plus = np.count_nonzero(uncovered & covers_plus[r])
-        gain_minus = np.count_nonzero(uncovered & covers_minus[r])
-        if gain_minus > gain_plus:
-            eps[r] = -1.0
-            uncovered &= ~covers_minus[r]
-        else:
-            eps[r] = 1.0
-            uncovered &= ~covers_plus[r]
-    if np.any(uncovered):
+    eps, uncovered = _greedy_signs(values, plus_ok, minus_ok, tol)
+    if uncovered.size:
         raise CoverageError(
-            f"no sign choice covers knot columns {np.flatnonzero(uncovered).tolist()}",
-            np.flatnonzero(uncovered),
-            partial=eps,
+            f"no sign choice covers knot columns {uncovered.tolist()}", uncovered, partial=eps
         )
     return eps
 
@@ -298,20 +295,28 @@ def prescribed_knots(h: KnotHierarchy) -> np.ndarray:
     return np.sort(np.concatenate(parts))
 
 
-def _missing_prescribed(spline: CplSpline, prescribed, tol: Tolerances) -> np.ndarray:
-    """Prescribed knots with no active knot within the activity tolerance.
+def _nearest_knot(knots: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of each target's nearer sorted knot (ties go right), and its distance.
 
-    The nearest active knot is one of the two sorted neighbours, and
-    rounding |p - x| is monotone in x, so checking both gives the minimum
-    over all active knots bit for bit.
+    The nearest knot is one of the two sorted neighbours, and rounding
+    |p - x| is monotone in x, so checking both gives the minimum over all
+    knots bit for bit.  With no knots every index is -1 and every distance
+    inf.
     """
-    active = np.sort(spline.knots[np.abs(spline.coeffs) > tol.zero_tol])
-    fenced = np.concatenate(([-np.inf], active, [np.inf]))
-    prescribed = np.asarray(prescribed, dtype=float)
-    right = np.searchsorted(fenced, prescribed)
+    fenced = np.concatenate(([-np.inf], knots, [np.inf]))
+    right = np.searchsorted(fenced, targets)
     # fenced[right - 1] < p <= fenced[right], so both gaps are non-negative
-    gaps = np.minimum(prescribed - fenced[right - 1], fenced[right] - prescribed)
-    return prescribed[gaps > ACTIVITY_TOL]
+    left_gap, right_gap = targets - fenced[right - 1], fenced[right] - targets
+    nearer = np.where(left_gap < right_gap, right - 1, right)
+    # fenced[f] is knot f - 1, and no fence is nearer than a knot
+    return np.minimum(nearer, knots.size) - 1, np.minimum(left_gap, right_gap)
+
+
+def _missing_prescribed(spline: CplSpline, prescribed, tol: Tolerances) -> np.ndarray:
+    """Prescribed knots with no active knot within the activity tolerance."""
+    prescribed = np.asarray(prescribed, dtype=float)
+    active = np.sort(spline.knots[np.abs(spline.coeffs) > tol.zero_tol])
+    return prescribed[_nearest_knot(active, prescribed)[1] > ACTIVITY_TOL]
 
 
 def _zero_sign_masks(bundle: SplineBundle, targets: np.ndarray, tol: Tolerances):
@@ -320,17 +325,14 @@ def _zero_sign_masks(bundle: SplineBundle, targets: np.ndarray, tol: Tolerances)
     At a knot where a unit vanishes exactly, the composed hinge coefficient
     is relu(slope after) + relu(-slope before); flipping the unit flips
     both slopes.  Slopes are read off the bundle's slope matrix at each
-    target's nearer neighbouring knot (ties go right), as in
-    ``_missing_prescribed``; with none within merge_tol, neither sign does.
+    target's nearer knot; with none within merge_tol, neither sign does.
     """
     q1s = bundle.q1s[:, None]
     mu = np.concatenate((q1s, q1s + bundle.coeff_matrix.cumsum(axis=1)), axis=1)
-    fenced = np.concatenate(([-np.inf], bundle.knots, [np.inf]))
-    right = np.searchsorted(fenced, targets)
-    nearer = np.where(targets - fenced[right - 1] < fenced[right] - targets, right - 1, right)
-    on_knot = np.abs(fenced[nearer] - targets) <= tol.merge_tol
-    # fenced[f] is knot f - 1, with slopes mu[f - 1] and mu[f]; a fence is never on a knot
-    before, after = mu[:, nearer - 1], mu[:, np.minimum(nearer, mu.shape[1] - 1)]
+    nearer, distance = _nearest_knot(bundle.knots, targets)
+    on_knot = distance <= tol.merge_tol
+    # knot k has slopes mu[k] before and mu[k + 1] after
+    before, after = mu[:, nearer], mu[:, nearer + 1]
     plus_ok = on_knot & (np.maximum(after, 0.0) + np.maximum(-before, 0.0) > tol.zero_tol)
     minus_ok = on_knot & (np.maximum(-after, 0.0) + np.maximum(before, 0.0) > tol.zero_tol)
     return plus_ok, minus_ok
@@ -351,16 +353,19 @@ def synth_three_hidden(
     Layers 1-2 follow the two-hidden build (n2 = 0 and n2 = 1 < n1 raise
     alike, before any layer step).  Third-layer unit r puts its zeros at
     level3 row r, seen as one zero per interval of the first level-2
-    column; its sign eps_r comes from ``eps`` (n3 entries of +-1) or greedy
-    selection over the unit values at the lower-level knots.  The final
-    row is ``a4`` (n3 entries) or -eps (all positive parts add up with one
-    sign); ``c_out`` and ``b_out`` are the final layer's source weight and
-    bias.  Knot k's output coefficient is row . G[:, k], G's member r being
-    relu(unit r), so one attempt decides: the build returns a network with
-    every prescribed knot active, or raises ActivityError that sorts the
-    missing knots into those kept by no third-layer unit (G's column within
-    zero_tol or absent: no row helps) and those cancelled by this row
-    (another ``a4`` can keep them).  ``rng`` has no effect.
+    column; its sign eps_r comes from ``eps`` (n3 entries of +-1) or
+    ``epsilon_select``'s greedy pass over the unit values at the
+    lower-level knots, whose uncovered knots the activity check reports
+    (CoverageError comes only from the public ``epsilon_select``).  The
+    final row is ``a4`` (n3 entries) or -eps (all positive parts add up
+    with one sign); ``c_out`` and ``b_out`` are the final layer's source
+    weight and bias.  Knot k's output coefficient is row . G[:, k], G's
+    member r being relu(unit r), so one attempt decides: the build returns
+    a network with every prescribed knot active, or raises ActivityError
+    that sorts the missing knots into those kept by no third-layer unit
+    (G's column within zero_tol or absent: no row helps) and those
+    cancelled by this row (another ``a4`` can keep them).  ``rng`` has no
+    effect.
     """
     c_out, b_out = _finite_float(c_out, "c_out"), _finite_float(b_out, "b_out")
     if rng is not None:
@@ -385,13 +390,8 @@ def synth_three_hidden(
     bundle3 = layer_transfer(bundle2, Layer(a3, b3, c3), tol)
     if eps is None:
         targets = np.sort(np.concatenate((h.level1, h.level2.ravel())))
-        try:
-            eps = epsilon_select(
-                eval_bundle(bundle3, targets), _zero_sign_masks(bundle3, targets, tol), tol
-            )
-        except CoverageError as err:
-            # the activity check below reports the uncovered knots as kept by no unit
-            eps = err.partial
+        values, masks = eval_bundle(bundle3, targets), _zero_sign_masks(bundle3, targets, tol)
+        eps = _greedy_signs(values, *masks, tol)[0]
 
     # eps flips rows exactly: this is dnn_to_spline's layer-3 bundle bit for bit
     signed3 = SplineBundle._computed(
@@ -406,8 +406,8 @@ def synth_three_hidden(
         third = Layer(a3 * eps[:, None], b3 * eps, c3 * eps)
         return _hand_over(ReluNetwork((first, second, third, last)), spline, tol)
     g = layer_transfer(signed3, Layer(np.eye(n3), np.zeros(n3), np.zeros(n3)), tol)
-    kept = CplSpline(0.0, 0.0, g.knots, np.abs(g.coeff_matrix).max(axis=0, initial=0.0))
-    unkept = np.isin(missing, _missing_prescribed(kept, missing, tol))
+    kept = g.knots[np.abs(g.coeff_matrix).max(axis=0, initial=0.0) > tol.zero_tol]
+    unkept = _nearest_knot(kept, missing)[1] > ACTIVITY_TOL
     raise ActivityError(
         "prescribed knots stayed inactive, kept by no third-layer unit: "
         f"{missing[unkept].tolist()}, cancelled by this final row: {missing[~unkept].tolist()}",

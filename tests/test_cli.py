@@ -457,7 +457,6 @@ class TestExitCodes:
             (rs.DimensionMismatchError("bad shape"), 3),
             (rs.InterlacingError("not nested"), 4),
             (rs.ActivityError("inactive", [1.0]), 5),
-            (rs.CoverageError("uncovered", [0]), 5),
             (rs.DegenerateFirstLayerError("dead units", 1), 2),
             (ValueError("bad value"), 2),
         ],

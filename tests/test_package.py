@@ -95,3 +95,25 @@ def test_every_parameter_is_read():
             name = getattr(node, "name", "<lambda>")
             unread += [f"{path.name}:{name}({p.arg})" for p in params if p.arg not in read]
     assert unread == []
+
+
+def test_only_the_cli_catches_the_packages_own_errors():
+    # the package's exceptions report to the caller; only the CLI turns them
+    # into exit codes, so no library module uses one for control flow
+    own = {
+        obj.__name__
+        for module in MODULES
+        for obj in vars(module).values()
+        if isinstance(obj, type) and issubclass(obj, BaseException)
+        and obj.__module__.startswith("relusplines")
+    }
+    caught = []
+    for path in SOURCES:
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                names = _loaded_names(node.type, attributes=True) & own
+                caught += [f"{path.name}:{node.lineno}:{name}" for name in sorted(names)]
+    assert {"ActivityError", "CoverageError", "SchemaError"} <= own
+    assert caught == []
