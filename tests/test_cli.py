@@ -457,6 +457,8 @@ class TestExitCodes:
             (rs.DimensionMismatchError("bad shape"), 3),
             (rs.InterlacingError("not nested"), 4),
             (rs.ActivityError("inactive", [1.0]), 5),
+            # the form open() raises: errno, message and file name
+            (FileNotFoundError(2, "No such file or directory", "gone.json"), 2),
             (rs.DegenerateFirstLayerError("dead units", 1), 2),
             (ValueError("bad value"), 2),
         ],
