@@ -8,20 +8,25 @@ three-hidden-layer build additionally selects per-unit signs eps so that
 at every lower-level knot at least one third-layer unit is positive,
 keeping the knot alive through the last ReLU.
 
-Every build converts the network it builds once, returns it with every
-prescribed knot active or raises ActivityError listing the missing ones,
-and hands the spline to ``dnn_to_spline`` on the returned network.
+Every build converts the network it builds once and decides activity
+from that spline alone, in ``_checked``: it returns the network with every
+prescribed knot active, handing the spline to ``dnn_to_spline``, or raises
+ActivityError listing the missing knots sorted by reason.  A knot no unit
+of the last hidden layer keeps is one no final row can activate; any other
+missing knot is cancelled by the final row the build used.
 
 Every step works on whole bundles.  The slope recursion runs over
 intervals for all units at once.  The two-hidden builds call
-``dnn_to_spline``.  The three-hidden build converts its first three layers
-once, as ``dnn_to_spline`` does: the knotless bundle of the layer-1 units,
-then one ``layer_transfer`` step each for layers 2 and 3.  Unit values and
-slopes at the lower-level knots (for the signs) are read off that layer-3
-bundle, and flipping its rows by eps gives the returned network's layer-3
-bundle bit for bit.  The output row enters linearly, so one step of that
-bundle through the final ``Layer`` (the last step of ``dnn_to_spline`` on
-the returned network) decides activity once and gives its spline.
+``dnn_to_spline``, and on a miss convert their hidden layers with its own
+loop.  The three-hidden build converts its first three layers once, with
+that loop: the knotless bundle of the layer-1 units, then one
+``layer_transfer`` step each for layers 2 and 3.  Unit values and slopes
+at the lower-level knots (for the signs) are read off that layer-3 bundle,
+and flipping its rows by eps gives the returned network's layer-3 bundle
+bit for bit.  The output row enters linearly, so one step of that bundle
+through the final ``Layer`` (the last step of ``dnn_to_spline`` on the
+returned network) decides activity once and gives its spline; on a miss
+the check reuses the bundle.
 
 Index convention: unit/knot positions in error messages and subsets (for
 example ``redundancy_residual``'s ``index_set``) are 0-based.
@@ -50,7 +55,7 @@ from .core import (
     _frozen_array,
 )
 from .evaluate import eval_bundle
-from .transfer import _hand_over, _unit_bundle, dnn_to_spline, layer_transfer
+from .transfer import _bundle_after, _hand_over, dnn_to_spline, layer_transfer
 
 __all__ = [
     "synth_two_hidden",
@@ -96,32 +101,31 @@ def _nonzero(values: np.ndarray, what: str) -> np.ndarray:
     return values
 
 
-def _refuse_no_unit(level1: np.ndarray, n2: int) -> None:
-    """With n2 = 0 no unit keeps any level-1 knot."""
-    if n2 == 0:
-        raise ActivityError(
-            f"no second-layer unit keeps the level-1 knots {level1.tolist()} active", level1
-        )
+def _checked(
+    net: ReluNetwork, spline: CplSpline, wanted: np.ndarray, tol: Tolerances,
+    hidden: SplineBundle | None = None,
+) -> ReluNetwork:
+    """``net`` handed its spline, or ActivityError sorting the knots it misses.
 
-
-def _refuse_single_unit(h: KnotHierarchy) -> None:
-    """n2 = 0 keeps no level-1 knot; n2 = 1 < n1 keeps no even-position one."""
-    _refuse_no_unit(h.level1, h.n2)
-    if h.n2 == 1 and h.n1 > 1:
-        raise ActivityError(
-            "a single second-layer unit cannot keep the even-position level-1 knots "
-            f"{h.level1[1::2].tolist()} active",
-            h.level1[1::2],
-        )
-
-
-def _checked(net: ReluNetwork, wanted: np.ndarray, tol: Tolerances) -> ReluNetwork:
-    """``net`` handed its spline, or ActivityError listing the knots it misses, sorted."""
-    spline = dnn_to_spline(net, tol)
-    missing = _missing_prescribed(spline, wanted, tol)
-    if missing.size:
-        raise ActivityError(f"prescribed knots stayed inactive: {missing.tolist()}", missing)
-    return _hand_over(net, spline, tol)
+    ``hidden`` is the bundle of the last hidden layer, converted from
+    ``net`` when None.  Its step through the identity is relu of each of
+    that layer's units: a missing knot with no column there is kept by no
+    unit, so no final row helps; any other is cancelled by this row.
+    """
+    missing = _missing_prescribed(spline, wanted)
+    if missing.size == 0:
+        return _hand_over(net, spline, tol)
+    *inner, last = net.layers
+    if hidden is None:
+        hidden = _bundle_after(inner, tol)
+    n, unit = last.in_width, ("second", "third")[len(inner) - 2]
+    kept = layer_transfer(hidden, Layer(np.eye(n), np.zeros(n), np.zeros(n)), tol).knots
+    unkept = _nearest_knot(kept, missing)[1] > ACTIVITY_TOL
+    raise ActivityError(
+        f"prescribed knots stayed inactive, kept by no {unit}-layer unit: "
+        f"{missing[unkept].tolist()}, cancelled by this final row: {missing[~unkept].tolist()}",
+        missing,
+    )
 
 
 def _two_hidden_layers(h: KnotHierarchy) -> tuple[Layer, Layer]:
@@ -145,20 +149,18 @@ def synth_two_hidden(
     zero where prescribed.  ``a3`` (n2 nonzero entries) is the signed
     output row; its default alternates the other way (-1 on unit 1) so
     contributions at shared knots never cancel.  ``c_out`` and ``b_out``
-    are the final layer's source weight and bias.  The guarantee needs two
-    units: n2 = 1 < n1 (n2 = 0) raises ActivityError listing the
-    even-position (all) level-1 knots, where no unit is positive, and so
-    does a network whose conversion under ``tol`` misses a knot (a row
-    that cancels one, say).
+    are the final layer's source weight and bias.  A network whose
+    conversion under ``tol`` misses a prescribed knot raises ActivityError:
+    with n2 = 1 < n1 (n2 = 0) no unit keeps the even-position (any)
+    level-1 knots, and a row can cancel others.
     """
     c_out, b_out = _finite_float(c_out, "c_out"), _finite_float(b_out, "b_out")
     if h.level3 is not None:
         raise ValueError("two-hidden synthesis takes a two-level hierarchy")
-    _refuse_single_unit(h)
     alternating = np.where(np.arange(1, h.n2 + 1) % 2 == 0, 1.0, -1.0)
     row = _nonzero(_per_unit(a3, alternating, h.n2, "a3"), "a3 entries")
     net = ReluNetwork((*_two_hidden_layers(h), Layer(row.reshape(1, h.n2), [b_out], [c_out])))
-    return _checked(net, prescribed_knots(h), tol)
+    return _checked(net, dnn_to_spline(net, tol), prescribed_knots(h), tol)
 
 
 def _flat_knots(knots, expected: int, widths: tuple) -> np.ndarray:
@@ -195,8 +197,9 @@ def synth_two_hidden_no_source(
     (default alternating -1, +1, ...), which must change sign somewhere
     when n1 > 1.  ``a3`` (n2 nonzero entries) is the signed output row
     (default ones) and ``b_out`` the final bias; the final source weight
-    is zero like every other.  n2 = 0 raises ActivityError, and so does a
-    network whose conversion under ``tol`` misses a prescribed knot.
+    is zero like every other.  A network whose conversion under ``tol``
+    misses a prescribed knot raises ActivityError; with n2 = 0 that is
+    every level-1 knot.
     """
     b_out = _finite_float(b_out, "b_out")
     if n1 < 1:
@@ -204,10 +207,9 @@ def synth_two_hidden_no_source(
     ks = _flat_knots(knots, n1 * (n2 + 1), (n1, n2))
     blocks = ks.reshape(n1, n2 + 1)
     x1, zeros = blocks[:, 0], blocks[:, 1:].T
-    _refuse_no_unit(x1, n2)
     seeds = _per_unit(seeds, np.where(np.arange(1, n2 + 1) % 2 == 1, -1.0, 1.0), n2, "seeds")
     _nonzero(seeds, "seeds")
-    if n1 > 1 and (np.all(seeds > 0) or np.all(seeds < 0)):
+    if n1 > 1 and n2 and (np.all(seeds > 0) or np.all(seeds < 0)):
         raise ValueError("seeds need at least one sign change when n1 > 1")
     # the slope recursion from interval 1 on, where the zeros interlace x1[1:]
     mu = np.zeros((n2, n1 + 1))
@@ -222,7 +224,7 @@ def synth_two_hidden_no_source(
             Layer(row.reshape(1, n2), [b_out], np.zeros(1)),
         )
     )
-    return _checked(net, ks, tol)
+    return _checked(net, dnn_to_spline(net, tol), ks, tol)
 
 
 def redundancy_residual(h: KnotHierarchy, index_set, j: int) -> float:
@@ -312,11 +314,9 @@ def _nearest_knot(knots: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, n
     return np.minimum(nearer, knots.size) - 1, np.minimum(left_gap, right_gap)
 
 
-def _missing_prescribed(spline: CplSpline, prescribed, tol: Tolerances) -> np.ndarray:
-    """Prescribed knots with no active knot within the activity tolerance."""
-    prescribed = np.asarray(prescribed, dtype=float)
-    active = np.sort(spline.knots[np.abs(spline.coeffs) > tol.zero_tol])
-    return prescribed[_nearest_knot(active, prescribed)[1] > ACTIVITY_TOL]
+def _missing_prescribed(spline: CplSpline, prescribed: np.ndarray) -> np.ndarray:
+    """Prescribed knots with no knot of the canonical spline within ACTIVITY_TOL."""
+    return prescribed[_nearest_knot(spline.knots, prescribed)[1] > ACTIVITY_TOL]
 
 
 def _zero_sign_masks(bundle: SplineBundle, targets: np.ndarray, tol: Tolerances):
@@ -350,11 +350,10 @@ def synth_three_hidden(
 ) -> ReluNetwork:
     """Width (1, n1, n2, n3, 1) network activating all three knot levels.
 
-    Layers 1-2 follow the two-hidden build (n2 = 0 and n2 = 1 < n1 raise
-    alike, before any layer step).  Third-layer unit r puts its zeros at
-    level3 row r, seen as one zero per interval of the first level-2
-    column; its sign eps_r comes from ``eps`` (n3 entries of +-1) or
-    ``epsilon_select``'s greedy pass over the unit values at the
+    Layers 1-2 follow the two-hidden build.  Third-layer unit r puts its
+    zeros at level3 row r, seen as one zero per interval of the first
+    level-2 column; its sign eps_r comes from ``eps`` (n3 entries of +-1)
+    or ``epsilon_select``'s greedy pass over the unit values at the
     lower-level knots, whose uncovered knots the activity check reports
     (CoverageError comes only from the public ``epsilon_select``).  The
     final row is ``a4`` (n3 entries) or -eps (all positive parts add up
@@ -363,16 +362,14 @@ def synth_three_hidden(
     member r being relu(unit r), so one attempt decides: the build returns
     a network with every prescribed knot active, or raises ActivityError
     that sorts the missing knots into those kept by no third-layer unit
-    (G's column within zero_tol or absent: no row helps) and those
-    cancelled by this row (another ``a4`` can keep them).  ``rng`` has no
-    effect.
+    (no column of G: no row helps) and those cancelled by this row
+    (another ``a4`` can keep them).  ``rng`` has no effect.
     """
     c_out, b_out = _finite_float(c_out, "c_out"), _finite_float(b_out, "b_out")
     if rng is not None:
         warnings.warn("rng has no effect and will be removed", DeprecationWarning, stacklevel=2)
     if h.level3 is None:
         raise ValueError("three-hidden synthesis needs a three-level hierarchy")
-    _refuse_single_unit(h)
     n2, n3 = h.n2, h.n3
     eps = _per_unit(eps, None, n3, "eps")
     if eps is not None and np.any(np.abs(eps) != 1):
@@ -386,8 +383,7 @@ def synth_three_hidden(
     b3 = -h.level3[:, 0] - a3[:, even] @ walls[even]
 
     first, second = _two_hidden_layers(h)
-    bundle2 = layer_transfer(_unit_bundle(first), second, tol)
-    bundle3 = layer_transfer(bundle2, Layer(a3, b3, c3), tol)
+    bundle3 = _bundle_after((first, second, Layer(a3, b3, c3)), tol)
     if eps is None:
         targets = np.sort(np.concatenate((h.level1, h.level2.ravel())))
         values, masks = eval_bundle(bundle3, targets), _zero_sign_masks(bundle3, targets, tol)
@@ -398,21 +394,10 @@ def synth_three_hidden(
         bundle3.knots, eps * bundle3.q1s, eps * bundle3.q0s, eps[:, None] * bundle3.coeff_matrix
     )
     last = Layer((-eps if a4 is None else a4).reshape(1, n3), [b_out], [c_out])
-    wanted = prescribed_knots(h)
+    net = ReluNetwork((first, second, Layer(a3 * eps[:, None], b3 * eps, c3 * eps), last))
     # dnn_to_spline's last step on the returned network, so its spline bit for bit
     spline = layer_transfer(signed3, last, tol).member(0)
-    missing = _missing_prescribed(spline, wanted, tol)
-    if missing.size == 0:
-        third = Layer(a3 * eps[:, None], b3 * eps, c3 * eps)
-        return _hand_over(ReluNetwork((first, second, third, last)), spline, tol)
-    g = layer_transfer(signed3, Layer(np.eye(n3), np.zeros(n3), np.zeros(n3)), tol)
-    kept = g.knots[np.abs(g.coeff_matrix).max(axis=0, initial=0.0) > tol.zero_tol]
-    unkept = _nearest_knot(kept, missing)[1] > ACTIVITY_TOL
-    raise ActivityError(
-        "prescribed knots stayed inactive, kept by no third-layer unit: "
-        f"{missing[unkept].tolist()}, cancelled by this final row: {missing[~unkept].tolist()}",
-        missing,
-    )
+    return _checked(net, spline, prescribed_knots(h), tol, signed3)
 
 
 def hierarchy_from_flat(knots, n1: int, n2: int, n3: int | None = None) -> KnotHierarchy:

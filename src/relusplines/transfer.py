@@ -159,10 +159,15 @@ def dnn_to_spline(net: ReluNetwork, tol: Tolerances = DEFAULT_TOL) -> CplSpline:
     handed = net.__dict__.get("_spline")
     if handed is not None and handed[0] == tol:
         return handed[1]
-    bundle = _unit_bundle(net.layers[0])
-    for layer in net.layers[1:]:
+    return _bundle_after(net.layers, tol).member(0)
+
+
+def _bundle_after(layers, tol: Tolerances) -> SplineBundle:
+    """The knotless layer-1 bundle, then one ``layer_transfer`` step per later layer."""
+    bundle = _unit_bundle(layers[0])
+    for layer in layers[1:]:
         bundle = layer_transfer(bundle, layer, tol)
-    return bundle.member(0)
+    return bundle
 
 
 def spline_to_shallow(spline: CplSpline) -> ReluNetwork:

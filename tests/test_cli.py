@@ -323,7 +323,10 @@ class TestSynth:
         rs.dump_json(flat, {"knots": [0.0, 1.0, 2.0, 3.0, 4.0]})
         code, _, err = run(capsys, "synth", flat, "--arch", "2,1", "-o", tmp_path / "net.json")
         assert code == 5
-        assert "even-position level-1 knots [3.0] active" in err
+        assert err.splitlines() == [
+            "error: prescribed knots stayed inactive, kept by no second-layer unit: [3.0], "
+            "cancelled by this final row: []"
+        ]
         assert not (tmp_path / "net.json").exists()
 
     def test_no_source_empty_first_level(self, tmp_path, capsys):
@@ -343,7 +346,8 @@ class TestSynth:
                              "-o", tmp_path / "net.json")
         assert (code, out) == (5, "")
         assert err.splitlines() == [
-            "error: no second-layer unit keeps the level-1 knots [1.0] active"
+            "error: prescribed knots stayed inactive, kept by no second-layer unit: [1.0], "
+            "cancelled by this final row: []"
         ]
 
     @pytest.mark.parametrize(

@@ -117,3 +117,20 @@ def test_only_the_cli_catches_the_packages_own_errors():
                 caught += [f"{path.name}:{node.lineno}:{name}" for name in sorted(names)]
     assert {"ActivityError", "CoverageError", "SchemaError"} <= own
     assert caught == []
+
+
+def test_one_function_reports_inactive_knots():
+    # every build decides activity through one check, so exactly one
+    # function in the source constructs ActivityError
+    sites = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if any(
+                isinstance(sub, ast.Call)
+                and "ActivityError" in _loaded_names(sub.func, attributes=True)
+                for sub in ast.walk(node)
+            ):
+                sites.append(f"{path.name}:{node.name}")
+    assert sites == ["synth.py:_checked"]

@@ -119,15 +119,17 @@ class TestSynthTwoHidden:
         # cannot survive; the build raises instead of returning without it
         for n1 in range(2, 7):
             h = rs.hierarchy_from_flat(np.arange(2.0 * n1 + 1), n1, 1)
-            with pytest.raises(rs.ActivityError, match="single second-layer unit") as info:
+            with pytest.raises(rs.ActivityError) as info:
                 rs.synth_two_hidden(h)
             assert info.value.inactive == h.level1[1::2].tolist()
+            assert str(info.value) == (
+                "prescribed knots stayed inactive, kept by no second-layer unit: "
+                f"{h.level1[1::2].tolist()}, cancelled by this final row: []"
+            )
             # the network the build would return loses exactly those knots
             first, second = rs.synth._two_hidden_layers(h)
             net = rs.ReluNetwork((first, second, rs.Layer([[-1.0]], [0.0], [0.0])))
-            missing = rs.synth._missing_prescribed(
-                rs.dnn_to_spline(net), rs.prescribed_knots(h), rs.DEFAULT_TOL
-            )
+            missing = brute_force_missing(rs.dnn_to_spline(net), rs.prescribed_knots(h))
             assert missing.tolist() == info.value.inactive
 
 
@@ -176,7 +178,7 @@ class TestSynthTwoHiddenNoSource:
         with pytest.raises(ValueError, match=r"^widths must be non-negative, got \(1, -1\)$"):
             rs.synth_two_hidden_no_source([], 1, -1)
         # zero is a width, refused by activity instead
-        with pytest.raises(rs.ActivityError, match=r"level-1 knots \[5.0\] active$"):
+        with pytest.raises(rs.ActivityError, match=r"second-layer unit: \[5.0\], cancelled"):
             rs.synth_two_hidden_no_source([5.0], 1, 0)
 
     def test_random_flat_knots(self):
@@ -436,31 +438,34 @@ def brute_force_missing(spline: rs.CplSpline, prescribed: np.ndarray) -> np.ndar
 
 
 class TestMissingPrescribed:
+    """The check reads a canonical spline: sorted knots, every coefficient above zero_tol."""
+
     def test_empty_active_set_misses_everything(self):
-        s = rs.CplSpline(1.0, 0.0, [0.0, 2.0], [0.0, 1e-12])
+        s = rs.canonicalize(rs.CplSpline(1.0, 0.0, [0.0, 2.0], [0.0, 1e-12]))
         wanted = np.array([0.0, 2.0])
-        np.testing.assert_array_equal(_missing_prescribed(s, wanted, rs.DEFAULT_TOL), wanted)
+        np.testing.assert_array_equal(_missing_prescribed(s, wanted), wanted)
 
     def test_exactly_activity_tol_away_is_active(self):
         s = rs.CplSpline(0.0, 0.0, [0.0, 1.0], [1.0, -1.0])
         tol = rs.ACTIVITY_TOL
         wanted = np.array([-tol, 0.5, 2 * tol, 1.0 + 0.5 * tol, 5.0])
-        missing = _missing_prescribed(s, wanted, rs.DEFAULT_TOL)
+        missing = _missing_prescribed(s, wanted)
         np.testing.assert_array_equal(missing, [0.5, 2 * tol, 5.0])
 
     def test_matches_brute_force(self):
-        # unsorted raw knots with repeats and inactive ones; prescribed knots
-        # on, next to (ties, +-ACTIVITY_TOL) and beyond the active ones
+        # canonical forms of unsorted raw knots with repeats and inactive
+        # ones; prescribed knots on, next to (ties, +-ACTIVITY_TOL) and
+        # beyond the raw ones
         rng = np.random.default_rng(89)
         for _ in range(300):
             k = int(rng.integers(0, 12))
             knots = np.where(rng.uniform(size=k) < 0.3, 1.0, rng.uniform(-10, 10, k))
             coeffs = np.where(rng.uniform(size=k) < 0.3, 0.0, rng.uniform(-1, 1, k))
-            s = rs.CplSpline(0.0, 0.0, knots, coeffs)
+            s = rs.canonicalize(rs.CplSpline(0.0, 0.0, knots, coeffs))
             near = knots + rng.choice([0.0, 1.0, -1.0, 2.0, 0.5], k) * rs.ACTIVITY_TOL
             wanted = np.concatenate((near, rng.uniform(-15, 15, 4)))
             np.testing.assert_array_equal(
-                _missing_prescribed(s, wanted, rs.DEFAULT_TOL), brute_force_missing(s, wanted)
+                _missing_prescribed(s, wanted), brute_force_missing(s, wanted)
             )
 
 
@@ -579,12 +584,26 @@ def reference_fixed_layers(h, eps=None, tol=rs.DEFAULT_TOL):
 
 
 def unit_splines(layers) -> list:
-    """relu of each signed third-layer unit, one whole conversion per unit."""
-    n3 = layers[-1].out_width
+    """relu of each unit of the last of ``layers``, the hidden layers of a
+    two- or three-hidden build, one whole conversion per unit."""
+    n = layers[-1].out_width
     return [
-        rs.dnn_to_spline(rs.ReluNetwork(layers + (rs.Layer(np.eye(n3)[r : r + 1], [0.0], [0.0]),)))
-        for r in range(n3)
+        rs.dnn_to_spline(rs.ReluNetwork(layers + (rs.Layer(np.eye(n)[r : r + 1], [0.0], [0.0]),)))
+        for r in range(n)
     ]
+
+
+def miss_report(layers, missing: np.ndarray) -> str:
+    """The ActivityError text for ``missing`` on hidden ``layers``: a knot is
+    kept by no unit when every unit's own conversion misses it too."""
+    unit = ("second", "third")[len(layers) - 2]
+    unkept = np.ones(missing.size, dtype=bool)
+    for spline in unit_splines(layers):
+        unkept &= np.isin(missing, brute_force_missing(spline, missing))
+    return (
+        f"prescribed knots stayed inactive, kept by no {unit}-layer unit: "
+        f"{missing[unkept].tolist()}, cancelled by this final row: {missing[~unkept].tolist()}"
+    )
 
 
 def reference_three_hidden(h, *, eps=None, a4=None, c_out=0.0, b_out=0.0, tol=rs.DEFAULT_TOL):
@@ -592,33 +611,17 @@ def reference_three_hidden(h, *, eps=None, a4=None, c_out=0.0, b_out=0.0, tol=rs
 
     The one attempt converts the whole network with ``dnn_to_spline``.  A
     missing knot is kept by no third-layer unit when every unit's own
-    conversion misses it too.  With one second-layer unit and n1 > 1 the
-    build refuses up front; the network it would return misses those knots.
+    conversion misses it too.
     """
     n3 = h.n3
     layers, eps = reference_fixed_layers(h, eps, tol)
     row = np.asarray(a4, float) if a4 is not None else -eps
     last = rs.Layer(row.reshape(1, n3), np.array([b_out]), np.array([c_out]))
     net = rs.ReluNetwork(layers + (last,))
-    wanted = rs.prescribed_knots(h)
-    if h.n2 == 1 and h.n1 > 1:
-        inactive = h.level1[1::2]
-        assert set(inactive) <= set(brute_force_missing(rs.dnn_to_spline(net, tol), wanted))
-        raise rs.ActivityError(
-            "a single second-layer unit cannot keep the even-position level-1 knots "
-            f"{inactive.tolist()} active",
-            inactive,
-        )
-    missing = synth._missing_prescribed(rs.dnn_to_spline(net, tol), wanted, tol)
+    missing = synth._missing_prescribed(rs.dnn_to_spline(net, tol), rs.prescribed_knots(h))
     if missing.size == 0:
         return net
-    unit_misses = [np.isin(missing, brute_force_missing(s, missing)) for s in unit_splines(layers)]
-    unkept = np.all(unit_misses, axis=0)
-    raise rs.ActivityError(
-        f"prescribed knots stayed inactive, kept by no third-layer unit: "
-        f"{missing[unkept].tolist()}, cancelled by this final row: {missing[~unkept].tolist()}",
-        missing,
-    )
+    raise rs.ActivityError(miss_report(layers, missing), missing)
 
 
 def outcome_and_attempts(build, h, params, monkeypatch):
@@ -626,9 +629,9 @@ def outcome_and_attempts(build, h, params, monkeypatch):
     checks = []
     checked = synth._missing_prescribed
 
-    def recording(spline, wanted, tol):
+    def recording(spline, wanted):
         checks.append((spline.q1, spline.q0, spline.knots.tobytes(), spline.coeffs.tobytes()))
-        return checked(spline, wanted, tol)
+        return checked(spline, wanted)
 
     monkeypatch.setattr(synth, "_missing_prescribed", recording)
     try:
@@ -689,6 +692,7 @@ class TestThreeHiddenCallCounts:
             raise AssertionError("synthesis must not convert the whole network")
 
         monkeypatch.setattr(synth, "layer_transfer", counting)
+        monkeypatch.setattr(transfer, "layer_transfer", counting)
         monkeypatch.setattr(synth, "dnn_to_spline", refuse)
         monkeypatch.setattr(transfer, "dnn_to_spline", refuse)
         monkeypatch.setattr(rs, "dnn_to_spline", refuse)
@@ -724,13 +728,19 @@ class TestThreeHiddenCallCounts:
         )
 
     def test_single_second_layer_unit_raises_before_any_step(self, monkeypatch):
+        # one second-layer unit is negative at every second level-1 knot, so
+        # the conversion loses those and the one identity step sorts them:
+        # kept by no third-layer unit, whatever the final row
         rng = np.random.default_rng(139)
         for n1, n3 in ((2, 1), (3, 2), (4, 3), (5, 4), (6, 1)):
             h = random_three_level(rng, n1, 1, n3)
             calls, err = self.steps(monkeypatch, h)
-            assert calls == []
-            assert err.inactive == h.level1[1::2].tolist()
-            assert "single second-layer unit" in str(err)
+            monkeypatch.undo()
+            assert calls == [(n1, 1), (1, n3), (n3, 1), (n3, n3)]
+            assert set(h.level1[1::2].tolist()) <= set(err.inactive)
+            net = unchecked(monkeypatch, rs.synth_three_hidden, h)
+            assert err.inactive == fresh_misses(net, rs.prescribed_knots(h))
+            assert str(err) == miss_report(net.layers[:-1], np.array(err.inactive))
 
 
 NO_UNIT_BUILDS = {
@@ -746,22 +756,21 @@ NO_UNIT_BUILDS = {
 @pytest.mark.parametrize("n1", [1, 2, 3])
 @pytest.mark.parametrize("build", sorted(NO_UNIT_BUILDS))
 def test_no_second_layer_unit_raises_before_any_step(monkeypatch, build, n1):
-    calls = []
-    real_transfer = synth.layer_transfer
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real_transfer(*args, **kwargs)
-
-    monkeypatch.setattr(synth, "layer_transfer", counting)
+    # with n2 = 0 no unit sees a level-1 knot: the conversion loses every one,
+    # and the identity step on an empty (or knotless) last bundle keeps none
     level1 = np.arange(1.0, n1 + 1.0)
     with pytest.raises(rs.ActivityError) as info:
         NO_UNIT_BUILDS[build](level1, n1)
     assert info.value.inactive == level1.tolist()
+    unit = "third" if build == "synth_three_hidden" else "second"
     assert str(info.value) == (
-        f"no second-layer unit keeps the level-1 knots {level1.tolist()} active"
+        f"prescribed knots stayed inactive, kept by no {unit}-layer unit: "
+        f"{level1.tolist()}, cancelled by this final row: []"
     )
-    assert calls == []
+    net = unchecked(monkeypatch, NO_UNIT_BUILDS[build], level1, n1)
+    assert net.widths[2] == 0
+    spline = rs.dnn_to_spline(rs.ReluNetwork(net.layers))
+    assert brute_force_missing(spline, level1).tolist() == level1.tolist()
 
 
 class TestOneReportChannel:
@@ -998,13 +1007,14 @@ class TestSplineHandOver:
 def unchecked(monkeypatch, build, *args):
     """The network a build computes, without its activity check."""
     with monkeypatch.context() as patched:
-        patched.setattr(synth, "_checked", lambda net, wanted, tol: net)
+        patched.setattr(synth, "_checked", lambda net, spline, wanted, tol, hidden=None: net)
         return build(*args)
 
 
 def fresh_misses(net: rs.ReluNetwork, wanted) -> list:
+    """Prescribed knots a fresh conversion of ``net`` misses, by brute force."""
     spline = rs.dnn_to_spline(rs.ReluNetwork(net.layers))
-    return _missing_prescribed(spline, wanted, rs.DEFAULT_TOL).tolist()
+    return brute_force_missing(spline, np.asarray(wanted, dtype=float)).tolist()
 
 
 class TestTwoHiddenFailsLoudly:
@@ -1013,31 +1023,68 @@ class TestTwoHiddenFailsLoudly:
     def assert_raises_its_misses(self, monkeypatch, build, args, wanted):
         with pytest.raises(rs.ActivityError) as info:
             build(*args)
-        expected = fresh_misses(unchecked(monkeypatch, build, *args), wanted)
+        net = unchecked(monkeypatch, build, *args)
+        expected = fresh_misses(net, wanted)
         assert info.value.inactive == expected
         assert info.value.inactive == sorted(info.value.inactive)
-        assert str(info.value) == f"prescribed knots stayed inactive: {expected}"
-        return len(expected)
+        assert str(info.value) == miss_report(net.layers[:-1], np.array(expected))
+        return len(expected), str(info.value)
 
     @pytest.mark.parametrize("n,missed", [(10, 6), (40, 452)])
     def test_positional_even_builds(self, monkeypatch, n, missed):
         h = rs.hierarchy_from_flat(np.linspace(-10.0, 10.0, n + n * (n + 1)), n, n)
-        count = self.assert_raises_its_misses(
+        count, message = self.assert_raises_its_misses(
             monkeypatch, rs.synth_two_hidden, (h,), rs.prescribed_knots(h)
         )
-        assert count == missed
+        # construction misses: no final row would keep them
+        assert count == missed and message.endswith("cancelled by this final row: []")
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_gap_twelve_by_twelve(self, monkeypatch, seed):
         h = rs.hierarchy_from_flat(gapped_flat_knots(np.random.default_rng(seed), 168), 12, 12)
-        count = self.assert_raises_its_misses(
+        count, _ = self.assert_raises_its_misses(
             monkeypatch, rs.synth_two_hidden, (h,), rs.prescribed_knots(h)
         )
         assert count > 0
 
     def test_no_source_even_eight_by_eight(self, monkeypatch):
         ks = np.linspace(-10.0, 10.0, 72)
-        count = self.assert_raises_its_misses(
+        count, message = self.assert_raises_its_misses(
             monkeypatch, rs.synth_two_hidden_no_source, (ks, 8, 8), ks
         )
-        assert count == 1
+        assert count == 1 and message.endswith("cancelled by this final row: []")
+
+
+def miss_sweep():
+    """(build, args, prescribed knots) of every build, seeded: n2 in {0, 1, 2},
+    n1 and n3 random in 1..5, so that many builds miss."""
+    rng = np.random.default_rng(5)
+    for n2 in (0, 1, 2):
+        for _ in range(20):
+            n1, n3 = (int(v) for v in rng.integers(1, 6, 2))
+            h = random_two_level(rng, n1, n2)
+            yield rs.synth_two_hidden, (h,), rs.prescribed_knots(h)
+            h = random_three_level(rng, n1, n2, n3)
+            yield rs.synth_three_hidden, (h,), rs.prescribed_knots(h)
+            if n2 != 1 or n1 == 1:  # otherwise the single seed cannot change sign
+                ks = random_flat_knots(rng, n1 * (n2 + 1))
+                yield rs.synth_two_hidden_no_source, (ks, n1, n2), ks
+
+
+def test_every_miss_is_reported_by_the_conversion(monkeypatch):
+    # .inactive is every knot a fresh conversion misses, and the kept-by-no-unit
+    # group is what every last hidden unit's own conversion misses too
+    misses = {}
+    for build, args, wanted in miss_sweep():
+        try:
+            build(*args)
+        except rs.ActivityError as err:
+            net = unchecked(monkeypatch, build, *args)
+            assert err.inactive == fresh_misses(net, wanted)
+            assert str(err) == miss_report(net.layers[:-1], np.array(err.inactive))
+            key = (build.__name__, net.widths[2], net.widths[1] > 1)
+            misses[key] = misses.get(key, 0) + 1
+    # every n2 = 0 and n2 = 1 < n1 build misses, among them three-hidden ones
+    assert misses[("synth_three_hidden", 1, True)] >= 10
+    assert misses[("synth_three_hidden", 0, True)] >= 10
+    assert misses[("synth_two_hidden_no_source", 0, True)] >= 10
