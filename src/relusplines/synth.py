@@ -16,17 +16,16 @@ of the last hidden layer keeps is one no final row can activate; any other
 missing knot is cancelled by the final row the build used.
 
 Every step works on whole bundles.  The slope recursion runs over
-intervals for all units at once.  The two-hidden builds call
-``dnn_to_spline``, and on a miss convert their hidden layers with its own
-loop.  The three-hidden build converts its first three layers once, with
-that loop: the knotless bundle of the layer-1 units, then one
-``layer_transfer`` step each for layers 2 and 3.  Unit values and slopes
-at the lower-level knots (for the signs) are read off that layer-3 bundle,
-and flipping its rows by eps gives the returned network's layer-3 bundle
-bit for bit.  The output row enters linearly, so one step of that bundle
-through the final ``Layer`` (the last step of ``dnn_to_spline`` on the
-returned network) decides activity once and gives its spline; on a miss
-the check reuses the bundle.
+intervals for all units at once.  Every build converts its hidden layers
+once, with ``dnn_to_spline``'s own loop (the knotless layer-1 bundle, then
+one ``layer_transfer`` step per later hidden layer), and hands ``_checked``
+the last hidden bundle.  The three-hidden build reads unit values and
+slopes at the lower-level knots (for the signs) off its layer-3 bundle;
+flipping the rows by eps gives the returned network's bundle bit for bit.
+The output row enters linearly, so one step of that bundle through the
+final ``Layer`` (``dnn_to_spline``'s last step) gives the network's spline
+bit for bit; on a miss one identity step of the same bundle sorts the
+missing knots, and nothing is converted twice.
 
 Index convention: unit/knot positions in error messages and subsets (for
 example ``redundancy_residual``'s ``index_set``) are 0-based.
@@ -55,6 +54,7 @@ from .core import (
     _frozen_array,
 )
 from .evaluate import eval_bundle
+# dnn_to_spline is read as synth.dnn_to_spline by bench/selftest.py's tracing check
 from .transfer import _bundle_after, _hand_over, dnn_to_spline, layer_transfer
 
 __all__ = [
@@ -102,23 +102,22 @@ def _nonzero(values: np.ndarray, what: str) -> np.ndarray:
 
 
 def _checked(
-    net: ReluNetwork, spline: CplSpline, wanted: np.ndarray, tol: Tolerances,
-    hidden: SplineBundle | None = None,
+    net: ReluNetwork, hidden: SplineBundle, wanted: np.ndarray, tol: Tolerances
 ) -> ReluNetwork:
     """``net`` handed its spline, or ActivityError sorting the knots it misses.
 
-    ``hidden`` is the bundle of the last hidden layer, converted from
-    ``net`` when None.  Its step through the identity is relu of each of
-    that layer's units: a missing knot with no column there is kept by no
-    unit, so no final row helps; any other is cancelled by this row.
+    ``hidden``, the bundle of ``net``'s last hidden layer, steps through
+    the final layer (``dnn_to_spline``'s last step: its spline bit for bit)
+    and, on a miss, the identity (relu of each unit): a missing knot with
+    no column there is kept by no unit, so no final row helps; any other is
+    cancelled by this row.
     """
+    last = net.layers[-1]
+    spline = layer_transfer(hidden, last, tol).member(0)
     missing = _missing_prescribed(spline, wanted)
     if missing.size == 0:
         return _hand_over(net, spline, tol)
-    *inner, last = net.layers
-    if hidden is None:
-        hidden = _bundle_after(inner, tol)
-    n, unit = last.in_width, ("second", "third")[len(inner) - 2]
+    n, unit = last.in_width, ("second", "third")[len(net.layers) - 3]
     kept = layer_transfer(hidden, Layer(np.eye(n), np.zeros(n), np.zeros(n)), tol).knots
     unkept = _nearest_knot(kept, missing)[1] > ACTIVITY_TOL
     raise ActivityError(
@@ -149,10 +148,10 @@ def synth_two_hidden(
     zero where prescribed.  ``a3`` (n2 nonzero entries) is the signed
     output row; its default alternates the other way (-1 on unit 1) so
     contributions at shared knots never cancel.  ``c_out`` and ``b_out``
-    are the final layer's source weight and bias.  A network whose
-    conversion under ``tol`` misses a prescribed knot raises ActivityError:
-    with n2 = 1 < n1 (n2 = 0) no unit keeps the even-position (any)
-    level-1 knots, and a row can cancel others.
+    are the final layer's source weight and bias.  Layers 1 and 2 are
+    converted once under ``tol`` and stepped through the final row; a miss
+    raises ActivityError: a row can cancel a knot, and with n2 = 1 < n1
+    (n2 = 0) no unit keeps the even-position (any) level-1 knots.
     """
     c_out, b_out = _finite_float(c_out, "c_out"), _finite_float(b_out, "b_out")
     if h.level3 is not None:
@@ -160,7 +159,7 @@ def synth_two_hidden(
     alternating = np.where(np.arange(1, h.n2 + 1) % 2 == 0, 1.0, -1.0)
     row = _nonzero(_per_unit(a3, alternating, h.n2, "a3"), "a3 entries")
     net = ReluNetwork((*_two_hidden_layers(h), Layer(row.reshape(1, h.n2), [b_out], [c_out])))
-    return _checked(net, dnn_to_spline(net, tol), prescribed_knots(h), tol)
+    return _checked(net, _bundle_after(net.layers[:-1], tol), prescribed_knots(h), tol)
 
 
 def _flat_knots(knots, expected: int, widths: tuple) -> np.ndarray:
@@ -197,9 +196,9 @@ def synth_two_hidden_no_source(
     (default alternating -1, +1, ...), which must change sign somewhere
     when n1 > 1.  ``a3`` (n2 nonzero entries) is the signed output row
     (default ones) and ``b_out`` the final bias; the final source weight
-    is zero like every other.  A network whose conversion under ``tol``
-    misses a prescribed knot raises ActivityError; with n2 = 0 that is
-    every level-1 knot.
+    is zero like every other.  Layers 1 and 2 are converted once under
+    ``tol`` and stepped through the final row; a missing prescribed knot
+    raises ActivityError (with n2 = 0, every level-1 knot is missing).
     """
     b_out = _finite_float(b_out, "b_out")
     if n1 < 1:
@@ -224,7 +223,7 @@ def synth_two_hidden_no_source(
             Layer(row.reshape(1, n2), [b_out], np.zeros(1)),
         )
     )
-    return _checked(net, dnn_to_spline(net, tol), ks, tol)
+    return _checked(net, _bundle_after(net.layers[:-1], tol), ks, tol)
 
 
 def redundancy_residual(h: KnotHierarchy, index_set, j: int) -> float:
@@ -236,6 +235,8 @@ def redundancy_residual(h: KnotHierarchy, index_set, j: int) -> float:
     it vanishes exactly when the unit's zeros could also be realized with a
     zero source weight.
     """
+    if not 0 <= j < h.n2:
+        raise ValueError(f"j must be in range(n2) = range({h.n2}), got {j}")
     x = h.level1
     row = h.level2[j]
     chosen = sorted(set(int(k) for k in index_set))
@@ -275,7 +276,7 @@ def epsilon_select(values, zero_cover=None, tol: Tolerances = DEFAULT_TOL) -> np
     place it comes from: ``synth_three_hidden`` reports them through
     ActivityError.
     """
-    values = np.atleast_2d(np.asarray(values, dtype=float))
+    values = _frozen_array(np.atleast_2d(values), ndim=2, name="values")
     plus_ok = minus_ok = True
     if zero_cover is not None:
         plus_ok, minus_ok = (np.atleast_2d(np.asarray(m, bool)) for m in zero_cover)
@@ -395,9 +396,7 @@ def synth_three_hidden(
     )
     last = Layer((-eps if a4 is None else a4).reshape(1, n3), [b_out], [c_out])
     net = ReluNetwork((first, second, Layer(a3 * eps[:, None], b3 * eps, c3 * eps), last))
-    # dnn_to_spline's last step on the returned network, so its spline bit for bit
-    spline = layer_transfer(signed3, last, tol).member(0)
-    return _checked(net, spline, prescribed_knots(h), tol, signed3)
+    return _checked(net, signed3, prescribed_knots(h), tol)
 
 
 def hierarchy_from_flat(knots, n1: int, n2: int, n3: int | None = None) -> KnotHierarchy:

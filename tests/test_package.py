@@ -134,3 +134,26 @@ def test_one_function_reports_inactive_knots():
             ):
                 sites.append(f"{path.name}:{node.name}")
     assert sites == ["synth.py:_checked"]
+
+
+# bench/selftest.py reads synth.dnn_to_spline to check that tracing wraps and
+# restores every binding; no synth code calls it
+UNREAD_IMPORTS = ["synth.py:dnn_to_spline"]
+
+
+def test_every_import_is_read():
+    # a name a module imports must be read in that module, so a deleted call
+    # cannot leave its import behind; star imports bind no single name
+    unread = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        read = _loaded_names(tree, attributes=False)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name != "*" and name not in read:
+                        unread.append(f"{path.name}:{name}")
+    assert unread == UNREAD_IMPORTS

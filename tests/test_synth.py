@@ -213,6 +213,17 @@ class TestRedundancyResidual:
         with pytest.raises(ValueError):
             rs.redundancy_residual(h, {3}, 0)
 
+    def test_unit_index_validated(self):
+        # j = -1 would read the last unit's zeros and j = n2 none at all
+        h = max15_hierarchy()
+        for j in (-1, h.n2):
+            message = rf"^j must be in range\(n2\) = range\(3\), got {j}$"
+            with pytest.raises(ValueError, match=message):
+                rs.redundancy_residual(h, {1}, j)
+        x, row = h.level1, h.level2[2]
+        first, second = ((x[k] - row[k]) / (x[k] - row[k + 1]) for k in range(2))
+        assert rs.redundancy_residual(h, {1}, 2) == first - 1.0 - first * second
+
 
 class TestEpsilonSelect:
     def test_tie_prefers_plus(self):
@@ -230,6 +241,12 @@ class TestEpsilonSelect:
             rs.epsilon_select([[1.0, -1.0]])
         assert info.value.uncovered == [1]
         assert info.value.partial.tolist() == [1.0]
+
+    def test_table_checked_like_other_input(self):
+        with pytest.raises(ValueError, match="^values contains non-finite entries$"):
+            rs.epsilon_select([[np.nan, 1.0], [1.0, 1.0]])
+        with pytest.raises(rs.DimensionMismatchError, match="^values must be 2-dimensional"):
+            rs.epsilon_select(np.ones((2, 2, 2)))
 
     def test_zero_entries_follow_masks(self):
         values = [[0.0, -1.0]]
@@ -678,30 +695,31 @@ class TestThreeHiddenMatchesConversionLoop:
         assert isinstance(result, tuple) and len(checks) == 1
 
 
+def transfer_steps(monkeypatch, build, *args, **opts):
+    """Each layer_transfer step's (members in, members out), and the error raised."""
+    calls = []
+    real_transfer = synth.layer_transfer
+
+    def counting(bundle, layer, *args, **kwargs):
+        calls.append((bundle.width, layer.out_width))
+        return real_transfer(bundle, layer, *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("synthesis must not convert the whole network")
+
+    monkeypatch.setattr(synth, "layer_transfer", counting)
+    monkeypatch.setattr(transfer, "layer_transfer", counting)
+    monkeypatch.setattr(synth, "dnn_to_spline", refuse)
+    monkeypatch.setattr(transfer, "dnn_to_spline", refuse)
+    monkeypatch.setattr(rs, "dnn_to_spline", refuse)
+    try:
+        build(*args, **opts)
+    except rs.ActivityError as err:
+        return calls, err
+    return calls, None
+
+
 class TestThreeHiddenCallCounts:
-    def steps(self, monkeypatch, h, **opts):
-        """Each layer_transfer step's (members in, members out), and the error raised."""
-        calls = []
-        real_transfer = synth.layer_transfer
-
-        def counting(bundle, layer, *args, **kwargs):
-            calls.append((bundle.width, layer.out_width))
-            return real_transfer(bundle, layer, *args, **kwargs)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("synthesis must not convert the whole network")
-
-        monkeypatch.setattr(synth, "layer_transfer", counting)
-        monkeypatch.setattr(transfer, "layer_transfer", counting)
-        monkeypatch.setattr(synth, "dnn_to_spline", refuse)
-        monkeypatch.setattr(transfer, "dnn_to_spline", refuse)
-        monkeypatch.setattr(rs, "dnn_to_spline", refuse)
-        try:
-            rs.synth_three_hidden(h, **opts)
-        except rs.ActivityError as err:
-            return calls, err
-        return calls, None
-
     @pytest.mark.parametrize(
         "opts,steps",
         [
@@ -711,7 +729,8 @@ class TestThreeHiddenCallCounts:
         ],
     )
     def test_one_transfer_per_attempt_and_no_conversion(self, monkeypatch, opts, steps):
-        calls, err = self.steps(monkeypatch, fourteen_hierarchy(), **(opts or {}))
+        h = fourteen_hierarchy()
+        calls, err = transfer_steps(monkeypatch, rs.synth_three_hidden, h, **(opts or {}))
         # layers 2 and 3 (two members in, two out), the final row once, and
         # on a miss one step through the identity for G
         assert calls == [(2, 2), (2, 2), (2, 1), (2, 2)][: 2 + steps]
@@ -720,7 +739,7 @@ class TestThreeHiddenCallCounts:
     def test_even_eight_cubed_decides_once(self, monkeypatch):
         # every failure of the random and evenly spread sweeps had a knot
         # that no third-layer unit keeps, so no other final row would help
-        calls, err = self.steps(monkeypatch, even_three_level(8, 8, 8))
+        calls, err = transfer_steps(monkeypatch, rs.synth_three_hidden, even_three_level(8, 8, 8))
         assert calls == [(8, 8), (8, 8), (8, 1), (8, 8)]
         assert len(err.inactive) == 3
         assert str(err).endswith(
@@ -734,13 +753,41 @@ class TestThreeHiddenCallCounts:
         rng = np.random.default_rng(139)
         for n1, n3 in ((2, 1), (3, 2), (4, 3), (5, 4), (6, 1)):
             h = random_three_level(rng, n1, 1, n3)
-            calls, err = self.steps(monkeypatch, h)
+            calls, err = transfer_steps(monkeypatch, rs.synth_three_hidden, h)
             monkeypatch.undo()
             assert calls == [(n1, 1), (1, n3), (n3, 1), (n3, n3)]
             assert set(h.level1[1::2].tolist()) <= set(err.inactive)
             net = unchecked(monkeypatch, rs.synth_three_hidden, h)
             assert err.inactive == fresh_misses(net, rs.prescribed_knots(h))
             assert str(err) == miss_report(net.layers[:-1], np.array(err.inactive))
+
+
+class TestTwoHiddenCallCounts:
+    """A two-hidden build converts layers 1 and 2 once, then steps the final row,
+    and on a miss the identity, from that same bundle."""
+
+    @pytest.mark.parametrize(
+        "build,args,steps",
+        [
+            (rs.synth_two_hidden, (max15_hierarchy(),), [(3, 3), (3, 1)]),
+            (rs.synth_two_hidden_no_source, (NINE_KNOTS, 3, 2), [(3, 2), (2, 1)]),
+            (
+                rs.synth_two_hidden,
+                (rs.hierarchy_from_flat(np.linspace(-10.0, 10.0, 120), 10, 10),),
+                [(10, 10), (10, 1), (10, 10)],
+            ),
+            (
+                rs.synth_two_hidden_no_source,
+                (np.linspace(-10.0, 10.0, 72), 8, 8),
+                [(8, 8), (8, 1), (8, 8)],
+            ),
+        ],
+        ids=["max15", "nine", "two-10x10-even", "no-source-8x8-even"],
+    )
+    def test_one_conversion_per_build(self, monkeypatch, build, args, steps):
+        calls, err = transfer_steps(monkeypatch, build, *args)
+        assert calls == steps
+        assert (err is None) == (len(steps) == 2)
 
 
 NO_UNIT_BUILDS = {
@@ -1007,7 +1054,7 @@ class TestSplineHandOver:
 def unchecked(monkeypatch, build, *args):
     """The network a build computes, without its activity check."""
     with monkeypatch.context() as patched:
-        patched.setattr(synth, "_checked", lambda net, spline, wanted, tol, hidden=None: net)
+        patched.setattr(synth, "_checked", lambda net, hidden, wanted, tol: net)
         return build(*args)
 
 
