@@ -13,6 +13,7 @@ from .core import (
     KnotHierarchy,
     ReluNetwork,
     Tolerances,
+    _frozen_array,
     knot_bound,
 )
 from .transfer import dnn_to_spline
@@ -55,8 +56,8 @@ def coeffs_from_knots(h: KnotHierarchy, a3, c_signs) -> tuple[np.ndarray, np.nda
     hierarchy; coefficients come from the interlacing ratios alone, no
     network evaluation involved.
     """
-    a3 = np.atleast_1d(np.asarray(a3, dtype=float))
-    c_signs = np.atleast_1d(np.asarray(c_signs, dtype=float))
+    a3 = _frozen_array(a3, ndim=1, name="a3")
+    c_signs = _frozen_array(c_signs, ndim=1, name="c_signs")
     n1, n2 = h.n1, h.n2
     if a3.shape[0] != n2 or c_signs.shape[0] != n2:
         raise DimensionMismatchError(f"a3 and c_signs must have length {n2}")

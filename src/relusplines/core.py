@@ -39,6 +39,7 @@ Conventions:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -483,7 +484,7 @@ def knot_bound(widths) -> int:
     It is attained with one hidden layer (``spline_to_shallow``) and with
     two (``synth_two_hidden``); deeper chains can fall short of it.
     """
-    widths = tuple(int(w) for w in widths)
+    widths = tuple(map(operator.index, widths))
     if len(widths) < 3:
         raise DimensionMismatchError("width chain needs at least one hidden layer")
     if widths[0] != 1 or widths[-1] != 1:

@@ -1,30 +1,36 @@
 """Forward evaluation and function-level comparison.
 
 ``eval_network`` and ``eval_spline`` accept a scalar or a 1-D array of
-points and return the matching shape; ``eval_bundle`` returns one row per
-member of a ``SplineBundle``, and ``eval_spline`` is its one-row case.
-Both use the piecewise form anchored at each interval's left knot (the
-value there plus slope times offset), found with ``searchsorted``:
-O((P + K) log K) time and O(W (P + K)) memory for W members, P points and
-K knots.  The rounding error follows the spline's values and slopes
-between the first knot and the point, not the hinge terms of a sum of
-hinges, which can be far larger and cancel.  Because both representations are
-continuous piecewise-linear, two of them agree everywhere as soon as they
-agree on every knot, one interior point per interval and one point beyond
-each outermost knot; ``probe_grid`` produces exactly such a grid.
+points and return the matching shape; points of any other shape raise
+DimensionMismatchError.  ``eval_spline`` uses the piecewise form anchored
+at each interval's left knot (the value there plus slope times offset),
+found with ``searchsorted``: O((P + K) log K) time and O(P + K) memory for
+P points and K knots.  The rounding error follows the spline's values and
+slopes between the first knot and the point, not the hinge terms of a sum
+of hinges, which can be far larger and cancel.  Because both
+representations are continuous piecewise-linear, two of them agree
+everywhere as soon as they agree on every knot, one interior point per
+interval and one point beyond each outermost knot; ``probe_grid``
+produces exactly such a grid.
 """
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
-from .core import CplSpline, ReluNetwork, SplineBundle
+from .core import CplSpline, DimensionMismatchError, ReluNetwork
 
-__all__ = ["eval_network", "eval_spline", "eval_bundle", "probe_grid", "equivalence_error"]
+__all__ = ["eval_network", "eval_spline", "probe_grid", "equivalence_error"]
 
 
 def _as_points(t) -> tuple[np.ndarray, bool]:
     arr = np.asarray(t, dtype=float)
+    if arr.ndim > 1:
+        raise DimensionMismatchError(
+            f"evaluation points must be a scalar or 1-dimensional, got shape {arr.shape}"
+        )
     if not np.all(np.isfinite(arr)):
         raise ValueError("evaluation points must be finite")
     return np.atleast_1d(arr), arr.ndim == 0
@@ -41,16 +47,6 @@ def eval_network(net: ReluNetwork, t):
     return float(values[0]) if scalar else values
 
 
-def _eval_rows(knots, q1s, q0s, coeffs, points) -> np.ndarray:
-    """Row r: q1s[r] t + q0s[r] + sum_k coeffs[r, k] relu(t - knots[k]), knots sorted."""
-    # piece 0 is the left tail, anchored at 0; piece i + 1 starts at the i-th knot
-    anchors = np.concatenate(([0.0], knots))
-    slopes = q1s[:, None] + np.column_stack((np.zeros(q1s.shape[0]), coeffs)).cumsum(axis=1)
-    at_anchor = np.column_stack((q0s, slopes[:, :-1] * np.diff(anchors))).cumsum(axis=1)
-    piece = np.searchsorted(knots, points, side="right")
-    return at_anchor[:, piece] + slopes[:, piece] * (points - anchors[piece])
-
-
 def eval_spline(spline: CplSpline, t):
     """Value of the spline at t (scalar or 1-D array).
 
@@ -60,17 +56,14 @@ def eval_spline(spline: CplSpline, t):
     """
     points, scalar = _as_points(t)
     order = np.argsort(spline.knots, kind="stable")
-    q1s, q0s = np.array([spline.q1]), np.array([spline.q0])
-    values = _eval_rows(spline.knots[order], q1s, q0s, spline.coeffs[order][None, :], points)[0]
+    knots = spline.knots[order]
+    # piece 0 is the left tail, anchored at 0; piece i + 1 starts at the i-th knot
+    anchors = np.concatenate(([0.0], knots))
+    slopes = spline.q1 + np.concatenate(([0.0], spline.coeffs[order])).cumsum()
+    at_anchor = np.concatenate(([spline.q0], slopes[:-1] * np.diff(anchors))).cumsum()
+    piece = np.searchsorted(knots, points, side="right")
+    values = at_anchor[piece] + slopes[piece] * (points - anchors[piece])
     return float(values[0]) if scalar else values
-
-
-def eval_bundle(bundle: SplineBundle, t) -> np.ndarray:
-    """Every member at t: shape (width,) for a scalar, (width, points) for
-    an array; row r is ``eval_spline(bundle.member(r), t)`` bit for bit."""
-    points, scalar = _as_points(t)
-    values = _eval_rows(bundle.knots, bundle.q1s, bundle.q0s, bundle.coeff_matrix, points)
-    return values[:, 0] if scalar else values
 
 
 def probe_grid(knots, margin: float = 1.0, per_interval: int = 1) -> np.ndarray:
@@ -83,10 +76,12 @@ def probe_grid(knots, margin: float = 1.0, per_interval: int = 1) -> np.ndarray:
     """
     if not 0 < margin < np.inf:
         raise ValueError("margin must be positive and finite")
-    per_interval = int(per_interval)
+    per_interval = operator.index(per_interval)
     if per_interval < 1:
         raise ValueError("per_interval must be at least 1")
     knots = np.asarray(knots, dtype=float)
+    if knots.ndim != 1:
+        raise DimensionMismatchError(f"knots must be 1-dimensional, got shape {knots.shape}")
     if not np.isfinite(knots).all():
         raise ValueError("knots contain non-finite entries")
     if knots.size == 0:
@@ -101,10 +96,7 @@ def probe_grid(knots, margin: float = 1.0, per_interval: int = 1) -> np.ndarray:
 
 
 def equivalence_error(net: ReluNetwork, spline: CplSpline, grid) -> float:
-    """max over the grid of |network - spline| / (1 + |network|)."""
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    if grid.size == 0:
-        return 0.0
+    """max over the grid of |network - spline| / (1 + |network|), 0 on an empty grid."""
     f = eval_network(net, grid)
     s = eval_spline(spline, grid)
-    return float(np.max(np.abs(f - s) / (1.0 + np.abs(f))))
+    return float(np.max(np.abs(f - s) / (1.0 + np.abs(f)), initial=0.0))

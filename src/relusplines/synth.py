@@ -5,8 +5,8 @@ levels, per-interval slopes are fixed by a ratio recursion (consecutive
 zeros pin each affine piece), weights are slope differences, and source
 channels and biases make every piece vanish where prescribed.  The
 three-hidden-layer build additionally selects per-unit signs eps so that
-at every lower-level knot at least one third-layer unit is positive,
-keeping the knot alive through the last ReLU.
+every lower-level knot is kept through the last ReLU by at least one
+third-layer unit.
 
 Every build converts the network it builds once and decides activity
 from that spline alone, in ``_checked``: it returns the network with every
@@ -19,8 +19,9 @@ Every step works on whole bundles.  The slope recursion runs over
 intervals for all units at once.  Every build converts its hidden layers
 once, with ``dnn_to_spline``'s own loop (the knotless layer-1 bundle, then
 one ``layer_transfer`` step per later hidden layer), and hands ``_checked``
-the last hidden bundle.  The three-hidden build reads unit values and
-slopes at the lower-level knots (for the signs) off its layer-3 bundle;
+the last hidden bundle.  The three-hidden build picks its signs from
+relu's hinges at the lower-level knots, read off its layer-3 bundle and
+that bundle negated by the layer step's own rule (``_relu_hinges``);
 flipping the rows by eps gives the returned network's bundle bit for bit.
 The output row enters linearly, so one step of that bundle through the
 final ``Layer`` (``dnn_to_spline``'s last step) gives the network's spline
@@ -33,6 +34,7 @@ example ``redundancy_residual``'s ``index_set``) are 0-based.
 
 from __future__ import annotations
 
+import operator
 import warnings
 
 import numpy as np
@@ -53,9 +55,8 @@ from .core import (
     _finite_float,
     _frozen_array,
 )
-from .evaluate import eval_bundle
 # dnn_to_spline is read as synth.dnn_to_spline by bench/selftest.py's tracing check
-from .transfer import _bundle_after, _hand_over, dnn_to_spline, layer_transfer
+from .transfer import _bundle_after, _hand_over, _relu_hinges, dnn_to_spline, layer_transfer
 
 __all__ = [
     "synth_two_hidden",
@@ -168,6 +169,7 @@ def _flat_knots(knots, expected: int, widths: tuple) -> np.ndarray:
     ``widths`` are the hidden widths the list is arranged for; none may be
     negative.
     """
+    widths = tuple(map(operator.index, widths))
     shape = ", ".join(map(str, widths))
     if min(widths) < 0:
         raise ValueError(f"widths must be non-negative, got ({shape})")
@@ -235,11 +237,12 @@ def redundancy_residual(h: KnotHierarchy, index_set, j: int) -> float:
     it vanishes exactly when the unit's zeros could also be realized with a
     zero source weight.
     """
+    j = operator.index(j)
     if not 0 <= j < h.n2:
         raise ValueError(f"j must be in range(n2) = range({h.n2}), got {j}")
     x = h.level1
     row = h.level2[j]
-    chosen = sorted(set(int(k) for k in index_set))
+    chosen = sorted(set(map(operator.index, index_set)))
     if not chosen or len(chosen) >= h.n1 or chosen[0] < 0 or chosen[-1] >= h.n1:
         raise ValueError("index_set must be a nonempty proper subset of range(n1)")
     ratios = (x - row[:-1]) / (x - row[1:])
@@ -249,14 +252,14 @@ def redundancy_residual(h: KnotHierarchy, index_set, j: int) -> float:
     return float(exclusive - 1.0 - inclusive)
 
 
-def _greedy_signs(values: np.ndarray, plus_ok, minus_ok, tol: Tolerances):
-    """``epsilon_select``'s greedy pass: its signs and the columns they leave uncovered."""
-    zeroish = np.abs(values) <= tol.zero_tol
-    covers_plus = (values > tol.zero_tol) | (zeroish & plus_ok)
-    covers_minus = (values < -tol.zero_tol) | (zeroish & minus_ok)
-    eps = np.ones(values.shape[0])
-    uncovered = np.ones(values.shape[1], dtype=bool)
-    for r in range(values.shape[0]):
+def _greedy_signs(covers_plus: np.ndarray, covers_minus: np.ndarray):
+    """The greedy sign pass: its signs and the columns they leave uncovered.
+
+    Row r with sign +1 (-1) covers column i where covers_plus (covers_minus)[r, i].
+    """
+    eps = np.ones(covers_plus.shape[0])
+    uncovered = np.ones(covers_plus.shape[1], dtype=bool)
+    for r in range(covers_plus.shape[0]):
         gain_plus = np.count_nonzero(uncovered & covers_plus[r])
         if np.count_nonzero(uncovered & covers_minus[r]) > gain_plus:
             eps[r] = -1.0
@@ -264,25 +267,20 @@ def _greedy_signs(values: np.ndarray, plus_ok, minus_ok, tol: Tolerances):
     return eps, np.flatnonzero(uncovered)
 
 
-def epsilon_select(values, zero_cover=None, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def epsilon_select(values, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Greedy +-1 signs so every column is positive for some row.
 
-    ``values[r, i]`` is third-layer unit r at knot i with sign +1; flipping
-    the sign flips the row.  Each step picks the sign covering more of the
-    still-uncovered columns (ties go to +1), which is at least half of
-    them.  Entries within zero_tol of zero are decided by ``zero_cover``,
-    a (plus_ok, minus_ok) pair of boolean matrices (default: either sign
-    covers).  Raises CoverageError if columns remain uncovered, the only
-    place it comes from: ``synth_three_hidden`` reports them through
-    ActivityError.
+    ``values[r, i]`` is row r at column i with sign +1; flipping the sign
+    flips the row.  An entry covers its column for the sign that makes it
+    positive, and for either sign when it is within zero_tol of zero.  Each
+    step picks the sign covering more of the still-uncovered columns (ties
+    go to +1), which is at least half of them.  Raises CoverageError if
+    columns remain uncovered, the only place it comes from:
+    ``synth_three_hidden`` runs the same pass on relu's hinges and reports
+    what it leaves uncovered through ActivityError.
     """
     values = _frozen_array(np.atleast_2d(values), ndim=2, name="values")
-    plus_ok = minus_ok = True
-    if zero_cover is not None:
-        plus_ok, minus_ok = (np.atleast_2d(np.asarray(m, bool)) for m in zero_cover)
-        if plus_ok.shape != values.shape or minus_ok.shape != values.shape:
-            raise DimensionMismatchError("zero_cover masks must match the value matrix")
-    eps, uncovered = _greedy_signs(values, plus_ok, minus_ok, tol)
+    eps, uncovered = _greedy_signs(values >= -tol.zero_tol, values <= tol.zero_tol)
     if uncovered.size:
         raise CoverageError(
             f"no sign choice covers knot columns {uncovered.tolist()}", uncovered, partial=eps
@@ -320,25 +318,6 @@ def _missing_prescribed(spline: CplSpline, prescribed: np.ndarray) -> np.ndarray
     return prescribed[_nearest_knot(spline.knots, prescribed)[1] > ACTIVITY_TOL]
 
 
-def _zero_sign_masks(bundle: SplineBundle, targets: np.ndarray, tol: Tolerances):
-    """Which sign keeps a hinge alive at a zero-valued target, per unit.
-
-    At a knot where a unit vanishes exactly, the composed hinge coefficient
-    is relu(slope after) + relu(-slope before); flipping the unit flips
-    both slopes.  Slopes are read off the bundle's slope matrix at each
-    target's nearer knot; with none within merge_tol, neither sign does.
-    """
-    q1s = bundle.q1s[:, None]
-    mu = np.concatenate((q1s, q1s + bundle.coeff_matrix.cumsum(axis=1)), axis=1)
-    nearer, distance = _nearest_knot(bundle.knots, targets)
-    on_knot = distance <= tol.merge_tol
-    # knot k has slopes mu[k] before and mu[k + 1] after
-    before, after = mu[:, nearer], mu[:, nearer + 1]
-    plus_ok = on_knot & (np.maximum(after, 0.0) + np.maximum(-before, 0.0) > tol.zero_tol)
-    minus_ok = on_knot & (np.maximum(-after, 0.0) + np.maximum(before, 0.0) > tol.zero_tol)
-    return plus_ok, minus_ok
-
-
 def synth_three_hidden(
     h: KnotHierarchy,
     *,
@@ -354,9 +333,10 @@ def synth_three_hidden(
     Layers 1-2 follow the two-hidden build.  Third-layer unit r puts its
     zeros at level3 row r, seen as one zero per interval of the first
     level-2 column; its sign eps_r comes from ``eps`` (n3 entries of +-1)
-    or ``epsilon_select``'s greedy pass over the unit values at the
-    lower-level knots, whose uncovered knots the activity check reports
-    (CoverageError comes only from the public ``epsilon_select``).  The
+    or ``epsilon_select``'s greedy pass over the lower-level knots, where a
+    sign covers a knot when relu of the signed unit keeps a hinge there by
+    the layer step's own rule; the activity check reports what stays
+    uncovered (CoverageError comes only from the public ``epsilon_select``).  The
     final row is ``a4`` (n3 entries) or -eps (all positive parts add up
     with one sign); ``c_out`` and ``b_out`` are the final layer's source
     weight and bias.  Knot k's output coefficient is row . G[:, k], G's
@@ -386,9 +366,17 @@ def synth_three_hidden(
     first, second = _two_hidden_layers(h)
     bundle3 = _bundle_after((first, second, Layer(a3, b3, c3)), tol)
     if eps is None:
+        # rows n3 + r are unit r negated exactly: what the layer step sees for eps_r = -1
+        rows = (np.concatenate((v, -v)) for v in (bundle3.q1s, bundle3.q0s, bundle3.coeff_matrix))
+        with np.errstate(all="ignore"):
+            kept = _relu_hinges(SplineBundle._computed(bundle3.knots, *rows), tol)[3]
+        # a sign covers a lower-level knot when relu keeps the knot found there
         targets = np.sort(np.concatenate((h.level1, h.level2.ravel())))
-        values, masks = eval_bundle(bundle3, targets), _zero_sign_masks(bundle3, targets, tol)
-        eps = _greedy_signs(values, *masks, tol)[0]
+        nearer, distance = _nearest_knot(bundle3.knots, targets)
+        hit = distance <= ACTIVITY_TOL
+        covers = np.zeros((2 * n3, hit.size), dtype=bool)
+        covers[:, hit] = np.abs(kept[:, nearer[hit]]) > tol.zero_tol
+        eps = _greedy_signs(covers[:n3], covers[n3:])[0]
 
     # eps flips rows exactly: this is dnn_to_spline's layer-3 bundle bit for bit
     signed3 = SplineBundle._computed(

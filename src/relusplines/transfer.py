@@ -27,6 +27,8 @@ ValueError is all the caller sees of it.
 Sign decisions use tol.zero_tol.  A unit value at a knot counts as zero
 when |f(x)| <= zero_tol * (1 + |mu x|), which keeps the test meaningful
 when mu x and eta cancel; slopes count as zero at |mu| <= zero_tol.
+The classes and relu's hinges at the knots come from ``_relu_hinges``,
+which the three-hidden build's sign selection reads as well.
 """
 
 from __future__ import annotations
@@ -75,6 +77,43 @@ def sigma_compose(f: CplSpline, tol: Tolerances = DEFAULT_TOL) -> CplSpline:
     return layer_transfer(bundle, _IDENTITY, tol).member(0)
 
 
+def _relu_hinges(bundle: SplineBundle, tol: Tolerances):
+    """(mu, eta, ends, kept): every member's piecewise form, classes and relu hinges.
+
+    Member j has slope mu[j, v] and intercept eta[j, v] on interval v
+    (interval 0 lies left of every knot).  ends[j] is its -1/0/+1 class at
+    each knot, from the piece left of it, between the signs of the tails at
+    -inf and +inf (the outer slopes', negated on the left); the zero band
+    scales with |mu x| so that cancellation does not flip signs.
+    kept[j, k] is relu(f_j)'s hinge coefficient at knot k.  Callers
+    silence float warnings.
+    """
+    knots, coeffs = bundle.knots, bundle.coeff_matrix
+    q1, q0 = bundle.q1s, bundle.q0s
+    m, n = coeffs.shape
+    mu = np.empty((m, n + 1))
+    mu[:, 0] = q1
+    np.add(q1[:, None], coeffs.cumsum(axis=1), out=mu[:, 1:])
+    eta = np.empty((m, n + 1))
+    eta[:, 0] = q0
+    np.subtract(q0[:, None], (coeffs * knots).cumsum(axis=1), out=eta[:, 1:])
+
+    scaled = mu[:, :-1] * knots
+    values = scaled + eta[:, :-1]
+    ends = np.empty((m, n + 2))
+    ends[:, 0] = -np.sign(q1)
+    zero = np.abs(values) <= tol.zero_tol * (1.0 + np.abs(scaled))
+    ends[:, 1:-1] = np.where(zero, 0.0, np.sign(values))
+    ends[:, -1] = np.sign(mu[:, -1])
+    classes = ends[:, 1:-1]
+
+    # a positive unit keeps its hinge, a negative one drops it, and one that
+    # vanishes at the knot keeps the positive parts of the slopes either side
+    split = np.maximum(mu[:, 1:], 0.0) + np.maximum(-mu[:, :-1], 0.0)
+    kept = np.where(classes > 0, coeffs, np.where(classes == 0, split, 0.0))
+    return mu, eta, ends, kept
+
+
 def layer_transfer(
     bundle: SplineBundle, layer: Layer, tol: Tolerances = DEFAULT_TOL
 ) -> SplineBundle:
@@ -94,35 +133,9 @@ def layer_transfer(
 
     # an overflow surfaces as the ValueError of the bundle's finiteness scan
     with np.errstate(all="ignore"):
-        knots = bundle.knots
-        coeffs = bundle.coeff_matrix
-        q1, q0 = bundle.q1s, bundle.q0s
+        mu, eta, ends, kept = _relu_hinges(bundle, tol)
+        knots, q1, q0 = bundle.knots, bundle.q1s, bundle.q0s
         zero_tol = tol.zero_tol
-        m, n = coeffs.shape
-        # piecewise form of every member: slope mu[j, v], intercept eta[j, v]
-        mu = np.empty((m, n + 1))
-        mu[:, 0] = q1
-        np.add(q1[:, None], coeffs.cumsum(axis=1), out=mu[:, 1:])
-        eta = np.empty((m, n + 1))
-        eta[:, 0] = q0
-        np.subtract(q0[:, None], (coeffs * knots).cumsum(axis=1), out=eta[:, 1:])
-
-        # -1/0/+1 class of each member at each knot, from the piece left of it,
-        # between the signs of the tails at -inf and +inf (those of the outer
-        # slopes, negated on the left); the zero band scales with |mu x| so that
-        # cancellation does not flip signs
-        scaled = mu[:, :-1] * knots
-        values = scaled + eta[:, :-1]
-        ends = np.empty((m, n + 2))
-        ends[:, 0] = -np.sign(q1)
-        zero = np.abs(values) <= zero_tol * (1.0 + np.abs(scaled))
-        ends[:, 1:-1] = np.where(zero, 0.0, np.sign(values))
-        ends[:, -1] = np.sign(mu[:, -1])
-        classes = ends[:, 1:-1]
-
-        # hinge coefficients of relu(f_j) at the shared knots
-        split = np.maximum(mu[:, 1:], 0.0) + np.maximum(-mu[:, :-1], 0.0)
-        kept = np.where(classes > 0, coeffs, np.where(classes == 0, split, 0.0))
 
         # a piece crosses zero inside its interval exactly when the classes at
         # its two ends are strictly opposite, which rules out double counting
@@ -137,7 +150,7 @@ def layer_transfer(
         tail_q0 = np.where(falling, q0, np.where(np.abs(q1) <= zero_tol, np.maximum(q0, 0.0), 0.0))
 
         coords = np.concatenate((knots, cross_x))
-        is_new = np.arange(coords.shape[0]) >= n
+        is_new = np.arange(coords.shape[0]) >= knots.shape[0]
         columns = np.concatenate((A @ kept, A[:, members] * np.abs(slopes)), axis=1)
         merged_x, merged_cols = _merge_columns(coords, is_new, columns, tol)
         return SplineBundle._computed(merged_x, c + A @ tail_q1, b + A @ tail_q0, merged_cols)

@@ -103,3 +103,13 @@ class TestCoeffsFromKnots:
     def test_length_validation(self):
         with pytest.raises(rs.DimensionMismatchError):
             rs.coeffs_from_knots(max15_hierarchy(), [1.0], [1.0, 1.0, -1.0])
+
+    def test_rows_checked_like_other_input(self):
+        # a NaN entry used to come back as NaN coefficients
+        h = max15_hierarchy()
+        with pytest.raises(ValueError, match="^a3 contains non-finite entries$"):
+            rs.coeffs_from_knots(h, [1.0, np.nan, 0.5], [1.0, 1.0, -1.0])
+        with pytest.raises(ValueError, match="^c_signs contains non-finite entries$"):
+            rs.coeffs_from_knots(h, [1.0, 0.5, 0.5], [1.0, np.inf, -1.0])
+        with pytest.raises(rs.DimensionMismatchError, match="^a3 must be 1-dimensional"):
+            rs.coeffs_from_knots(h, [[1.0, 0.5, 0.5]], [1.0, 1.0, -1.0])

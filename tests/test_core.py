@@ -227,6 +227,12 @@ class TestKnotBound:
         with pytest.raises(rs.DimensionMismatchError):
             rs.knot_bound((2, 3, 1))
 
+    def test_widths_are_integers(self):
+        # 2.5 used to be read as 2
+        with pytest.raises(TypeError):
+            rs.knot_bound([1, 2.5, 1])
+        assert rs.knot_bound(np.array([1, 2, 1])) == 2
+
     def test_upper_bound_not_reached_by_deep_width_one_chains(self):
         # the bound is attained with one and two hidden layers, not always
         # deeper: random (1, 1, 1, 1, 1) networks stay at 5 knots of 7
@@ -426,10 +432,6 @@ REJECTIONS = {
     "flat-knots-non-finite": (
         lambda _: rs.hierarchy_from_flat([0.0, np.nan, 2.0], 1, 1),
         (ValueError, "knots contain non-finite entries"),
-    ),
-    "epsilon_select-mask-shape": (
-        lambda _: rs.epsilon_select([[1.0, -1.0]], (np.ones((1, 2), bool), np.ones((2, 1), bool))),
-        (rs.DimensionMismatchError, "zero_cover masks must match the value matrix"),
     ),
     "is_normalized-interior-channel": (
         lambda _: rs.is_normalized(

@@ -1,4 +1,9 @@
-"""Every script in demos/ runs to completion against the source tree."""
+"""Every script in demos/ runs to completion against the source tree and
+prints what its frozen transcript in fixtures/demos/ says.
+
+After a deliberate change to a demo's output, refresh its transcript with
+``PYTHONPATH=src python demos/<name>.py > tests/fixtures/demos/<name>.txt``.
+"""
 
 import os
 import subprocess
@@ -9,10 +14,12 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+TRANSCRIPTS = Path(__file__).resolve().parent / "fixtures" / "demos"
 
 
 def test_demos_exist():
     assert DEMOS
+    assert sorted(p.stem for p in TRANSCRIPTS.glob("*.txt")) == [p.stem for p in DEMOS]
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda path: path.name)
@@ -27,3 +34,4 @@ def test_demo_runs(script, tmp_path):
         timeout=300,
     )
     assert result.returncode == 0, result.stderr
+    assert result.stdout == (TRANSCRIPTS / f"{script.stem}.txt").read_text()

@@ -47,6 +47,11 @@ class TestEvalNetwork:
         with pytest.raises(ValueError):
             rs.eval_network(net_max_knots(), np.inf)
 
+    def test_rejects_points_of_two_dimensions(self):
+        message = r"^evaluation points must be a scalar or 1-dimensional, got shape \(2, 2\)$"
+        with pytest.raises(rs.DimensionMismatchError, match=message):
+            rs.eval_network(net_max_knots(), np.zeros((2, 2)))
+
     def test_width_zero_hidden_layer(self):
         net = rs.spline_to_shallow(rs.CplSpline(2.0, -1.0, [], []))
         assert net.widths == (1, 0, 1)
@@ -54,6 +59,12 @@ class TestEvalNetwork:
 
 
 class TestEvalSpline:
+    def test_rejects_points_of_two_dimensions(self):
+        s = rs.CplSpline(0.0, 0.0, [0.0], [1.0])
+        for points in (np.zeros((2, 2)), [[1.0]], np.zeros((1, 0))):
+            with pytest.raises(rs.DimensionMismatchError, match="^evaluation points must be"):
+                rs.eval_spline(s, points)
+
     def test_single_hinge(self):
         s = rs.CplSpline(0.0, 0.0, [0.0], [1.0])
         assert rs.eval_spline(s, -1.0) == 0.0
@@ -83,48 +94,6 @@ class TestEvalSpline:
             scale = 1.0 + sum(abs(term) for term in terms) + abs(s.q1 * t) + abs(s.q0)
             assert abs(value - direct) <= 1e-12 * scale
         np.testing.assert_array_equal(values, [rs.eval_spline(s, float(t)) for t in ts])
-
-
-def random_bundle(rng: np.random.Generator, width: int, n_knots: int) -> rs.SplineBundle:
-    """Bundle with some zero, some exactly cancelling and some tiny coefficients."""
-    knots = np.sort(rng.choice(np.linspace(-8.0, 8.0, 161), n_knots, replace=False))
-    coeffs = rng.uniform(-3, 3, (width, n_knots))
-    coeffs[rng.uniform(size=coeffs.shape) < 0.2] = 0.0
-    coeffs[rng.uniform(size=coeffs.shape) < 0.1] = 1e-12
-    if n_knots >= 2:
-        coeffs[:, 1] = -coeffs[:, 0]
-    return rs.SplineBundle(knots, rng.uniform(-2, 2, width), rng.uniform(-2, 2, width), coeffs)
-
-
-class TestEvalBundle:
-    def test_rows_equal_eval_spline_bit_for_bit(self):
-        rng = np.random.default_rng(113)
-        for _ in range(200):
-            bundle = random_bundle(rng, int(rng.integers(1, 7)), int(rng.integers(0, 25)))
-            # knots themselves, points between and on both sides, far past the last knot
-            ts = np.concatenate(
-                (bundle.knots, rng.uniform(-12, 12, 30), [-1e6, 1e6, 0.0])
-            )
-            values = rs.eval_bundle(bundle, ts)
-            assert values.shape == (bundle.width, ts.shape[0])
-            for r in range(bundle.width):
-                expected = rs.eval_spline(bundle.member(r), ts)
-                assert values[r].tobytes() == expected.tobytes()
-
-    def test_knotless_bundle_is_affine_per_member(self):
-        bundle = rs.SplineBundle([], [1.0, -2.0], [0.5, 3.0], np.empty((2, 0)))
-        np.testing.assert_array_equal(
-            rs.eval_bundle(bundle, [-1.0, 2.0]), [[-0.5, 2.5], [5.0, -1.0]]
-        )
-
-    def test_scalar_point_gives_one_value_per_member(self):
-        bundle = rs.SplineBundle([0.0], [0.0, 1.0], [0.0, 0.0], [[1.0], [-1.0]])
-        np.testing.assert_array_equal(rs.eval_bundle(bundle, 2.0), [2.0, 0.0])
-
-    def test_rejects_non_finite_points(self):
-        bundle = rs.SplineBundle([0.0], [0.0], [0.0], [[1.0]])
-        with pytest.raises(ValueError):
-            rs.eval_bundle(bundle, [0.0, np.nan])
 
 
 class TestEvalSplineAtScale:
@@ -175,6 +144,19 @@ class TestProbeGrid:
             with pytest.raises(ValueError, match="^margin must be positive and finite$"):
                 rs.probe_grid([0.0, 1.0], margin=margin)
 
+    def test_per_interval_is_an_integer(self):
+        # 1.5 used to be read as 1; integer types of any kind are accepted
+        with pytest.raises(TypeError):
+            rs.probe_grid([0.0, 1.0], per_interval=1.5)
+        assert rs.probe_grid([0.0, 1.0], per_interval=np.int64(2)).tolist() == [
+            -1.0, 0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0, 2.0
+        ]
+
+    def test_knots_must_be_one_dimensional(self):
+        for knots in ([[0.0, 1.0]], np.zeros((2, 2)), 0.5):
+            with pytest.raises(rs.DimensionMismatchError, match="^knots must be 1-dimensional"):
+                rs.probe_grid(knots)
+
     def test_decides_piecewise_linear_equality(self):
         # agreeing on the grid forces equality everywhere for shared knots
         rng = np.random.default_rng(3)
@@ -204,3 +186,16 @@ class TestEquivalenceError:
     def test_empty_grid(self):
         s = rs.dnn_to_spline(net_max_knots())
         assert rs.equivalence_error(net_max_knots(), s, np.array([])) == 0.0
+
+    def test_rejects_a_grid_of_two_dimensions(self):
+        s = rs.dnn_to_spline(net_max_knots())
+        # an empty one too, which used to read as a zero error
+        for grid in (rs.probe_grid(s.knots).reshape(-1, 1), np.zeros((0, 2))):
+            with pytest.raises(rs.DimensionMismatchError, match="^evaluation points must be"):
+                rs.equivalence_error(net_max_knots(), s, grid)
+
+    def test_scalar_point(self):
+        s = rs.dnn_to_spline(net_max_knots())
+        assert rs.equivalence_error(net_max_knots(), s, 0.0) == 0.0
+        shifted = rs.CplSpline(s.q1, s.q0 + 1.0, s.knots, s.coeffs)
+        assert rs.equivalence_error(net_max_knots(), shifted, 0.0) == pytest.approx(1.0 / 1.2)

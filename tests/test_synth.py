@@ -10,7 +10,7 @@ import pytest
 import relusplines as rs
 import relusplines.synth as synth
 import relusplines.transfer as transfer
-from relusplines.synth import _missing_prescribed, _zero_sign_masks
+from relusplines.synth import _missing_prescribed
 
 from helpers import (
     FOURTEEN_KNOTS,
@@ -31,7 +31,6 @@ from helpers import (
     fourteen_hierarchy,
     max15_hierarchy,
     net_max_knots,
-    piecewise_form,
     random_flat_knots,
     random_three_level,
     random_two_level,
@@ -143,6 +142,14 @@ class TestSynthTwoHiddenNoSource:
         np.testing.assert_array_equal(net.layers[2].A, [[1.0, 1.0]])
         assert net.layers[2].b[0] == 0.0 and net.layers[2].c[0] == 0.0
 
+    def test_widths_are_integers(self):
+        # 1.5 units used to ask for 4.5 knots
+        for n1, n2 in ((1.5, 2), (3, 2.0)):
+            with pytest.raises(TypeError):
+                rs.synth_two_hidden_no_source(NINE_KNOTS, n1, n2)
+        net = rs.synth_two_hidden_no_source(NINE_KNOTS, np.int64(3), np.int64(2))
+        assert net.widths == (1, 3, 2, 1)
+
     def test_all_knots_active(self):
         net = rs.synth_two_hidden_no_source(NINE_KNOTS, 3, 2)
         np.testing.assert_allclose(active_set(net), NINE_KNOTS, atol=1e-12)
@@ -224,6 +231,17 @@ class TestRedundancyResidual:
         first, second = ((x[k] - row[k]) / (x[k] - row[k + 1]) for k in range(2))
         assert rs.redundancy_residual(h, {1}, 2) == first - 1.0 - first * second
 
+    def test_indices_are_integers(self):
+        # {1.5} used to count as {1}, and j = 1.5 or True failed inside numpy
+        h = max15_hierarchy()
+        with pytest.raises(TypeError):
+            rs.redundancy_residual(h, {1.5}, 0)
+        with pytest.raises(TypeError):
+            rs.redundancy_residual(h, {1}, 1.5)
+        want = rs.redundancy_residual(h, {1, 2}, 1)
+        assert rs.redundancy_residual(h, {np.int64(1), 2}, np.int64(1)) == want
+        assert rs.redundancy_residual(h, {True, 2}, True) == want
+
 
 class TestEpsilonSelect:
     def test_tie_prefers_plus(self):
@@ -248,12 +266,18 @@ class TestEpsilonSelect:
         with pytest.raises(rs.DimensionMismatchError, match="^values must be 2-dimensional"):
             rs.epsilon_select(np.ones((2, 2, 2)))
 
-    def test_zero_entries_follow_masks(self):
-        values = [[0.0, -1.0]]
-        plus_ok = [[False, False]]
-        minus_ok = [[True, True]]
-        eps = rs.epsilon_select(values, (plus_ok, minus_ok))
-        np.testing.assert_array_equal(eps, [-1.0])
+    def test_zero_entries_cover_either_sign(self):
+        # within zero_tol of zero counts for both signs; beyond it, not
+        tol = rs.DEFAULT_TOL
+        for zero in (0.0, tol.zero_tol, -tol.zero_tol):
+            np.testing.assert_array_equal(rs.epsilon_select([[zero, -1.0]]), [-1.0])
+            np.testing.assert_array_equal(rs.epsilon_select([[zero, 1.0]]), [1.0])
+        with pytest.raises(rs.CoverageError) as info:
+            rs.epsilon_select([[2 * tol.zero_tol, -1.0]])
+        assert info.value.uncovered == [1]
+        np.testing.assert_array_equal(
+            rs.epsilon_select([[1e-9, -1.0]], rs.Tolerances(zero_tol=1e-8)), [-1.0]
+        )
 
     def test_enough_rows_always_cover(self):
         rng = np.random.default_rng(73)
@@ -263,25 +287,24 @@ class TestEpsilonSelect:
             assert np.all((eps[:, None] * values > 0).any(axis=0))
 
     def test_agrees_with_the_greedy_pass(self):
-        # random tables of -1, 0 and +1, with and without zero masks: the same
-        # signs when they cover, else the pass's uncovered columns and signs
+        # random tables of -1, 0 and +1: the pass's signs when they cover,
+        # else its uncovered columns and signs
         rng = np.random.default_rng(181)
+        zero_tol = rs.DEFAULT_TOL.zero_tol
         outcomes = set()
         for _ in range(200):
             shape = (int(rng.integers(1, 5)), int(rng.integers(1, 9)))
             values = rng.choice([-1.0, 0.0, 1.0], shape)
-            masks = tuple(rng.uniform(size=shape) < 0.5 for _ in range(2))
-            for zero_cover, pass_masks in ((None, (True, True)), (masks, masks)):
-                eps, uncovered = synth._greedy_signs(values, *pass_masks, rs.DEFAULT_TOL)
-                if uncovered.size == 0:
-                    assert rs.epsilon_select(values, zero_cover).tobytes() == eps.tobytes()
-                else:
-                    with pytest.raises(rs.CoverageError) as info:
-                        rs.epsilon_select(values, zero_cover)
-                    assert info.value.uncovered == uncovered.tolist()
-                    assert info.value.partial.tobytes() == eps.tobytes()
-                outcomes.add((zero_cover is None, uncovered.size == 0))
-        assert len(outcomes) == 4
+            eps, uncovered = synth._greedy_signs(values >= -zero_tol, values <= zero_tol)
+            if uncovered.size == 0:
+                assert rs.epsilon_select(values).tobytes() == eps.tobytes()
+            else:
+                with pytest.raises(rs.CoverageError) as info:
+                    rs.epsilon_select(values)
+                assert info.value.uncovered == uncovered.tolist()
+                assert info.value.partial.tobytes() == eps.tobytes()
+            outcomes.add(uncovered.size == 0)
+        assert len(outcomes) == 2
 
 
 class TestSynthThreeHidden:
@@ -427,6 +450,13 @@ class TestHierarchyFromFlat:
             h = rs.hierarchy_from_flat(ks, n1, n2, n3)
             np.testing.assert_array_equal(rs.prescribed_knots(h), ks)
 
+    def test_widths_are_integers(self):
+        for widths in ((1.5, 2), (2, 2, 1.5)):
+            with pytest.raises(TypeError):
+                rs.hierarchy_from_flat(FOURTEEN_KNOTS, *widths)
+        h = rs.hierarchy_from_flat(FOURTEEN_KNOTS, np.int64(2), np.int64(2), np.int64(2))
+        np.testing.assert_array_equal(rs.prescribed_knots(h), FOURTEEN_KNOTS)
+
     def test_counts_and_order_validated(self):
         with pytest.raises(rs.DimensionMismatchError):
             rs.hierarchy_from_flat(np.arange(1.0, 10.0), 2, 2)
@@ -523,57 +553,32 @@ class TestNearestKnot:
         np.testing.assert_array_equal(distance, [np.inf] * 3)
 
 
-def looped_zero_sign_masks(bundle: rs.SplineBundle, targets: np.ndarray, tol=rs.DEFAULT_TOL):
-    """Reference: the masks member by member and target by target, each
-    target read at its nearest knot (the right one of two as near)."""
-    plus_ok = np.zeros((bundle.width, targets.shape[0]), dtype=bool)
-    minus_ok = np.zeros_like(plus_ok)
-    for r in range(bundle.width):
-        mu, _ = piecewise_form(bundle.member(r))
-        for i, t in enumerate(targets):
-            gaps = np.abs(bundle.knots - t)
-            if gaps.size == 0 or gaps.min() > tol.merge_tol:
-                continue
-            pos = int(np.flatnonzero(gaps == gaps.min())[-1])
-            before, after = mu[pos], mu[pos + 1]
-            plus_ok[r, i] = max(after, 0.0) + max(-before, 0.0) > tol.zero_tol
-            minus_ok[r, i] = max(-after, 0.0) + max(before, 0.0) > tol.zero_tol
-    return plus_ok, minus_ok
+def reference_covers(bundle: rs.SplineBundle, targets: np.ndarray, tol=rs.DEFAULT_TOL):
+    """Reference: which sign of each member keeps each target, member by member.
 
-
-class TestZeroSignMasks:
-    def test_matches_member_loop(self):
-        # slopes exactly zero or within zero_tol on either side of a knot;
-        # targets on the knots, either side of them (within and beyond
-        # merge_tol; rounding leaves computed knots on either side) and
-        # past the last one
-        rng = np.random.default_rng(131)
-        tol = rs.DEFAULT_TOL
-        for _ in range(300):
-            width, k = int(rng.integers(1, 6)), int(rng.integers(0, 12))
-            knots = np.sort(rng.choice(np.arange(-20.0, 21.0), k, replace=False))
-            q1s = rng.choice([0.0, 1e-11, -1.0, 2.0], width)
-            coeffs = rng.choice([0.0, 1e-11, -1e-11, 1.0, -1.0, 0.5], (width, k))
-            bundle = rs.SplineBundle(knots, q1s, rng.uniform(-1, 1, width), coeffs)
-            near = knots + rng.choice([0.0, 0.5, 2.0, -0.5, -2.0], k) * tol.merge_tol
-            targets = np.sort(np.concatenate((near, rng.uniform(-25, 25, 3), [30.0])))
-            got = _zero_sign_masks(bundle, targets, tol)
-            want = looped_zero_sign_masks(bundle, targets, tol)
-            np.testing.assert_array_equal(got[0], want[0])
-            np.testing.assert_array_equal(got[1], want[1])
-
-    def test_knotless_bundle_allows_no_sign(self):
-        bundle = rs.SplineBundle([], [1.0, -1.0], [0.0, 0.0], np.empty((2, 0)))
-        plus_ok, minus_ok = _zero_sign_masks(bundle, np.array([-1.0, 0.0, 2.0]), rs.DEFAULT_TOL)
-        assert plus_ok.shape == (2, 3) and not plus_ok.any() and not minus_ok.any()
-
-
-def reference_fixed_layers(h, eps=None, tol=rs.DEFAULT_TOL):
-    """Reference: layers 1 to 3 of the three-hidden build, and its signs.
-
-    Layer 3 is evaluated member by member and the sign masks come from the
-    member loop above.
+    Sign s of member r covers a target when ``sigma_compose(s member)``
+    keeps a knot at the bundle knot nearest the target (the right one of
+    two as near) and that knot lies within ACTIVITY_TOL.  A zero crossing
+    that lands near a target without merging into that knot does not count.
     """
+    covers = np.zeros((2, bundle.width, targets.shape[0]), dtype=bool)
+    if bundle.knots.size == 0:
+        return covers[0], covers[1]
+    index, distance = brute_force_nearest(bundle.knots, targets)
+    nearest = bundle.knots[index]
+    for r in range(bundle.width):
+        member = bundle.member(r)
+        for s, sign in enumerate((1.0, -1.0)):
+            signed = rs.CplSpline(sign * member.q1, sign * member.q0, member.knots,
+                                  sign * member.coeffs)
+            kept = rs.sigma_compose(signed, tol).knots
+            covers[s, r] = (distance <= rs.ACTIVITY_TOL) & np.isin(nearest, kept)
+    return covers[0], covers[1]
+
+
+def reference_layer3(h, tol=rs.DEFAULT_TOL):
+    """Reference: layers 1 to 3 of the three-hidden build before the signs,
+    and the layer-3 bundle, stepped from a hand-made layer-2 bundle."""
     n1, n2, n3 = h.n1, h.n2, h.n3
     c_signs = np.where(np.arange(1, n2 + 1) % 2 == 1, 1.0, -1.0)
     mu = synth._slope_rows(c_signs, h.level1, h.level2)
@@ -584,20 +589,79 @@ def reference_fixed_layers(h, eps=None, tol=rs.DEFAULT_TOL):
     c3 = 1.0 + a3[:, even].sum(axis=1)
     b3 = -h.level3[:, 0] - a3[:, even] @ walls[even]
     bundle2 = rs.SplineBundle(h.level1, c_signs, b2, a2)
-    bundle3 = rs.layer_transfer(bundle2, rs.Layer(a3, b3, c3), tol)
-    if eps is None:
-        targets = np.sort(np.concatenate((h.level1, h.level2.ravel())))
-        values = np.stack([rs.eval_spline(bundle3.member(r), targets) for r in range(n3)])
-        try:
-            eps = rs.epsilon_select(values, looped_zero_sign_masks(bundle3, targets, tol), tol)
-        except rs.CoverageError as err:
-            eps = err.partial
     layers = (
         rs.Layer(np.ones((n1, 1)), -h.level1),
         rs.Layer(a2, b2, c_signs),
-        rs.Layer(a3 * eps[:, None], b3 * eps, c3 * eps),
+        rs.Layer(a3, b3, c3),
     )
-    return layers, eps
+    return layers, rs.layer_transfer(bundle2, layers[2], tol)
+
+
+def lower_level_knots(h) -> np.ndarray:
+    return np.sort(np.concatenate((h.level1, h.level2.ravel())))
+
+
+def reference_fixed_layers(h, eps=None, tol=rs.DEFAULT_TOL):
+    """Reference: layers 1 to 3 of the three-hidden build, and its signs.
+
+    Without ``eps`` the greedy pass runs on the member-by-member covers
+    above.
+    """
+    (first, second, third), bundle3 = reference_layer3(h, tol)
+    if eps is None:
+        covers = reference_covers(bundle3, lower_level_knots(h), tol)
+        eps = synth._greedy_signs(*covers)[0]
+    signed = rs.Layer(third.A * eps[:, None], third.b * eps, third.c * eps)
+    return (first, second, signed), eps
+
+
+def recorded_passes(monkeypatch) -> list:
+    """Every greedy sign pass's inputs from here on, the pass still running."""
+    passes = []
+    greedy = synth._greedy_signs
+
+    def recording(*args):
+        passes.append(args)
+        return greedy(*args)
+
+    monkeypatch.setattr(synth, "_greedy_signs", recording)
+    return passes
+
+
+class TestThreeHiddenSignCovers:
+    """The greedy sign pass sees what relu of each signed unit keeps."""
+
+    def test_covers_follow_sigma_compose_per_member(self, monkeypatch):
+        passes = recorded_passes(monkeypatch)
+        rng = np.random.default_rng(211)
+        partial = 0
+        for _ in range(300):
+            n1, n2, n3 = (int(v) for v in rng.integers(1, 7, 3))
+            h = random_three_level(rng, n1, n2, n3)
+            passes.clear()
+            try:
+                rs.synth_three_hidden(h)
+            except rs.ActivityError:
+                pass
+            (covers_plus, covers_minus), = passes
+            want_plus, want_minus = reference_covers(reference_layer3(h)[1], lower_level_knots(h))
+            np.testing.assert_array_equal(covers_plus, want_plus)
+            np.testing.assert_array_equal(covers_minus, want_minus)
+            partial += not (covers_plus | covers_minus).all()
+        # some knots are kept by neither sign of any unit
+        assert partial > 0
+
+    def test_knotless_layer_three_covers_nothing(self, monkeypatch):
+        # with no second-layer unit, layer 3 is affine and relu keeps no
+        # lower-level knot for either sign
+        passes = recorded_passes(monkeypatch)
+        h = rs.hierarchy_from_flat(np.linspace(-10.0, 10.0, 5), 3, 0, 2)
+        with pytest.raises(rs.ActivityError):
+            rs.synth_three_hidden(h)
+        (covers_plus, covers_minus), = passes
+        assert covers_plus.shape == (2, 3) and not covers_plus.any() and not covers_minus.any()
+        want_plus, want_minus = reference_covers(reference_layer3(h)[1], lower_level_knots(h))
+        assert not want_plus.any() and not want_minus.any()
 
 
 def unit_splines(layers) -> list:
