@@ -2,9 +2,10 @@
 
 With three hidden layers the construction stacks twice: the third layer
 re-clips the second-layer output, and every earlier knot survives only
-if some third-layer unit is strictly positive there.  epsilon_select
-picks the unit signs greedily so the whole prescription stays active;
-here we run it on fourteen knots packed into a (2, 2, 2) architecture.
+if some third-layer unit keeps it through the last ReLU.  The build picks
+the unit signs greedily so the whole prescription stays active; here we
+run it on fourteen knots packed into a (2, 2, 2) architecture, then fix
+the signs by hand to a choice that loses a knot.
 """
 
 import numpy as np
@@ -38,16 +39,12 @@ extra = [x for x in got if np.min(np.abs(knots - x)) > 1e-9]
 print("emergent extra knot:", [f"{x:.6f} = 431/29" for x in extra])
 print("knot budget for (1, 2, 2, 2, 1):", rs.knot_bound(net.widths))
 
-# The sign selection itself: each third-layer unit sees the values of
-# the second-layer functions at every earlier knot; a choice of +-1 per
-# unit must leave every column positive somewhere.
-values = np.array([[1.0, -2.0, 0.5], [-1.0, 2.0, 0.5]])
-eps = rs.epsilon_select(values)
-print("\nepsilon_select on a toy value table:", eps.tolist())
-print("covered columns:", np.all((values * eps[:, None] > 0).any(axis=0)))
-
-# When no choice works the failure is explicit and names the columns.
+# The signs matter: with both third-layer units taken positive no unit
+# keeps the knot at 6, and the activity check says so instead of
+# returning a network that lacks it.  The default signs, read off the
+# default final row -eps, keep it.
+print("\ndefault signs eps:", (-net.layers[-1].A[0]).tolist())
 try:
-    rs.epsilon_select(np.array([[1.0, -1.0, 0.0]]))
-except rs.CoverageError as err:
-    print("impossible table rejected:", err, "| uncovered columns:", err.uncovered)
+    rs.synth_three_hidden(h, eps=[1.0, 1.0])
+except rs.ActivityError as err:
+    print("fixed eps = [1, 1] rejected:", err, "| inactive:", err.inactive)

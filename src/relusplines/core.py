@@ -59,7 +59,6 @@ __all__ = [
     "InterlacingError",
     "DegenerateFirstLayerError",
     "ActivityError",
-    "CoverageError",
 ]
 
 
@@ -92,19 +91,6 @@ class ActivityError(RuntimeError):
     def __init__(self, message: str, inactive):
         super().__init__(message)
         self.inactive = [float(x) for x in inactive]
-
-
-class CoverageError(RuntimeError):
-    """Greedy sign selection left some knots uncovered.
-
-    ``uncovered`` holds the offending column indices; ``partial`` the sign
-    vector chosen so far (usable as a best effort).
-    """
-
-    def __init__(self, message: str, uncovered, partial=None):
-        super().__init__(message)
-        self.uncovered = [int(i) for i in uncovered]
-        self.partial = None if partial is None else np.asarray(partial, float)
 
 
 def _frozen_array(values, *, ndim: int, name: str) -> np.ndarray:
@@ -165,7 +151,9 @@ class Tolerances:
 
 DEFAULT_TOL = Tolerances()
 
-# absolute distance within which a prescribed knot counts as realized
+# absolute distance within which a knot realizes a prescribed knot; each
+# prescribed knot's window is capped strictly below d/2, d its distance to
+# the nearest other prescribed knot, so no knot realizes two
 ACTIVITY_TOL = 1e-9
 
 

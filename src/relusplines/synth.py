@@ -11,7 +11,10 @@ third-layer unit.
 Every build converts the network it builds once and decides activity
 from that spline alone, in ``_checked``: it returns the network with every
 prescribed knot active, handing the spline to ``dnn_to_spline``, or raises
-ActivityError listing the missing knots sorted by reason.  A knot no unit
+ActivityError listing the missing knots sorted by reason.  A prescribed
+knot is active when a spline knot lies in its own window, within
+ACTIVITY_TOL and strictly within half the distance to the nearest other
+prescribed knot, so no spline knot realizes two.  A knot no unit
 of the last hidden layer keeps is one no final row can activate; any other
 missing knot is cancelled by the final row the build used.
 
@@ -43,7 +46,6 @@ from .core import (
     ACTIVITY_TOL,
     DEFAULT_TOL,
     ActivityError,
-    CoverageError,
     CplSpline,
     DimensionMismatchError,
     InterlacingError,
@@ -63,7 +65,6 @@ __all__ = [
     "synth_two_hidden_no_source",
     "redundancy_residual",
     "synth_three_hidden",
-    "epsilon_select",
     "hierarchy_from_flat",
     "prescribed_knots",
 ]
@@ -110,17 +111,19 @@ def _checked(
     ``hidden``, the bundle of ``net``'s last hidden layer, steps through
     the final layer (``dnn_to_spline``'s last step: its spline bit for bit)
     and, on a miss, the identity (relu of each unit): a missing knot with
-    no column there is kept by no unit, so no final row helps; any other is
-    cancelled by this row.
+    no column in its window there is kept by no unit, so no final row
+    helps; any other is cancelled by this row.
     """
     last = net.layers[-1]
     spline = layer_transfer(hidden, last, tol).member(0)
-    missing = _missing_prescribed(spline, wanted)
-    if missing.size == 0:
+    windows = _activity_windows(wanted)
+    missed = _missing_prescribed(spline, wanted, windows)
+    if not missed.any():
         return _hand_over(net, spline, tol)
+    missing = wanted[missed]
     n, unit = last.in_width, ("second", "third")[len(net.layers) - 3]
     kept = layer_transfer(hidden, Layer(np.eye(n), np.zeros(n), np.zeros(n)), tol).knots
-    unkept = _nearest_knot(kept, missing)[1] > ACTIVITY_TOL
+    unkept = _nearest_knot(kept, missing)[1] > windows[missed]
     raise ActivityError(
         f"prescribed knots stayed inactive, kept by no {unit}-layer unit: "
         f"{missing[unkept].tolist()}, cancelled by this final row: {missing[~unkept].tolist()}",
@@ -256,6 +259,8 @@ def _greedy_signs(covers_plus: np.ndarray, covers_minus: np.ndarray):
     """The greedy sign pass: its signs and the columns they leave uncovered.
 
     Row r with sign +1 (-1) covers column i where covers_plus (covers_minus)[r, i].
+    Row by row, the sign covering more still-uncovered columns wins; ties
+    go to +1.
     """
     eps = np.ones(covers_plus.shape[0])
     uncovered = np.ones(covers_plus.shape[1], dtype=bool)
@@ -265,27 +270,6 @@ def _greedy_signs(covers_plus: np.ndarray, covers_minus: np.ndarray):
             eps[r] = -1.0
         uncovered &= ~(covers_plus[r] if eps[r] > 0 else covers_minus[r])
     return eps, np.flatnonzero(uncovered)
-
-
-def epsilon_select(values, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Greedy +-1 signs so every column is positive for some row.
-
-    ``values[r, i]`` is row r at column i with sign +1; flipping the sign
-    flips the row.  An entry covers its column for the sign that makes it
-    positive, and for either sign when it is within zero_tol of zero.  Each
-    step picks the sign covering more of the still-uncovered columns (ties
-    go to +1), which is at least half of them.  Raises CoverageError if
-    columns remain uncovered, the only place it comes from:
-    ``synth_three_hidden`` runs the same pass on relu's hinges and reports
-    what it leaves uncovered through ActivityError.
-    """
-    values = _frozen_array(np.atleast_2d(values), ndim=2, name="values")
-    eps, uncovered = _greedy_signs(values >= -tol.zero_tol, values <= tol.zero_tol)
-    if uncovered.size:
-        raise CoverageError(
-            f"no sign choice covers knot columns {uncovered.tolist()}", uncovered, partial=eps
-        )
-    return eps
 
 
 def prescribed_knots(h: KnotHierarchy) -> np.ndarray:
@@ -313,9 +297,23 @@ def _nearest_knot(knots: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, n
     return np.minimum(nearer, knots.size) - 1, np.minimum(left_gap, right_gap)
 
 
-def _missing_prescribed(spline: CplSpline, prescribed: np.ndarray) -> np.ndarray:
-    """Prescribed knots with no knot of the canonical spline within ACTIVITY_TOL."""
-    return prescribed[_nearest_knot(spline.knots, prescribed)[1] > ACTIVITY_TOL]
+def _activity_windows(prescribed: np.ndarray) -> np.ndarray:
+    """How near a knot must lie to realize each sorted prescribed knot.
+
+    ACTIVITY_TOL, capped strictly below half the distance d to the nearest
+    other prescribed knot (the largest float below d/2), so no knot lies in
+    two windows and each prescribed knot needs its own.
+    """
+    gaps = np.concatenate(([np.inf], np.diff(prescribed), [np.inf]))
+    halves = 0.5 * np.minimum(gaps[:-1], gaps[1:])
+    return np.minimum(np.nextafter(halves, -np.inf), ACTIVITY_TOL)
+
+
+def _missing_prescribed(
+    spline: CplSpline, prescribed: np.ndarray, windows: np.ndarray
+) -> np.ndarray:
+    """Which prescribed knots have no knot of the canonical spline in their window."""
+    return _nearest_knot(spline.knots, prescribed)[1] > windows
 
 
 def synth_three_hidden(
@@ -333,10 +331,9 @@ def synth_three_hidden(
     Layers 1-2 follow the two-hidden build.  Third-layer unit r puts its
     zeros at level3 row r, seen as one zero per interval of the first
     level-2 column; its sign eps_r comes from ``eps`` (n3 entries of +-1)
-    or ``epsilon_select``'s greedy pass over the lower-level knots, where a
-    sign covers a knot when relu of the signed unit keeps a hinge there by
-    the layer step's own rule; the activity check reports what stays
-    uncovered (CoverageError comes only from the public ``epsilon_select``).  The
+    or the greedy pass over the lower-level knots, where a sign covers a
+    knot when relu of the signed unit keeps a hinge there by the layer
+    step's own rule; the activity check reports what stays uncovered.  The
     final row is ``a4`` (n3 entries) or -eps (all positive parts add up
     with one sign); ``c_out`` and ``b_out`` are the final layer's source
     weight and bias.  Knot k's output coefficient is row . G[:, k], G's

@@ -329,6 +329,15 @@ class TestSynth:
         ]
         assert not (tmp_path / "net.json").exists()
 
+    def test_knots_closer_than_twice_activity_tol_exit_5(self, tmp_path, capsys):
+        # 24 knots 4.3e-10 apart: a neighbour's knot does not count for a lost one
+        flat = tmp_path / "tight.json"
+        rs.dump_json(flat, {"knots": np.linspace(0.0, 1e-8, 24).tolist()})
+        code, out, err = run(capsys, "synth", flat, "--arch", "4,4", "-o", tmp_path / "net.json")
+        assert code == 5 and out == ""
+        assert err.startswith("error: prescribed knots stayed inactive")
+        assert not (tmp_path / "net.json").exists()
+
     def test_no_source_empty_first_level(self, tmp_path, capsys):
         empty = tmp_path / "empty.json"
         rs.dump_json(empty, {"knots": []})

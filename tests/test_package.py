@@ -115,7 +115,7 @@ def test_only_the_cli_catches_the_packages_own_errors():
             if isinstance(node, ast.ExceptHandler) and node.type is not None:
                 names = _loaded_names(node.type, attributes=True) & own
                 caught += [f"{path.name}:{node.lineno}:{name}" for name in sorted(names)]
-    assert {"ActivityError", "CoverageError", "SchemaError"} <= own
+    assert {"ActivityError", "SchemaError"} <= own
     assert caught == []
 
 

@@ -10,7 +10,6 @@ import pytest
 import relusplines as rs
 import relusplines.synth as synth
 import relusplines.transfer as transfer
-from relusplines.synth import _missing_prescribed
 
 from helpers import (
     FOURTEEN_KNOTS,
@@ -244,67 +243,28 @@ class TestRedundancyResidual:
 
 
 class TestEpsilonSelect:
+    """The greedy pass that picks the three-hidden signs eps from boolean covers."""
+
     def test_tie_prefers_plus(self):
-        np.testing.assert_array_equal(
-            rs.epsilon_select([[1.0, -1.0], [-1.0, 1.0]]), [1.0, 1.0]
-        )
+        # row 0 covers one column with either sign
+        plus = np.array([[True, False], [False, True]])
+        eps, uncovered = synth._greedy_signs(plus, ~plus)
+        assert eps.tolist() == [1.0, 1.0] and uncovered.size == 0
 
     def test_negative_row_flipped(self):
-        np.testing.assert_array_equal(
-            rs.epsilon_select([[-1.0, -1.0], [1.0, -5.0]]), [-1.0, 1.0]
-        )
-
-    def test_uncoverable_column_raises_with_partial(self):
-        with pytest.raises(rs.CoverageError) as info:
-            rs.epsilon_select([[1.0, -1.0]])
-        assert info.value.uncovered == [1]
-        assert info.value.partial.tolist() == [1.0]
-
-    def test_table_checked_like_other_input(self):
-        with pytest.raises(ValueError, match="^values contains non-finite entries$"):
-            rs.epsilon_select([[np.nan, 1.0], [1.0, 1.0]])
-        with pytest.raises(rs.DimensionMismatchError, match="^values must be 2-dimensional"):
-            rs.epsilon_select(np.ones((2, 2, 2)))
-
-    def test_zero_entries_cover_either_sign(self):
-        # within zero_tol of zero counts for both signs; beyond it, not
-        tol = rs.DEFAULT_TOL
-        for zero in (0.0, tol.zero_tol, -tol.zero_tol):
-            np.testing.assert_array_equal(rs.epsilon_select([[zero, -1.0]]), [-1.0])
-            np.testing.assert_array_equal(rs.epsilon_select([[zero, 1.0]]), [1.0])
-        with pytest.raises(rs.CoverageError) as info:
-            rs.epsilon_select([[2 * tol.zero_tol, -1.0]])
-        assert info.value.uncovered == [1]
-        np.testing.assert_array_equal(
-            rs.epsilon_select([[1e-9, -1.0]], rs.Tolerances(zero_tol=1e-8)), [-1.0]
-        )
+        plus = np.array([[False, False], [True, False]])
+        eps, uncovered = synth._greedy_signs(plus, np.array([[True, True], [False, True]]))
+        assert eps.tolist() == [-1.0, 1.0] and uncovered.size == 0
 
     def test_enough_rows_always_cover(self):
+        # every row covers each column with exactly one sign, so each row
+        # covers at least half of what is left: 5 rows cover 31 columns
         rng = np.random.default_rng(73)
         for _ in range(50):
-            values = rng.uniform(0.5, 2.0, (5, 32)) * rng.choice([-1.0, 1.0], (5, 32))
-            eps = rs.epsilon_select(values)
-            assert np.all((eps[:, None] * values > 0).any(axis=0))
-
-    def test_agrees_with_the_greedy_pass(self):
-        # random tables of -1, 0 and +1: the pass's signs when they cover,
-        # else its uncovered columns and signs
-        rng = np.random.default_rng(181)
-        zero_tol = rs.DEFAULT_TOL.zero_tol
-        outcomes = set()
-        for _ in range(200):
-            shape = (int(rng.integers(1, 5)), int(rng.integers(1, 9)))
-            values = rng.choice([-1.0, 0.0, 1.0], shape)
-            eps, uncovered = synth._greedy_signs(values >= -zero_tol, values <= zero_tol)
-            if uncovered.size == 0:
-                assert rs.epsilon_select(values).tobytes() == eps.tobytes()
-            else:
-                with pytest.raises(rs.CoverageError) as info:
-                    rs.epsilon_select(values)
-                assert info.value.uncovered == uncovered.tolist()
-                assert info.value.partial.tobytes() == eps.tobytes()
-            outcomes.add(uncovered.size == 0)
-        assert len(outcomes) == 2
+            plus = rng.uniform(size=(5, 31)) < 0.5
+            eps, uncovered = synth._greedy_signs(plus, ~plus)
+            assert uncovered.size == 0
+            assert np.where(eps[:, None] > 0, plus, ~plus).any(axis=0).all()
 
 
 class TestSynthThreeHidden:
@@ -476,12 +436,21 @@ class TestHierarchyFromFlat:
 
 
 def brute_force_missing(spline: rs.CplSpline, prescribed: np.ndarray) -> np.ndarray:
-    """Prescribed knots farther than ACTIVITY_TOL from every active knot."""
+    """Prescribed knots no active knot realizes one to one: none lies within
+    ACTIVITY_TOL of it and strictly within half its distance to the nearest
+    other prescribed knot."""
     active = spline.knots[np.abs(spline.coeffs) > rs.DEFAULT_TOL.zero_tol]
-    if active.size == 0:
-        return prescribed
-    gaps = np.min(np.abs(prescribed[:, None] - active[None, :]), axis=1)
-    return prescribed[gaps > rs.ACTIVITY_TOL]
+    apart = np.abs(prescribed[:, None] - prescribed[None, :])
+    np.fill_diagonal(apart, np.inf)
+    half = np.min(apart, axis=1, initial=np.inf)[:, None] / 2
+    gaps = np.abs(prescribed[:, None] - active[None, :])
+    return prescribed[~((gaps <= rs.ACTIVITY_TOL) & (gaps < half)).any(axis=1)]
+
+
+def missing_knots(spline: rs.CplSpline, prescribed: np.ndarray) -> np.ndarray:
+    """The sorted prescribed knots the build's check misses, windows from ``prescribed``."""
+    windows = synth._activity_windows(prescribed)
+    return prescribed[synth._missing_prescribed(spline, prescribed, windows)]
 
 
 class TestMissingPrescribed:
@@ -490,14 +459,24 @@ class TestMissingPrescribed:
     def test_empty_active_set_misses_everything(self):
         s = rs.canonicalize(rs.CplSpline(1.0, 0.0, [0.0, 2.0], [0.0, 1e-12]))
         wanted = np.array([0.0, 2.0])
-        np.testing.assert_array_equal(_missing_prescribed(s, wanted), wanted)
+        np.testing.assert_array_equal(missing_knots(s, wanted), wanted)
 
     def test_exactly_activity_tol_away_is_active(self):
         s = rs.CplSpline(0.0, 0.0, [0.0, 1.0], [1.0, -1.0])
         tol = rs.ACTIVITY_TOL
-        wanted = np.array([-tol, 0.5, 2 * tol, 1.0 + 0.5 * tol, 5.0])
-        missing = _missing_prescribed(s, wanted)
-        np.testing.assert_array_equal(missing, [0.5, 2 * tol, 5.0])
+        wanted = np.array([-tol, 2 * tol, 0.5, 1.0 + 0.5 * tol, 5.0])
+        missing = missing_knots(s, wanted)
+        np.testing.assert_array_equal(missing, [2 * tol, 0.5, 5.0])
+
+    def test_one_knot_realizes_one_prescribed_knot(self):
+        # prescribed pairs 2^-31 (about 4.7e-10) apart: each window stops
+        # strictly short of half that, so a knot on a pair's midpoint
+        # realizes neither and one on a knot leaves its neighbour missing
+        d = 2.0**-31
+        s = rs.CplSpline(0.0, 0.0, [0.0, 1.0 + d / 2], [1.0, -1.0])
+        wanted = np.array([0.0, d, 1.0, 1.0 + d])
+        np.testing.assert_array_equal(missing_knots(s, wanted), [d, 1.0, 1.0 + d])
+        np.testing.assert_array_equal(brute_force_missing(s, wanted), missing_knots(s, wanted))
 
     def test_matches_brute_force(self):
         # canonical forms of unsorted raw knots with repeats and inactive
@@ -510,10 +489,8 @@ class TestMissingPrescribed:
             coeffs = np.where(rng.uniform(size=k) < 0.3, 0.0, rng.uniform(-1, 1, k))
             s = rs.canonicalize(rs.CplSpline(0.0, 0.0, knots, coeffs))
             near = knots + rng.choice([0.0, 1.0, -1.0, 2.0, 0.5], k) * rs.ACTIVITY_TOL
-            wanted = np.concatenate((near, rng.uniform(-15, 15, 4)))
-            np.testing.assert_array_equal(
-                _missing_prescribed(s, wanted), brute_force_missing(s, wanted)
-            )
+            wanted = np.sort(np.concatenate((near, rng.uniform(-15, 15, 4))))
+            np.testing.assert_array_equal(missing_knots(s, wanted), brute_force_missing(s, wanted))
 
 
 def brute_force_nearest(knots: np.ndarray, targets: np.ndarray) -> tuple:
@@ -674,13 +651,14 @@ def unit_splines(layers) -> list:
     ]
 
 
-def miss_report(layers, missing: np.ndarray) -> str:
-    """The ActivityError text for ``missing`` on hidden ``layers``: a knot is
-    kept by no unit when every unit's own conversion misses it too."""
+def miss_report(layers, missing: np.ndarray, wanted: np.ndarray) -> str:
+    """The ActivityError text for ``missing`` of ``wanted`` on hidden
+    ``layers``: a knot is kept by no unit when every unit's own conversion
+    misses it too."""
     unit = ("second", "third")[len(layers) - 2]
     unkept = np.ones(missing.size, dtype=bool)
     for spline in unit_splines(layers):
-        unkept &= np.isin(missing, brute_force_missing(spline, missing))
+        unkept &= np.isin(missing, brute_force_missing(spline, wanted))
     return (
         f"prescribed knots stayed inactive, kept by no {unit}-layer unit: "
         f"{missing[unkept].tolist()}, cancelled by this final row: {missing[~unkept].tolist()}"
@@ -699,10 +677,11 @@ def reference_three_hidden(h, *, eps=None, a4=None, c_out=0.0, b_out=0.0, tol=rs
     row = np.asarray(a4, float) if a4 is not None else -eps
     last = rs.Layer(row.reshape(1, n3), np.array([b_out]), np.array([c_out]))
     net = rs.ReluNetwork(layers + (last,))
-    missing = synth._missing_prescribed(rs.dnn_to_spline(net, tol), rs.prescribed_knots(h))
+    wanted = rs.prescribed_knots(h)
+    missing = missing_knots(rs.dnn_to_spline(net, tol), wanted)
     if missing.size == 0:
         return net
-    raise rs.ActivityError(miss_report(layers, missing), missing)
+    raise rs.ActivityError(miss_report(layers, missing, wanted), missing)
 
 
 def outcome_and_attempts(build, h, params, monkeypatch):
@@ -710,9 +689,9 @@ def outcome_and_attempts(build, h, params, monkeypatch):
     checks = []
     checked = synth._missing_prescribed
 
-    def recording(spline, wanted):
+    def recording(spline, wanted, windows):
         checks.append((spline.q1, spline.q0, spline.knots.tobytes(), spline.coeffs.tobytes()))
-        return checked(spline, wanted)
+        return checked(spline, wanted, windows)
 
     monkeypatch.setattr(synth, "_missing_prescribed", recording)
     try:
@@ -823,7 +802,9 @@ class TestThreeHiddenCallCounts:
             assert set(h.level1[1::2].tolist()) <= set(err.inactive)
             net = unchecked(monkeypatch, rs.synth_three_hidden, h)
             assert err.inactive == fresh_misses(net, rs.prescribed_knots(h))
-            assert str(err) == miss_report(net.layers[:-1], np.array(err.inactive))
+            assert str(err) == miss_report(
+                net.layers[:-1], np.array(err.inactive), rs.prescribed_knots(h)
+            )
 
 
 class TestTwoHiddenCallCounts:
@@ -1138,7 +1119,7 @@ class TestTwoHiddenFailsLoudly:
         expected = fresh_misses(net, wanted)
         assert info.value.inactive == expected
         assert info.value.inactive == sorted(info.value.inactive)
-        assert str(info.value) == miss_report(net.layers[:-1], np.array(expected))
+        assert str(info.value) == miss_report(net.layers[:-1], np.array(expected), wanted)
         return len(expected), str(info.value)
 
     @pytest.mark.parametrize("n,missed", [(10, 6), (40, 452)])
@@ -1164,6 +1145,55 @@ class TestTwoHiddenFailsLoudly:
             monkeypatch, rs.synth_two_hidden_no_source, (ks, 8, 8), ks
         )
         assert count == 1 and message.endswith("cancelled by this final row: []")
+
+    @pytest.mark.parametrize("span,n", [(1e-8, 4), (3e-8, 40)])
+    def test_knots_closer_than_twice_activity_tol(self, monkeypatch, span, n):
+        # each prescribed knot needs a spline knot of its own, so a
+        # neighbour's knot within ACTIVITY_TOL does not count for a lost one
+        flat = np.linspace(0.0, span, n + n * (n + 1))
+        h = rs.hierarchy_from_flat(flat, n, n)
+        self.assert_raises_its_misses(monkeypatch, rs.synth_two_hidden, (h,), flat)
+        ks = np.linspace(0.0, span, n * (n + 1))
+        self.assert_raises_its_misses(monkeypatch, rs.synth_two_hidden_no_source, (ks, n, n), ks)
+
+
+def affine_image(args, alpha: float, beta: float) -> tuple:
+    """A build's arguments with its knots moved by t -> alpha t + beta."""
+    first = args[0]
+    if isinstance(first, rs.KnotHierarchy):
+        level3 = None if first.level3 is None else alpha * first.level3 + beta
+        first = rs.KnotHierarchy(alpha * first.level1 + beta, alpha * first.level2 + beta, level3)
+    else:
+        first = alpha * first + beta
+    return (first, *args[1:])
+
+
+def test_scaled_builds_keep_every_knot_or_raise(monkeypatch):
+    # images of three prescriptions from spacing 1e-14 to 1e4: each build
+    # returns a network whose spline realizes every prescribed knot one to
+    # one, or raises naming what a fresh conversion misses; both happen
+    rng = np.random.default_rng(5)
+    builds = [
+        (rs.synth_two_hidden, (random_two_level(rng, 3, 3),)),
+        (rs.synth_three_hidden, (random_three_level(rng, 2, 2, 2),)),
+        (rs.synth_two_hidden_no_source, (random_flat_knots(rng, 12), 3, 3)),
+    ]
+    outcomes = set()
+    for build, args in builds:
+        for alpha in 10.0 ** np.arange(-12, 7):
+            for beta in (0.0, 3.0):
+                image = affine_image(args, alpha, beta)
+                first = image[0]
+                wanted = first if build is rs.synth_two_hidden_no_source else rs.prescribed_knots(first)
+                try:
+                    net = build(*image)
+                except rs.ActivityError as err:
+                    assert err.inactive == fresh_misses(unchecked(monkeypatch, build, *image), wanted)
+                    outcomes.add("raises")
+                    continue
+                assert brute_force_missing(rs.dnn_to_spline(net), wanted).size == 0
+                outcomes.add("returns")
+    assert outcomes == {"raises", "returns"}
 
 
 def miss_sweep():
@@ -1192,7 +1222,7 @@ def test_every_miss_is_reported_by_the_conversion(monkeypatch):
         except rs.ActivityError as err:
             net = unchecked(monkeypatch, build, *args)
             assert err.inactive == fresh_misses(net, wanted)
-            assert str(err) == miss_report(net.layers[:-1], np.array(err.inactive))
+            assert str(err) == miss_report(net.layers[:-1], np.array(err.inactive), wanted)
             key = (build.__name__, net.widths[2], net.widths[1] > 1)
             misses[key] = misses.get(key, 0) + 1
     # every n2 = 0 and n2 = 1 < n1 build misses, among them three-hidden ones
