@@ -161,10 +161,12 @@ def hierarchy_to_obj(h: KnotHierarchy) -> dict:
 
 def hierarchy_from_obj(obj) -> KnotHierarchy:
     _require_keys(obj, ("level1", "level2"), ("level3",), "hierarchy")
-    level3 = _matrix(obj["level3"], "level3") if "level3" in obj else None
-    return KnotHierarchy(
-        _vector(obj["level1"], "level1"), _matrix(obj["level2"], "level2"), level3
-    )
+    levels = [_vector(obj["level1"], "level1")]
+    for field in [key for key in ("level2", "level3") if key in obj]:
+        # [] is an empty level: one column more than the level below has rows
+        level = _matrix(obj[field], field)
+        levels.append(level.reshape(0, len(levels[-1]) + 1) if level.shape == (0, 0) else level)
+    return KnotHierarchy(*levels)
 
 
 def flat_knots_from_obj(obj) -> np.ndarray:

@@ -97,12 +97,6 @@ def _per_unit(value, default, n: int, name: str):
     return value
 
 
-def _nonzero(values: np.ndarray, what: str) -> np.ndarray:
-    if np.any(values == 0):
-        raise ValueError(f"{what} must be nonzero")
-    return values
-
-
 def _checked(
     net: ReluNetwork, hidden: SplineBundle, wanted: np.ndarray, tol: Tolerances
 ) -> ReluNetwork:
@@ -149,8 +143,8 @@ def synth_two_hidden(
     """Width (1, n1, n2, 1) network whose active knots are exactly level1+level2.
 
     Source signs alternate (+1 on unit 1) and biases put each unit's first
-    zero where prescribed.  ``a3`` (n2 nonzero entries) is the signed
-    output row; its default alternates the other way (-1 on unit 1) so
+    zero where prescribed.  ``a3`` (n2 entries) is the signed output row,
+    used as given; its default alternates the other way (-1 on unit 1) so
     contributions at shared knots never cancel.  ``c_out`` and ``b_out``
     are the final layer's source weight and bias.  Layers 1 and 2 are
     converted once under ``tol`` and stepped through the final row; a miss
@@ -161,7 +155,7 @@ def synth_two_hidden(
     if h.level3 is not None:
         raise ValueError("two-hidden synthesis takes a two-level hierarchy")
     alternating = np.where(np.arange(1, h.n2 + 1) % 2 == 0, 1.0, -1.0)
-    row = _nonzero(_per_unit(a3, alternating, h.n2, "a3"), "a3 entries")
+    row = _per_unit(a3, alternating, h.n2, "a3")
     net = ReluNetwork((*_two_hidden_layers(h), Layer(row.reshape(1, h.n2), [b_out], [c_out])))
     return _checked(net, _bundle_after(net.layers[:-1], tol), prescribed_knots(h), tol)
 
@@ -177,6 +171,8 @@ def _flat_knots(knots, expected: int, widths: tuple) -> np.ndarray:
     if min(widths) < 0:
         raise ValueError(f"widths must be non-negative, got ({shape})")
     ks = np.atleast_1d(np.asarray(knots, dtype=float))
+    if ks.ndim != 1:
+        raise DimensionMismatchError(f"knots must be 1-dimensional, got shape {ks.shape}")
     if not np.all(np.isfinite(ks)):
         raise ValueError("knots contain non-finite entries")
     if ks.shape[0] != expected:
@@ -197,13 +193,14 @@ def synth_two_hidden_no_source(
     Takes a flat strictly increasing list of n1 (n2 + 1) knots, n1 >= 1,
     read in blocks [x_k, zeros of unit 1..n2 in (x_k, x_{k+1})].  Without a
     source channel each unit is constant left of x_1, so there are no knots
-    there; ``seeds`` (n2 nonzero entries) sets the first-interval slopes
-    (default alternating -1, +1, ...), which must change sign somewhere
-    when n1 > 1.  ``a3`` (n2 nonzero entries) is the signed output row
-    (default ones) and ``b_out`` the final bias; the final source weight
-    is zero like every other.  Layers 1 and 2 are converted once under
-    ``tol`` and stepped through the final row; a missing prescribed knot
-    raises ActivityError (with n2 = 0, every level-1 knot is missing).
+    there; ``seeds`` (n2 entries) sets the first-interval slopes (default
+    alternating -1, +1, ...).  ``a3`` (n2 entries) is the signed output
+    row (default ones) and ``b_out`` the final bias; the final source
+    weight is zero like every other.  Both are used as given.  Layers 1
+    and 2 are converted once under ``tol`` and stepped through the final
+    row; a missing prescribed knot raises ActivityError.  With n1 > 1,
+    seeds of one sign (the default for n2 = 1 among them) leave level-1
+    knots kept by no unit; with n2 = 0 every level-1 knot is missing.
     """
     b_out = _finite_float(b_out, "b_out")
     if n1 < 1:
@@ -212,15 +209,12 @@ def synth_two_hidden_no_source(
     blocks = ks.reshape(n1, n2 + 1)
     x1, zeros = blocks[:, 0], blocks[:, 1:].T
     seeds = _per_unit(seeds, np.where(np.arange(1, n2 + 1) % 2 == 1, -1.0, 1.0), n2, "seeds")
-    _nonzero(seeds, "seeds")
-    if n1 > 1 and n2 and (np.all(seeds > 0) or np.all(seeds < 0)):
-        raise ValueError("seeds need at least one sign change when n1 > 1")
     # the slope recursion from interval 1 on, where the zeros interlace x1[1:]
     mu = np.zeros((n2, n1 + 1))
     mu[:, 1:] = _slope_rows(seeds, x1[1:], zeros)
     a2 = np.diff(mu, axis=1)
     b2 = seeds * (x1[0] - zeros[:, 0])
-    row = _nonzero(_per_unit(a3, np.ones(n2), n2, "a3"), "a3 entries")
+    row = _per_unit(a3, np.ones(n2), n2, "a3")
     net = ReluNetwork(
         (
             Layer(np.ones((n1, 1)), -x1),
@@ -332,16 +326,17 @@ def synth_three_hidden(
     zeros at level3 row r, seen as one zero per interval of the first
     level-2 column; its sign eps_r comes from ``eps`` (n3 entries of +-1)
     or the greedy pass over the lower-level knots, where a sign covers a
-    knot when relu of the signed unit keeps a hinge there by the layer
-    step's own rule; the activity check reports what stays uncovered.  The
-    final row is ``a4`` (n3 entries) or -eps (all positive parts add up
-    with one sign); ``c_out`` and ``b_out`` are the final layer's source
-    weight and bias.  Knot k's output coefficient is row . G[:, k], G's
-    member r being relu(unit r), so one attempt decides: the build returns
-    a network with every prescribed knot active, or raises ActivityError
-    that sorts the missing knots into those kept by no third-layer unit
-    (no column of G: no row helps) and those cancelled by this row
-    (another ``a4`` can keep them).  ``rng`` has no effect.
+    knot when relu of the signed unit keeps a hinge in the knot's activity
+    window by the layer step's own rule; the activity check reports what
+    stays uncovered.  The final row is ``a4`` (n3 entries) or -eps (all
+    positive parts add up with one sign); ``c_out`` and ``b_out`` are the
+    final layer's source weight and bias.  Knot k's output coefficient is
+    row . G[:, k], G's member r being relu(unit r), so one attempt
+    decides: the build returns a network with every prescribed knot
+    active, or raises ActivityError that sorts the missing knots into
+    those kept by no third-layer unit (no column of G: no row helps) and
+    those cancelled by this row (another ``a4`` can keep them).  ``rng``
+    has no effect.
     """
     c_out, b_out = _finite_float(c_out, "c_out"), _finite_float(b_out, "b_out")
     if rng is not None:
@@ -362,15 +357,16 @@ def synth_three_hidden(
 
     first, second = _two_hidden_layers(h)
     bundle3 = _bundle_after((first, second, Layer(a3, b3, c3)), tol)
+    wanted = prescribed_knots(h)
     if eps is None:
         # rows n3 + r are unit r negated exactly: what the layer step sees for eps_r = -1
         rows = (np.concatenate((v, -v)) for v in (bundle3.q1s, bundle3.q0s, bundle3.coeff_matrix))
         with np.errstate(all="ignore"):
             kept = _relu_hinges(SplineBundle._computed(bundle3.knots, *rows), tol)[3]
-        # a sign covers a lower-level knot when relu keeps the knot found there
+        # a sign covers a lower-level knot when relu keeps the knot found in its window
         targets = np.sort(np.concatenate((h.level1, h.level2.ravel())))
         nearer, distance = _nearest_knot(bundle3.knots, targets)
-        hit = distance <= ACTIVITY_TOL
+        hit = distance <= _activity_windows(wanted)[np.searchsorted(wanted, targets)]
         covers = np.zeros((2 * n3, hit.size), dtype=bool)
         covers[:, hit] = np.abs(kept[:, nearer[hit]]) > tol.zero_tol
         eps = _greedy_signs(covers[:n3], covers[n3:])[0]
@@ -381,7 +377,7 @@ def synth_three_hidden(
     )
     last = Layer((-eps if a4 is None else a4).reshape(1, n3), [b_out], [c_out])
     net = ReluNetwork((first, second, Layer(a3 * eps[:, None], b3 * eps, c3 * eps), last))
-    return _checked(net, signed3, prescribed_knots(h), tol)
+    return _checked(net, signed3, wanted, tol)
 
 
 def hierarchy_from_flat(knots, n1: int, n2: int, n3: int | None = None) -> KnotHierarchy:

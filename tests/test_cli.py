@@ -377,11 +377,30 @@ class TestSynth:
         assert err.splitlines() == [f"error: {message}"]
 
     def test_same_sign_seeds_rejected(self, tmp_path, capsys):
-        code, _, err = run(capsys, "synth", FIXTURES / "nine_flat_knots.json",
-                           "--arch", "3,2", "--no-source", "--seeds", "1,1",
-                           "-o", tmp_path / "net.json")
-        assert code == 2
-        assert "sign change" in err
+        # seeds of one sign leave level-1 knots kept by no unit: the activity check says so
+        code, out, err = run(capsys, "synth", FIXTURES / "nine_flat_knots.json",
+                             "--arch", "3,2", "--no-source", "--seeds", "1,1",
+                             "-o", tmp_path / "net.json")
+        assert (code, out) == (5, "")
+        assert err.splitlines() == [
+            "error: prescribed knots stayed inactive, kept by no second-layer unit: [1.0, 7.0], "
+            "cancelled by this final row: []"
+        ]
+        assert not (tmp_path / "net.json").exists()
+
+    def test_default_single_seed_names_the_lost_knot(self, tmp_path, capsys):
+        # n2 = 1 < n1: the one default seed cannot change sign, and the error
+        # names the knot it loses rather than a --seeds flag never passed
+        flat = tmp_path / "six.json"
+        rs.dump_json(flat, {"knots": np.arange(1.0, 7.0).tolist()})
+        code, out, err = run(capsys, "synth", flat, "--arch", "3,1", "--no-source",
+                             "-o", tmp_path / "net.json")
+        assert (code, out) == (5, "")
+        assert err.splitlines() == [
+            "error: prescribed knots stayed inactive, kept by no second-layer unit: [3.0], "
+            "cancelled by this final row: []"
+        ]
+        assert not (tmp_path / "net.json").exists()
 
     @pytest.mark.parametrize(
         "knots,flags,message",

@@ -136,6 +136,19 @@ def test_one_function_reports_inactive_knots():
     assert sites == ["synth.py:_checked"]
 
 
+def test_one_function_reads_activity_tol():
+    # every activity window comes from one place, so exactly one function
+    # in the source reads ACTIVITY_TOL
+    sites = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                body = node.body if isinstance(node.body, list) else [node.body]
+                if any("ACTIVITY_TOL" in _loaded_names(stmt, attributes=True) for stmt in body):
+                    sites.append(f"{path.name}:{getattr(node, 'name', '<lambda>')}")
+    assert sites == ["synth.py:_activity_windows"]
+
+
 # bench/selftest.py reads synth.dnn_to_spline to check that tracing wraps and
 # restores every binding; no synth code calls it
 UNREAD_IMPORTS = ["synth.py:dnn_to_spline"]

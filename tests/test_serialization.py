@@ -199,6 +199,21 @@ class TestHierarchySchema:
         np.testing.assert_array_equal(back.level2, h.level2)
         np.testing.assert_array_equal(back.level3, h.level3)
 
+    @pytest.mark.parametrize("widths", [(3, 0), (5, 2, 0), (2, 1, 0)])
+    def test_empty_level_round_trip(self, tmp_path, widths):
+        # an empty level is written [], and read back with its column count
+        n1, n2, *n3 = widths
+        count = n1 + n2 * (n1 + 1) + sum(n3) * (n2 + 1)
+        h = rs.hierarchy_from_flat(np.arange(1.0, count + 1.0), *widths)
+        path = tmp_path / "h.json"
+        rs.dump_json(path, rs.hierarchy_to_obj(h))
+        back = rs.hierarchy_from_obj(rs.load_json(path))
+        for level in ("level1", "level2", "level3"):
+            got, want = getattr(back, level), getattr(h, level)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_unknown_field_named(self):
         obj = rs.hierarchy_to_obj(max15_hierarchy())
         obj["level4"] = []

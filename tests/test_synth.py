@@ -1,6 +1,9 @@
 """Prescribed-knot network construction."""
 
 import dataclasses
+import functools
+import itertools
+import re
 import warnings
 from pathlib import Path
 
@@ -161,8 +164,11 @@ class TestSynthTwoHiddenNoSource:
         np.testing.assert_allclose(scaled.layers[1].A[1], base.layers[1].A[1], atol=1e-12)
 
     def test_same_sign_seeds_rejected_for_deep_first_level(self):
-        with pytest.raises(ValueError):
+        # no unit keeps level-1 knots 1 and 7, and the activity check names them
+        message = r"^prescribed knots stayed inactive, kept by no second-layer unit: \[1.0, 7.0\], "
+        with pytest.raises(rs.ActivityError, match=message) as info:
             rs.synth_two_hidden_no_source(NINE_KNOTS, 3, 2, seeds=np.array([1.0, 2.0]))
+        assert info.value.inactive == [1.0, 7.0]
 
     def test_same_sign_seeds_allowed_for_single_knot(self):
         # negative seeds keep every unit positive at the level-1 knot
@@ -172,6 +178,8 @@ class TestSynthTwoHiddenNoSource:
     def test_count_and_order_validated(self):
         with pytest.raises(rs.DimensionMismatchError):
             rs.synth_two_hidden_no_source(NINE_KNOTS, 2, 2)
+        with pytest.raises(rs.DimensionMismatchError, match=r"^knots must be 1-dimensional"):
+            rs.synth_two_hidden_no_source(np.arange(1.0, 19.0).reshape(9, 2), 3, 2)
         with pytest.raises(rs.InterlacingError):
             rs.synth_two_hidden_no_source([1.0, 3.0, 2.0], 1, 2)
 
@@ -420,6 +428,8 @@ class TestHierarchyFromFlat:
     def test_counts_and_order_validated(self):
         with pytest.raises(rs.DimensionMismatchError):
             rs.hierarchy_from_flat(np.arange(1.0, 10.0), 2, 2)
+        with pytest.raises(rs.DimensionMismatchError, match=r"^knots must be 1-dimensional"):
+            rs.hierarchy_from_flat(np.linspace(-10.0, 10.0, 14)[:, None], 2, 2, 2)
         with pytest.raises(rs.InterlacingError):
             rs.hierarchy_from_flat([2.0, 1.0, 3.0, 4.0, 5.0], 1, 2)
 
@@ -530,26 +540,34 @@ class TestNearestKnot:
         np.testing.assert_array_equal(distance, [np.inf] * 3)
 
 
-def reference_covers(bundle: rs.SplineBundle, targets: np.ndarray, tol=rs.DEFAULT_TOL):
-    """Reference: which sign of each member keeps each target, member by member.
+def reference_covers(bundle: rs.SplineBundle, h: rs.KnotHierarchy, tol=rs.DEFAULT_TOL):
+    """Reference: which sign of each member keeps each lower-level knot of
+    ``h`` (the targets), member by member.
 
     Sign s of member r covers a target when ``sigma_compose(s member)``
     keeps a knot at the bundle knot nearest the target (the right one of
-    two as near) and that knot lies within ACTIVITY_TOL.  A zero crossing
-    that lands near a target without merging into that knot does not count.
+    two as near) and that knot lies in the target's one-to-one window:
+    within ACTIVITY_TOL and strictly within half the distance to the
+    nearest other prescribed knot of ``h``, by brute force.  A zero
+    crossing that lands near a target without merging into that knot does
+    not count.
     """
+    targets = np.sort(np.concatenate((h.level1, h.level2.ravel())))
     covers = np.zeros((2, bundle.width, targets.shape[0]), dtype=bool)
     if bundle.knots.size == 0:
         return covers[0], covers[1]
     index, distance = brute_force_nearest(bundle.knots, targets)
     nearest = bundle.knots[index]
+    apart = np.abs(targets[:, None] - rs.prescribed_knots(h)[None, :])
+    apart[apart == 0] = np.inf  # the target itself
+    inside = (distance <= rs.ACTIVITY_TOL) & (distance < np.min(apart, axis=1) / 2)
     for r in range(bundle.width):
         member = bundle.member(r)
         for s, sign in enumerate((1.0, -1.0)):
             signed = rs.CplSpline(sign * member.q1, sign * member.q0, member.knots,
                                   sign * member.coeffs)
             kept = rs.sigma_compose(signed, tol).knots
-            covers[s, r] = (distance <= rs.ACTIVITY_TOL) & np.isin(nearest, kept)
+            covers[s, r] = inside & np.isin(nearest, kept)
     return covers[0], covers[1]
 
 
@@ -574,10 +592,6 @@ def reference_layer3(h, tol=rs.DEFAULT_TOL):
     return layers, rs.layer_transfer(bundle2, layers[2], tol)
 
 
-def lower_level_knots(h) -> np.ndarray:
-    return np.sort(np.concatenate((h.level1, h.level2.ravel())))
-
-
 def reference_fixed_layers(h, eps=None, tol=rs.DEFAULT_TOL):
     """Reference: layers 1 to 3 of the three-hidden build, and its signs.
 
@@ -586,7 +600,7 @@ def reference_fixed_layers(h, eps=None, tol=rs.DEFAULT_TOL):
     """
     (first, second, third), bundle3 = reference_layer3(h, tol)
     if eps is None:
-        covers = reference_covers(bundle3, lower_level_knots(h), tol)
+        covers = reference_covers(bundle3, h, tol)
         eps = synth._greedy_signs(*covers)[0]
     signed = rs.Layer(third.A * eps[:, None], third.b * eps, third.c * eps)
     return (first, second, signed), eps
@@ -605,6 +619,17 @@ def recorded_passes(monkeypatch) -> list:
     return passes
 
 
+def recorded_covers(h, passes: list) -> tuple:
+    """The covers the greedy sign pass of ``h``'s three-hidden build sees."""
+    passes.clear()
+    try:
+        rs.synth_three_hidden(h)
+    except rs.ActivityError:
+        pass
+    (covers,) = passes
+    return covers
+
+
 class TestThreeHiddenSignCovers:
     """The greedy sign pass sees what relu of each signed unit keeps."""
 
@@ -615,18 +640,29 @@ class TestThreeHiddenSignCovers:
         for _ in range(300):
             n1, n2, n3 = (int(v) for v in rng.integers(1, 7, 3))
             h = random_three_level(rng, n1, n2, n3)
-            passes.clear()
-            try:
-                rs.synth_three_hidden(h)
-            except rs.ActivityError:
-                pass
-            (covers_plus, covers_minus), = passes
-            want_plus, want_minus = reference_covers(reference_layer3(h)[1], lower_level_knots(h))
+            covers_plus, covers_minus = recorded_covers(h, passes)
+            want_plus, want_minus = reference_covers(reference_layer3(h)[1], h)
             np.testing.assert_array_equal(covers_plus, want_plus)
             np.testing.assert_array_equal(covers_minus, want_minus)
             partial += not (covers_plus | covers_minus).all()
         # some knots are kept by neither sign of any unit
         assert partial > 0
+
+    @pytest.mark.parametrize("span", [2e-9, 1e-8, 3e-8])
+    def test_covers_use_the_one_to_one_windows(self, monkeypatch, span):
+        # evenly spread knots, most closer than 2 ACTIVITY_TOL: a bundle
+        # knot in a neighbour's window does not cover this target, as in
+        # the check.  At span 1e-9, steep units cross zero within merge_tol
+        # of a knot yet beyond relu's zero band there, and the covers miss
+        # that crossing (the open crossing half of the sign covers)
+        passes = recorded_passes(monkeypatch)
+        for n1, n2, n3 in itertools.product(range(1, 5), repeat=3):
+            count = n1 + n2 * (n1 + 1) + n3 * (n2 + 1)
+            h = rs.hierarchy_from_flat(np.linspace(0.0, span, count), n1, n2, n3)
+            covers_plus, covers_minus = recorded_covers(h, passes)
+            want_plus, want_minus = reference_covers(reference_layer3(h)[1], h)
+            np.testing.assert_array_equal(covers_plus, want_plus)
+            np.testing.assert_array_equal(covers_minus, want_minus)
 
     def test_knotless_layer_three_covers_nothing(self, monkeypatch):
         # with no second-layer unit, layer 3 is affine and relu keeps no
@@ -637,7 +673,7 @@ class TestThreeHiddenSignCovers:
             rs.synth_three_hidden(h)
         (covers_plus, covers_minus), = passes
         assert covers_plus.shape == (2, 3) and not covers_plus.any() and not covers_minus.any()
-        want_plus, want_minus = reference_covers(reference_layer3(h)[1], lower_level_knots(h))
+        want_plus, want_minus = reference_covers(reference_layer3(h)[1], h)
         assert not want_plus.any() and not want_minus.any()
 
 
@@ -967,9 +1003,12 @@ class TestBuildParameters:
         two = BUILDS["synth_two_hidden"]
         no_source = BUILDS["synth_two_hidden_no_source"]
         three = BUILDS["synth_three_hidden"]
-        for build in (two, no_source):
-            with pytest.raises(ValueError, match="^a3 entries must be nonzero$"):
+        # a zero a3 entry is used as given: the check names the knots it cancels
+        cancelled = {two: [2.0, 5.0, 6.0, 8.0, 11.0], no_source: [3.0, 4.0, 6.0, 9.0]}
+        for build, knots in cancelled.items():
+            with pytest.raises(rs.ActivityError, match=re.escape(f"final row: {knots}") + "$"):
                 build(a3=[1.0, 0.0])
+        for build in (two, no_source):
             with pytest.raises(ValueError, match="^a3 contains non-finite entries$"):
                 build(a3=[1.0, np.nan])
             with pytest.raises(rs.DimensionMismatchError, match="^a3 must be 1-dimensional"):
@@ -980,7 +1019,8 @@ class TestBuildParameters:
             three(a4=[1.0, np.inf])
         with pytest.raises(rs.DimensionMismatchError, match="^a4 must have length 2$"):
             three(a4=[1.0])
-        with pytest.raises(ValueError, match="^seeds must be nonzero$"):
+        # a zero seed leaves its unit zero, so no unit keeps either knot
+        with pytest.raises(rs.ActivityError, match=r"second-layer unit: \[1.0, 2.0\], cancelled"):
             rs.synth_two_hidden_no_source([1.0, 2.0], 1, 1, seeds=[0.0])
         for build in (two, three):
             with pytest.raises(ValueError, match="^c_out must be finite, got inf$"):
@@ -1193,6 +1233,40 @@ def test_scaled_builds_keep_every_knot_or_raise(monkeypatch):
                     continue
                 assert brute_force_missing(rs.dnn_to_spline(net), wanted).size == 0
                 outcomes.add("returns")
+    assert outcomes == {"raises", "returns"}
+
+
+def test_zero_weights_and_one_sign_seeds_reach_the_check(monkeypatch):
+    # a3, a4 and seeds are used as given: builds with a zero entry, a zero
+    # seed or seeds of one sign return with every knot realized or raise
+    # ActivityError naming what a fresh conversion misses, never ValueError
+    rng = np.random.default_rng(13)
+    outcomes = set()
+    for _ in range(40):
+        n1, n2, n3 = (int(v) for v in rng.integers(1, 5, 3))
+        signs = rng.choice([-1.0, 1.0], n2)
+        zeroed = signs * rng.uniform(0.5, 2.0, n2)
+        zeroed[rng.integers(n2)] = 0.0
+        one_sign = signs[0] * (np.abs(zeroed) + 0.5)
+        a4 = np.where(rng.uniform(size=n3) < 0.5, 0.0, rng.choice([-1.0, 1.0], n3))
+        h, h3 = random_two_level(rng, n1, n2), random_three_level(rng, n1, n2, n3)
+        ks = random_flat_knots(rng, n1 * (n2 + 1))
+        no_source = (ks, n1, n2), ks
+        for build, (args, wanted) in [
+            (functools.partial(rs.synth_two_hidden, a3=zeroed), ((h,), rs.prescribed_knots(h))),
+            (functools.partial(rs.synth_three_hidden, a4=a4), ((h3,), rs.prescribed_knots(h3))),
+            (functools.partial(rs.synth_two_hidden_no_source, a3=zeroed), no_source),
+            (functools.partial(rs.synth_two_hidden_no_source, seeds=zeroed), no_source),
+            (functools.partial(rs.synth_two_hidden_no_source, seeds=one_sign), no_source),
+        ]:
+            try:
+                net = build(*args)
+            except rs.ActivityError as err:
+                assert err.inactive == fresh_misses(unchecked(monkeypatch, build, *args), wanted)
+                outcomes.add("raises")
+                continue
+            assert brute_force_missing(rs.dnn_to_spline(net), wanted).size == 0
+            outcomes.add("returns")
     assert outcomes == {"raises", "returns"}
 
 
