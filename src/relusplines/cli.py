@@ -60,9 +60,7 @@ def _add_tol_flags(parser: argparse.ArgumentParser):
 
 
 def _tolerances(args) -> Tolerances:
-    # only verify takes --tol-eval: no other subcommand makes an equality verdict
-    eval_tol = getattr(args, "tol_eval", DEFAULT_TOL.eval_tol)
-    return Tolerances(args.tol_zero, args.tol_merge, eval_tol)
+    return Tolerances(args.tol_zero, args.tol_merge)
 
 
 def _comma_list(text: str, flag: str, kind=float) -> list:
@@ -138,15 +136,20 @@ def _cmd_eval(args) -> int:
 
 def _cmd_verify(args) -> int:
     tol = _tolerances(args)
+    # only verify takes --tol-eval: no other subcommand makes an equality verdict
+    if not args.tol_eval > 0:
+        raise ValueError("eval_tol must be strictly positive")
+    if args.tol_eval == np.inf:
+        raise ValueError("eval_tol must be finite")
     net = network_from_obj(load_json(args.network))
     recomputed = dnn_to_spline(net, tol)
     spline = spline_from_obj(load_json(args.spline)) if args.spline else recomputed
     merged = np.unique(np.concatenate((recomputed.knots, spline.knots)))
-    grid = probe_grid(merged, margin=2.0, per_interval=3) if merged.size else probe_grid(merged)
+    grid = probe_grid(merged, margin=2.0, per_interval=3)
     error = equivalence_error(net, spline, grid)
     observed = recomputed.n_knots
     bound = knot_bound(net.widths)
-    ok = error <= tol.eval_tol and observed <= bound
+    ok = error <= args.tol_eval and observed <= bound
     print(f"max relative error: {error:.3e}")
     print(f"knots: observed={observed} bound={bound} {'ok' if observed <= bound else 'EXCEEDED'}")
     return 0 if ok else 1
@@ -211,7 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("spline", nargs="?", default=None,
                    help="spline JSON file (default: the network's own spline)")
     _add_tol_flags(p)
-    p.add_argument("--tol-eval", type=float, default=DEFAULT_TOL.eval_tol, metavar="X",
+    p.add_argument("--tol-eval", type=float, default=1e-8, metavar="X",
                    help="relative comparison tolerance (default %(default)g)")
     p.set_defaults(func=_cmd_verify)
 

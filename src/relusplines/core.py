@@ -20,16 +20,17 @@ Conventions:
   never materialized; every stored knot is finite.
 * All arithmetic is float64.  Instances are frozen and their arrays are
   marked read-only, so values can be shared freely across threads.
-* The value types are where inputs are checked, once, on construction;
-  functions that take raw arrays build these types instead of checking,
-  and functions that take these types (a layer step takes a ``Layer``)
-  do not check them again.  Input from callers is always checked this
-  way.  Bundles and splines the library computes itself are wrapped by
-  ``_wrap``, without a copy and without the full input checks: a bundle's
-  member is a view of a checked bundle, the knotless layer-1 bundle holds
-  the checked first layer's arrays, and each layer step's bundle gets one
-  finiteness scan (``SplineBundle._computed``), so an overflow still
-  raises ValueError.
+* Raw arrays from callers are checked once, by ``_frozen_array``: float64,
+  of the expected dimension, finite.  The value types call it on
+  construction, and functions that take a raw array without building one
+  (flat knot lists, probe-grid knots, evaluation points) call it directly;
+  functions that take these types (a layer step takes a ``Layer``) do not
+  check them again.  Bundles and splines the library computes itself are
+  wrapped by ``_wrap``, without a copy and without the full input checks:
+  a bundle's member is a view of a checked bundle, the knotless layer-1
+  bundle holds the checked first layer's arrays, and each layer step's
+  bundle gets one finiteness scan (``SplineBundle._computed``), so an
+  overflow still raises ValueError.
 * The instance dict holds the fields, and on a network a synthesis build
   returned one private entry more (``transfer._hand_over``): the checked
   spline and its ``Tolerances``, which ``dnn_to_spline`` returns.  It is
@@ -132,15 +133,13 @@ class Tolerances:
     zero_tol   absolute threshold below which a coefficient, weight or
                function value counts as zero
     merge_tol  knots closer than this are the same knot
-    eval_tol   relative tolerance for function-equality verdicts
     """
 
     zero_tol: float = 1e-10
     merge_tol: float = 1e-12
-    eval_tol: float = 1e-8
 
     def __post_init__(self):
-        for name in ("zero_tol", "merge_tol", "eval_tol"):
+        for name in ("zero_tol", "merge_tol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be strictly positive")
             if not np.isfinite(getattr(self, name)):

@@ -1,8 +1,9 @@
 """Forward evaluation and function-level comparison.
 
 ``eval_network`` and ``eval_spline`` accept a scalar or a 1-D array of
-points and return the matching shape; points of any other shape raise
-DimensionMismatchError.  ``eval_spline`` uses the piecewise form anchored
+points and return the matching shape; core's ``_frozen_array`` checks the
+points, so any other shape raises DimensionMismatchError and a non-finite
+point ValueError.  ``eval_spline`` uses the piecewise form anchored
 at each interval's left knot (the value there plus slope times offset),
 found with ``searchsorted``: O((P + K) log K) time and O(P + K) memory for
 P points and K knots.  The rounding error follows the spline's values and
@@ -20,20 +21,14 @@ import operator
 
 import numpy as np
 
-from .core import CplSpline, DimensionMismatchError, ReluNetwork
+from .core import CplSpline, ReluNetwork, _frozen_array
 
 __all__ = ["eval_network", "eval_spline", "probe_grid", "equivalence_error"]
 
 
 def _as_points(t) -> tuple[np.ndarray, bool]:
     arr = np.asarray(t, dtype=float)
-    if arr.ndim > 1:
-        raise DimensionMismatchError(
-            f"evaluation points must be a scalar or 1-dimensional, got shape {arr.shape}"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("evaluation points must be finite")
-    return np.atleast_1d(arr), arr.ndim == 0
+    return _frozen_array(np.atleast_1d(arr), ndim=1, name="evaluation points"), arr.ndim == 0
 
 
 def eval_network(net: ReluNetwork, t):
@@ -72,18 +67,17 @@ def probe_grid(knots, margin: float = 1.0, per_interval: int = 1) -> np.ndarray:
     Knotless input yields {-margin, 0, margin}.  Two splines sharing the
     knot set agree everywhere iff they agree on this grid (per_interval
     >= 1), so grid comparison decides equality of piecewise-linear
-    functions exactly.  Non-finite knots or margin raise ValueError.
+    functions exactly.  The knots are checked by ``_frozen_array`` (not
+    1-D: DimensionMismatchError; non-finite: ValueError); a margin that is
+    not positive and finite, a ``per_interval`` below 1 or knots that are
+    not strictly increasing raise ValueError.
     """
     if not 0 < margin < np.inf:
         raise ValueError("margin must be positive and finite")
     per_interval = operator.index(per_interval)
     if per_interval < 1:
         raise ValueError("per_interval must be at least 1")
-    knots = np.asarray(knots, dtype=float)
-    if knots.ndim != 1:
-        raise DimensionMismatchError(f"knots must be 1-dimensional, got shape {knots.shape}")
-    if not np.isfinite(knots).all():
-        raise ValueError("knots contain non-finite entries")
+    knots = _frozen_array(knots, ndim=1, name="knots")
     if knots.size == 0:
         return np.array([-margin, 0.0, margin])
     if np.any(np.diff(knots) <= 0):

@@ -170,11 +170,7 @@ def _flat_knots(knots, expected: int, widths: tuple) -> np.ndarray:
     shape = ", ".join(map(str, widths))
     if min(widths) < 0:
         raise ValueError(f"widths must be non-negative, got ({shape})")
-    ks = np.atleast_1d(np.asarray(knots, dtype=float))
-    if ks.ndim != 1:
-        raise DimensionMismatchError(f"knots must be 1-dimensional, got shape {ks.shape}")
-    if not np.all(np.isfinite(ks)):
-        raise ValueError("knots contain non-finite entries")
+    ks = _frozen_array(np.atleast_1d(np.asarray(knots, dtype=float)), ndim=1, name="knots")
     if ks.shape[0] != expected:
         raise DimensionMismatchError(
             f"expected {expected} knots for widths ({shape}), got {ks.shape[0]}"

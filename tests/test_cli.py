@@ -551,6 +551,27 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", MAX_NET, bad, "--tol-eval", "2")
         assert code == 0
 
+    def test_knotless_pair(self, tmp_path, capsys):
+        # two affine functions agree everywhere when they agree at two points,
+        # so the knotless grid decides a slope that differs by 1e-6
+        net_path, spline_path = tmp_path / "net.json", tmp_path / "spline.json"
+        net = rs.spline_to_shallow(rs.CplSpline(2.0, 1.0, [], []))
+        rs.dump_json(net_path, rs.network_to_obj(net))
+        rs.dump_json(spline_path, rs.spline_to_obj(rs.CplSpline(2.000001, 1.0, [], [])))
+        assert run(capsys, "verify", net_path)[0] == 0
+        assert run(capsys, "verify", net_path, spline_path)[0] == 1
+        assert run(capsys, "verify", net_path, spline_path, "--tol-eval", "1e-6")[0] == 0
+
+    @pytest.mark.parametrize(
+        "value,reason",
+        [("0", "strictly positive"), ("-1", "strictly positive"), ("nan", "strictly positive"),
+         ("inf", "finite")],
+    )
+    def test_tol_eval_must_be_positive_and_finite(self, capsys, value, reason):
+        code, out, err = run(capsys, "verify", MAX_NET, MAX_SPLINE, "--tol-eval", value)
+        assert (code, out) == (2, "")
+        assert err == f"error: eval_tol must be {reason}\n"
+
 
 class TestNormalize:
     def test_reference_signs(self, tmp_path, capsys):

@@ -2,6 +2,7 @@
 rejections across the package that no other test reaches."""
 
 import contextlib
+import dataclasses
 import io
 
 import numpy as np
@@ -11,8 +12,9 @@ from hypothesis import strategies as st
 
 import relusplines as rs
 from relusplines.cli import main
+from relusplines.transfer import _relu_hinges
 
-from helpers import net_max_knots, piecewise_form
+from helpers import net_max_knots
 
 
 class TestTolerances:
@@ -20,14 +22,15 @@ class TestTolerances:
         tol = rs.Tolerances()
         assert tol.zero_tol == 1e-10
         assert tol.merge_tol == 1e-12
-        assert tol.eval_tol == 1e-8
+        # equality verdicts take their tolerance where they are made (verify's --tol-eval)
+        assert [field.name for field in dataclasses.fields(tol)] == ["zero_tol", "merge_tol"]
 
-    @pytest.mark.parametrize("bad", [dict(zero_tol=0.0), dict(merge_tol=-1e-3), dict(eval_tol=0.0)])
+    @pytest.mark.parametrize("bad", [dict(zero_tol=0.0), dict(merge_tol=-1e-3)])
     def test_positive_required(self, bad):
         with pytest.raises(ValueError):
             rs.Tolerances(**bad)
 
-    @pytest.mark.parametrize("name", ["zero_tol", "merge_tol", "eval_tol"])
+    @pytest.mark.parametrize("name", ["zero_tol", "merge_tol"])
     def test_finite_required(self, name):
         with pytest.raises(ValueError, match=f"^{name} must be finite$"):
             rs.Tolerances(**{name: np.inf})
@@ -247,10 +250,17 @@ class TestKnotBound:
         assert 3 <= most <= 5
 
 
+def layer_step_form(s: rs.CplSpline):
+    """The layer step's slopes and intercepts of ``s``, a one-member bundle."""
+    bundle = rs.SplineBundle(s.knots, [s.q1], [s.q0], s.coeffs.reshape(1, -1))
+    mu, eta, _, _ = _relu_hinges(bundle, rs.DEFAULT_TOL)
+    return mu[0], eta[0]
+
+
 class TestPiecewiseForm:
     def test_recursions(self):
         s = rs.CplSpline(1.0, -0.5, [1.0, 2.0, 3.0], [-2.0, 2.0, -3.0])
-        mu, eta = piecewise_form(s)
+        mu, eta = layer_step_form(s)
         assert mu.tolist() == [1.0, -1.0, 1.0, -2.0]
         # continuity at every knot: both adjacent pieces give the same value
         for v, x in enumerate(s.knots):
@@ -261,7 +271,7 @@ class TestPiecewiseForm:
     def test_jumps_reconstruct_dyadic_coefficients_exactly(self):
         coeffs = np.array([0.5, -0.25, 1.5, -2.0])
         s = rs.CplSpline(0.75, -1.5, [0.0, 1.0, 2.0, 3.0], coeffs)
-        mu, _ = piecewise_form(s)
+        mu, _ = layer_step_form(s)
         assert np.diff(mu).tolist() == coeffs.tolist()
 
 
@@ -431,7 +441,7 @@ REJECTIONS = {
     ),
     "flat-knots-non-finite": (
         lambda _: rs.hierarchy_from_flat([0.0, np.nan, 2.0], 1, 1),
-        (ValueError, "knots contain non-finite entries"),
+        (ValueError, "knots contains non-finite entries"),
     ),
     "is_normalized-interior-channel": (
         lambda _: rs.is_normalized(

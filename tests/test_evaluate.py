@@ -44,11 +44,11 @@ class TestEvalNetwork:
         np.testing.assert_array_equal(batch, singles)
 
     def test_rejects_non_finite_points(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^evaluation points contains non-finite entries$"):
             rs.eval_network(net_max_knots(), np.inf)
 
     def test_rejects_points_of_two_dimensions(self):
-        message = r"^evaluation points must be a scalar or 1-dimensional, got shape \(2, 2\)$"
+        message = r"^evaluation points must be 1-dimensional, got shape \(2, 2\)$"
         with pytest.raises(rs.DimensionMismatchError, match=message):
             rs.eval_network(net_max_knots(), np.zeros((2, 2)))
 
@@ -138,7 +138,7 @@ class TestProbeGrid:
             rs.probe_grid([1.0, 0.0])
         # a non-finite grid point cannot decide equality anywhere
         for knots in ([0.0, np.nan], [np.inf]):
-            with pytest.raises(ValueError, match="^knots contain non-finite entries$"):
+            with pytest.raises(ValueError, match="^knots contains non-finite entries$"):
                 rs.probe_grid(knots)
         for margin in (np.inf, np.nan):
             with pytest.raises(ValueError, match="^margin must be positive and finite$"):

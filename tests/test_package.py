@@ -149,6 +149,17 @@ def test_one_function_reads_activity_tol():
     assert sites == ["synth.py:_activity_windows"]
 
 
+def test_one_module_checks_finiteness():
+    # caller input is checked once, by core's value types and _frozen_array,
+    # so no other module in the source calls isfinite
+    sites = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and "isfinite" in _loaded_names(node.func, attributes=True):
+                sites.add(path.name)
+    assert sites == {"core.py"}
+
+
 # bench/selftest.py reads synth.dnn_to_spline to check that tracing wraps and
 # restores every binding; no synth code calls it
 UNREAD_IMPORTS = ["synth.py:dnn_to_spline"]

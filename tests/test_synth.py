@@ -195,15 +195,27 @@ class TestSynthTwoHiddenNoSource:
         with pytest.raises(rs.ActivityError, match=r"second-layer unit: \[5.0\], cancelled"):
             rs.synth_two_hidden_no_source([5.0], 1, 0)
 
-    def test_random_flat_knots(self):
+    def test_random_flat_knots(self, monkeypatch):
         rng = np.random.default_rng(71)
+        single_seeds = 0
         for _ in range(25):
             n1, n2 = int(rng.integers(1, 4)), int(rng.integers(1, 4))
             ks = random_flat_knots(rng, n1 * (n2 + 1))
             if n1 > 1 and n2 == 1:
-                continue  # single seed cannot change sign
+                # the single seed cannot change sign: some level-1 knot is kept
+                # by no unit, and the activity check names it
+                with pytest.raises(rs.ActivityError) as info:
+                    rs.synth_two_hidden_no_source(ks, n1, n2)
+                net = unchecked(monkeypatch, rs.synth_two_hidden_no_source, ks, n1, n2)
+                unkept = set(ks[:: n2 + 1].tolist())
+                for spline in unit_splines(net.layers[:-1]):
+                    unkept &= set(brute_force_missing(spline, ks).tolist())
+                assert unkept and unkept <= set(info.value.inactive)
+                single_seeds += 1
+                continue
             net = rs.synth_two_hidden_no_source(ks, n1, n2)
             np.testing.assert_allclose(active_set(net), ks, atol=1e-9)
+        assert single_seeds > 0
 
 
 class TestRedundancyResidual:
@@ -250,7 +262,7 @@ class TestRedundancyResidual:
         assert rs.redundancy_residual(h, {True, 2}, True) == want
 
 
-class TestEpsilonSelect:
+class TestGreedySigns:
     """The greedy pass that picks the three-hidden signs eps from boolean covers."""
 
     def test_tie_prefers_plus(self):
@@ -349,7 +361,7 @@ class TestSynthThreeHidden:
 # since both units' coefficients there are within zero_tol.  A random row
 # with magnitudes near 1.8 gives it -1.45e-10 beside a largest 5.8e14, which
 # only the absolute zero_tol counts as active.
-RESCUED_KNOTS = [
+UNKEPT_KNOTS = [
     0.06197688071548724, 0.062017915767036275, 0.06209114504565219, 0.08029413271749664,
     0.08065267993596158, 0.11335117840805459, 0.1539567460047358, 0.15404316213520092,
     0.15597406945634565, 0.16437411137109173, 0.16634363867957822, 0.16677748185037788,
@@ -362,9 +374,9 @@ RESCUED_KNOTS = [
 ]
 
 
-class TestThreeHiddenRetryRescues:
+class TestThreeHiddenUnkeptKnot:
     def hierarchy(self):
-        return rs.hierarchy_from_flat(RESCUED_KNOTS, 6, 3, 2)
+        return rs.hierarchy_from_flat(UNKEPT_KNOTS, 6, 3, 2)
 
     def test_default_row_leaves_one_knot_kept_by_no_unit(self, monkeypatch):
         h = self.hierarchy()
@@ -1281,9 +1293,8 @@ def miss_sweep():
             yield rs.synth_two_hidden, (h,), rs.prescribed_knots(h)
             h = random_three_level(rng, n1, n2, n3)
             yield rs.synth_three_hidden, (h,), rs.prescribed_knots(h)
-            if n2 != 1 or n1 == 1:  # otherwise the single seed cannot change sign
-                ks = random_flat_knots(rng, n1 * (n2 + 1))
-                yield rs.synth_two_hidden_no_source, (ks, n1, n2), ks
+            ks = random_flat_knots(rng, n1 * (n2 + 1))
+            yield rs.synth_two_hidden_no_source, (ks, n1, n2), ks
 
 
 def test_every_miss_is_reported_by_the_conversion(monkeypatch):
@@ -1299,7 +1310,9 @@ def test_every_miss_is_reported_by_the_conversion(monkeypatch):
             assert str(err) == miss_report(net.layers[:-1], np.array(err.inactive), wanted)
             key = (build.__name__, net.widths[2], net.widths[1] > 1)
             misses[key] = misses.get(key, 0) + 1
-    # every n2 = 0 and n2 = 1 < n1 build misses, among them three-hidden ones
+    # every n2 = 0 and n2 = 1 < n1 build misses, among them three-hidden and
+    # no-source ones (a single seed cannot change sign)
     assert misses[("synth_three_hidden", 1, True)] >= 10
     assert misses[("synth_three_hidden", 0, True)] >= 10
     assert misses[("synth_two_hidden_no_source", 0, True)] >= 10
+    assert misses[("synth_two_hidden_no_source", 1, True)] >= 10

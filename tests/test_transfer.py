@@ -225,7 +225,7 @@ class TestSigmaCompose:
             rs.sigma_compose(rs.CplSpline(0.0, 0.0, [1.0, 0.0], [1.0, 1.0]))
 
 
-class TestFirstLayerCanonicalize:
+class TestPositiveScaleNormalize:
     """The layer-1 rewrite of positive_scale_normalize, seen through the transfer."""
 
     def test_function_preserved(self):
@@ -441,7 +441,7 @@ class TestDnnToSpline:
                 assert s.is_canonical()
                 grid = rs.probe_grid(np.unique(np.concatenate((s.knots, hinges))),
                                      margin=5.0, per_interval=3)
-                assert rs.equivalence_error(net, s, grid) <= rs.DEFAULT_TOL.eval_tol
+                assert rs.equivalence_error(net, s, grid) <= 1e-8
                 assert s.n_knots <= rs.knot_bound(net.widths)
 
 
@@ -709,7 +709,7 @@ class TestZeroWidthHiddenLayer:
             hinges = -net.layers[0].b / net.layers[0].A[:, 0]
             grid = rs.probe_grid(np.unique(np.concatenate((s.knots, hinges))),
                                  margin=5.0, per_interval=3)
-            assert rs.equivalence_error(net, s, grid) <= rs.DEFAULT_TOL.eval_tol
+            assert rs.equivalence_error(net, s, grid) <= 1e-8
 
     def test_last_layer_affine_part(self):
         net = zero_width_network(np.random.default_rng(79), (1, 2, 0, 1))
