@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: to-spline, synth, eval, verify, normalize.  Exit codes:
-0 success, 1 verification failure, 2 schema violation or bad range,
+0 success, 1 verification failure, 2 schema violation, bad range,
+unreadable or unwritable path, or a degenerate first layer to normalize,
 3 dimension mismatch, 4 interlacing violation, 5 activity failure,
 141 output pipe closed by its reader (as ``eval ... | head`` does; 128 +
 SIGPIPE, the code a shell reports for a writer the signal stopped).
@@ -18,11 +19,11 @@ import numpy as np
 from .core import (
     DEFAULT_TOL,
     ActivityError,
-    DegenerateFirstLayerError,
     DimensionMismatchError,
     InterlacingError,
     ReluNetwork,
     Tolerances,
+    _finite_float,
     knot_bound,
 )
 from .evaluate import equivalence_error, eval_network, eval_spline, probe_grid
@@ -120,11 +121,12 @@ def _cmd_synth(args) -> int:
 
 def _cmd_eval(args) -> int:
     model = detect_and_load(args.file)
-    if args.start >= args.stop:
+    start, stop = _finite_float(args.start, "--from"), _finite_float(args.stop, "--to")
+    if start >= stop:
         raise SchemaError("--from must be strictly below --to")
     if args.samples < 1:
         raise SchemaError("--samples must be at least 1")
-    ts = np.linspace(args.start, args.stop, args.samples)
+    ts = np.linspace(start, stop, args.samples)
     values = eval_network(model, ts) if isinstance(model, ReluNetwork) else eval_spline(model, ts)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as stream:
@@ -159,11 +161,7 @@ def _cmd_normalize(args) -> int:
     tol = _tolerances(args)
     net = network_from_obj(load_json(args.network))
     before = [np.sign(layer.c).tolist() for layer in net.layers[1:-1]]
-    try:
-        normalized = positive_scale_normalize(net, tol)
-    except DegenerateFirstLayerError as err:
-        print(f"warning: {err} (no normal form of equal width)", file=sys.stderr)
-        return 1
+    normalized = positive_scale_normalize(net, tol)
     after = [np.sign(layer.c).tolist() for layer in normalized.layers[1:-1]]
     dump_json(args.out, network_to_obj(normalized))
     for i, (x, y) in enumerate(zip(before, after), start=2):
@@ -226,17 +224,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fuse_seed_values(argv: list[str]) -> list[str]:
-    """Glue ``--seeds -1,1`` into ``--seeds=-1,1``.
+def _fuse_signed_values(argv: list[str]) -> list[str]:
+    """Glue ``--seeds -1,1`` into ``--seeds=-1,1``, and ``--from``/``--to`` alike.
 
     argparse takes a leading dash in the value for an unknown flag; a comma
-    list of signed numbers is the one value here that can start that way.
+    list of signed numbers, or a bound such as -1e-3 that argparse does not
+    read as a number, are the values here that can start that way.
     """
     fused = []
     i = 0
     while i < len(argv):
-        if argv[i] == "--seeds" and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            fused.append(f"--seeds={argv[i + 1]}")
+        value = argv[i + 1] if i + 1 < len(argv) else ""
+        if argv[i] in ("--seeds", "--from", "--to") and value.startswith("-"):
+            fused.append(f"{argv[i]}={value}")
             i += 2
         else:
             fused.append(argv[i])
@@ -247,8 +247,7 @@ def _fuse_seed_values(argv: list[str]) -> list[str]:
 # the first entry an error is an instance of gives the exit code, so the
 # ValueError subclasses come before ValueError itself
 _EXIT_CODES = (
-    (FileNotFoundError, 2),
-    (IsADirectoryError, 2),
+    (OSError, 2),
     (SchemaError, 2),
     (DimensionMismatchError, 3),
     (InterlacingError, 4),
@@ -259,7 +258,7 @@ _EXIT_CODES = (
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _build_parser().parse_args(_fuse_seed_values(argv))
+    args = _build_parser().parse_args(_fuse_signed_values(argv))
     try:
         return args.func(args)
     except BrokenPipeError:

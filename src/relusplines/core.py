@@ -29,8 +29,9 @@ Conventions:
   wrapped by ``_wrap``, without a copy and without the full input checks:
   a bundle's member is a view of a checked bundle, the knotless layer-1
   bundle holds the checked first layer's arrays, and each layer step's
-  bundle gets one finiteness scan (``SplineBundle._computed``), so an
-  overflow still raises ValueError.
+  bundle gets one finiteness scan (``SplineBundle._computed``, array by
+  array, with no copy of the bundle), so an overflow still raises
+  ValueError.
 * The instance dict holds the fields, and on a network a synthesis build
   returned one private entry more (``transfer._hand_over``): the checked
   spline and its ``Tolerances``, which ``dnn_to_spline`` returns.  It is
@@ -310,14 +311,14 @@ class SplineBundle:
         """Wrap a bundle the library computed: one finiteness scan, no copy.
 
         Shapes and strictly increasing knots hold by construction (a layer
-        step's merge, or rows of such a bundle flipped in sign).  A
-        non-finite entry raises the constructor's ValueError, naming the
-        first array that has one.
+        step's merge, or rows of such a bundle flipped in sign).  The four
+        arrays are scanned in turn; the first with a non-finite entry raises
+        the constructor's ValueError.
         """
-        if not np.isfinite(np.concatenate((knots, q1s, q0s, coeff_matrix.ravel()))).all():
-            arrays = {"bundle knots": knots, "q1s": q1s, "q0s": q0s, "coeff_matrix": coeff_matrix}
-            name = next(name for name, arr in arrays.items() if not np.isfinite(arr).all())
-            raise ValueError(f"{name} contains non-finite entries")
+        arrays = {"bundle knots": knots, "q1s": q1s, "q0s": q0s, "coeff_matrix": coeff_matrix}
+        for name, arr in arrays.items():
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} contains non-finite entries")
         return _wrap(cls, knots=knots, q1s=q1s, q0s=q0s, coeff_matrix=coeff_matrix)
 
     @property
@@ -409,22 +410,21 @@ class KnotHierarchy:
         return 0 if self.level3 is None else self.level3.shape[0]
 
 
-def _merge_columns(coords, is_new, columns, tol: Tolerances):
+def _merge_columns(coords, n_old: int, columns, tol: Tolerances):
     """Merge knot columns within merge_tol; original knots win the coordinate.
 
-    ``coords`` need not be sorted.  Columns in a merged group are summed;
-    groups whose column is entirely <= zero_tol in magnitude are dropped.
+    ``coords`` is a float array, not necessarily sorted; its first ``n_old``
+    entries are original knots.  A merged group sits at its first original
+    knot in sorted order, else at its smallest coordinate, with its columns
+    summed; groups whose column is entirely <= zero_tol in magnitude are dropped.
     The knots come back strictly increasing and more than merge_tol apart,
     each column with an entry above zero_tol: one row is a canonical spline.
     A bundle without members (no rows) has no knots.
     """
     if columns.shape[0] == 0:
         return np.empty(0), np.empty((0, 0))
-    coords = np.asarray(coords, dtype=float)
-    is_new = np.asarray(is_new, dtype=bool)
     order = np.argsort(coords, kind="stable")
     coords = coords[order]
-    is_new = is_new[order]
     columns = columns[:, order]
     out_x: list[float] = []
     out_cols: list[np.ndarray] = []
@@ -439,7 +439,7 @@ def _merge_columns(coords, is_new, columns, tol: Tolerances):
             coord = coords[i]
         else:
             column = columns[:, i:j].sum(axis=1)
-            old = np.flatnonzero(~is_new[i:j])
+            old = np.flatnonzero(order[i:j] < n_old)
             coord = coords[i + old[0]] if old.size else coords[i]
         if np.max(np.abs(column)) > tol.zero_tol:
             out_x.append(float(coord))
@@ -459,9 +459,7 @@ def canonicalize(spline: CplSpline, tol: Tolerances = DEFAULT_TOL) -> CplSpline:
     coefficients of magnitude <= zero_tol are removed.  This is
     ``_merge_columns`` on one row: converted splines come back bit for bit.
     """
-    knots, columns = _merge_columns(
-        spline.knots, np.zeros(spline.n_knots, bool), spline.coeffs[None, :], tol
-    )
+    knots, columns = _merge_columns(spline.knots, spline.n_knots, spline.coeffs[None, :], tol)
     return CplSpline(spline.q1, spline.q0, knots, columns[0])
 
 

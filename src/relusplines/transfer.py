@@ -150,9 +150,8 @@ def layer_transfer(
         tail_q0 = np.where(falling, q0, np.where(np.abs(q1) <= zero_tol, np.maximum(q0, 0.0), 0.0))
 
         coords = np.concatenate((knots, cross_x))
-        is_new = np.arange(coords.shape[0]) >= knots.shape[0]
         columns = np.concatenate((A @ kept, A[:, members] * np.abs(slopes)), axis=1)
-        merged_x, merged_cols = _merge_columns(coords, is_new, columns, tol)
+        merged_x, merged_cols = _merge_columns(coords, knots.shape[0], columns, tol)
         return SplineBundle._computed(merged_x, c + A @ tail_q1, b + A @ tail_q0, merged_cols)
 
 

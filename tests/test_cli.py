@@ -72,6 +72,25 @@ class TestEval:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("bounds", [("-1e-3", "1"), ("-1", "-1e-3")])
+    def test_negative_exponent_bounds(self, tmp_path, capsys, bounds):
+        # argparse reads -1e-3 as a flag unless it is glued to --from or --to
+        path = self.spline_file(tmp_path, knots=[-5e-4], coeffs=[2.0])
+        start, stop = bounds
+        spaced = run(capsys, "eval", path, "--from", start, "--to", stop, "--samples", "7")
+        glued = run(capsys, "eval", path, f"--from={start}", f"--to={stop}", "--samples", "7")
+        assert spaced == glued
+        assert spaced[0] == 0 and len(spaced[1].splitlines()) == 7
+
+    @pytest.mark.parametrize("flag,value", [("--to", "inf"), ("--from", "nan")])
+    def test_bounds_must_be_finite(self, tmp_path, capsys, flag, value):
+        path = self.spline_file(tmp_path)
+        bounds = {"--from": "0", "--to": "1", flag: value}
+        code, out, err = run(capsys, "eval", path, *(x for kv in bounds.items() for x in kv),
+                             "--samples", "5")
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} must be finite, got {value}\n"
+
     def test_tolerance_flags_rejected(self, tmp_path):
         # evaluation uses no tolerances, so the flags are unknown arguments
         path = self.spline_file(tmp_path)
@@ -493,6 +512,8 @@ class TestExitCodes:
             (FileNotFoundError(2, "No such file or directory", "gone.json"), 2),
             (rs.DegenerateFirstLayerError("dead units", 1), 2),
             (ValueError("bad value"), 2),
+            (NotADirectoryError(20, "Not a directory", "afile/out.json"), 2),
+            (PermissionError(13, "Permission denied", "locked.json"), 2),
         ],
     )
     def test_documented_code(self, monkeypatch, capsys, error, code):
@@ -503,6 +524,25 @@ class TestExitCodes:
         got, out, err = run(capsys, "to-spline", MAX_NET, "-o", "unused.json")
         assert got == code
         assert (out, err) == ("", f"error: {error}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["to-spline", MAX_NET, "-o", "{afile}/out.json"],
+            ["eval", MAX_SPLINE, "--from", "0", "--to", "1", "--samples", "2",
+             "-o", "{afile}/x.csv"],
+            ["normalize", MAX_NET, "-o", "{afile}/n.json"],
+            ["to-spline", "{afile}/net.json", "-o", "{tmp}/o.json"],
+        ],
+    )
+    def test_path_under_a_regular_file(self, tmp_path, capsys, argv):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        argv = [str(a).format(afile=afile, tmp=tmp_path) for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: [Errno 20] Not a directory: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
 
     def test_reader_closing_the_pipe_early(self, tmp_path):
         # `relusplines eval ... | head -2`: the reader leaves after two rows
@@ -593,7 +633,7 @@ class TestNormalize:
             rtol=0, atol=1e-9,
         )
 
-    def test_degenerate_fails_with_warning(self, tmp_path, capsys):
+    def test_degenerate_is_an_error(self, tmp_path, capsys):
         obj = {
             "widths": [1, 2, 1],
             "layers": [
@@ -604,8 +644,8 @@ class TestNormalize:
         bad = tmp_path / "deg.json"
         rs.dump_json(bad, obj)
         code, _, err = run(capsys, "normalize", bad, "-o", tmp_path / "net.json")
-        assert code == 1
-        assert "effective width 1 of 2" in err
+        assert code == 2
+        assert err == "error: first layer has coinciding hinges; effective width 1 of 2\n"
         assert not (tmp_path / "net.json").exists()
 
     def test_overflowing_hinges_are_an_error(self, tmp_path, capsys):

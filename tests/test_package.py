@@ -119,6 +119,22 @@ def test_only_the_cli_catches_the_packages_own_errors():
     assert caught == []
 
 
+def test_only_main_settles_cli_errors():
+    # the CLI turns errors into exit codes in one place, main's table; any
+    # other handler in cli.py re-raises, as an error naming the flag
+    settled = []
+    tree = ast.parse((ROOT / "src" / "relusplines" / "cli.py").read_text())
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef):
+            settled += [
+                func.name
+                for node in ast.walk(func)
+                if isinstance(node, ast.Try)
+                and not all(isinstance(h.body[-1], ast.Raise) for h in node.handlers)
+            ]
+    assert settled == ["main"]
+
+
 def test_one_function_reports_inactive_knots():
     # every build decides activity through one check, so exactly one
     # function in the source constructs ActivityError

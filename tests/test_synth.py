@@ -330,7 +330,7 @@ class TestSynthThreeHidden:
             rs.synth_three_hidden(fourteen_hierarchy(), a4=np.array([1e-12, 1e-12]))
         assert len(info.value.inactive) == 14
 
-    def test_bad_eps_exhausts_retries(self):
+    def test_bad_eps_leaves_a_knot_inactive(self):
         with pytest.raises(rs.ActivityError) as info:
             rs.synth_three_hidden(fourteen_hierarchy(), eps=np.array([1.0, 1.0]))
         assert 6.0 in np.asarray(info.value.inactive).tolist()
@@ -774,7 +774,7 @@ class TestThreeHiddenMatchesConversionLoop:
             failed += isinstance(result, tuple)
         assert failed >= 10
 
-    def test_options_and_retries(self, monkeypatch):
+    def test_options(self, monkeypatch):
         h = fourteen_hierarchy()
         self.assert_same(h, monkeypatch)
         self.assert_same(h, monkeypatch, eps=np.array([1.0, 1.0]))

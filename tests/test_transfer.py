@@ -1,5 +1,6 @@
 """Network-to-spline translation in both directions."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -281,8 +282,7 @@ def looped_layer_transfer(bundle, A, c, b, tol=rs.DEFAULT_TOL):
         elif q1 < 0:
             tails[j] = (q1, q0)
     columns = np.column_stack([A @ kept] + [col[:, None] for col in new_columns])
-    is_new = np.arange(len(coords)) >= n
-    merged_x, merged_cols = rs.transfer._merge_columns(coords, is_new, columns, tol)
+    merged_x, merged_cols = rs.transfer._merge_columns(np.array(coords), n, columns, tol)
     return rs.SplineBundle(merged_x, c + A @ tails[:, 0], b + A @ tails[:, 1], merged_cols)
 
 
@@ -362,6 +362,17 @@ class TestLayerTransfer:
         bundle = rs.SplineBundle([0.0], [1.0], [0.0], [[1.0]])
         with pytest.raises(rs.DimensionMismatchError):
             rs.layer_transfer(bundle, rs.Layer([[1.0]], b, c))
+
+    def test_crossing_left_of_a_knot_merges_into_it(self):
+        # 1e6 t + 5e-7 crosses zero at -5e-13, within merge_tol left of the
+        # knot at 0: the group is the knot, at its exact coordinate, though
+        # the crossing comes first in sorted order
+        bundle = rs.SplineBundle([0.0], [1e6], [5e-7], [[1.0]])
+        out = rs.layer_transfer(bundle, rs.Layer([[1.0]], [0.0], [0.0]))
+        assert out.knots.tolist() == [0.0]
+        np.testing.assert_array_equal(out.coeff_matrix, [[1.0 + 1e6]])
+        slow = looped_layer_transfer(bundle, [[1.0]], [0.0], [0.0])
+        np.testing.assert_array_equal(slow.knots, out.knots)
 
     def test_inactive_columns_dropped(self):
         # identical members cancel under A = (1, -1); their knot column drops
@@ -532,6 +543,19 @@ class TestComputedBundlesCheckedOnce:
         # one Layer check per layer (2 arrays for layer 1, 3 for the others),
         # plus the check of the folded layer 2 before it is rescaled
         assert len(calls) == 2 + 3 * 4 + 3, calls
+
+    def test_scan_copies_no_array(self):
+        # a 64 x 20000 step bundle: the finiteness scan allocates at most one
+        # boolean array of the matrix's size, not a copy of the bundle
+        matrix = np.random.default_rng(5).normal(size=(64, 20000))
+        knots, rows = np.arange(20000.0), np.zeros(64)
+        tracemalloc.start()
+        try:
+            rs.SplineBundle._computed(knots, rows, rows, matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * matrix.nbytes, peak / matrix.nbytes
 
     def test_computed_arrays_are_shared_and_read_only(self):
         bundle = rs.SplineBundle([0.0, 1.0], [1.0, -1.0], [0.0, 1.0], [[1.0, -2.0], [0.5, 1.0]])
