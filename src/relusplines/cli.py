@@ -1,11 +1,11 @@
 """Command-line interface.
 
-Subcommands: to-spline, synth, eval, verify, normalize.  Exit codes:
-0 success, 1 verification failure, 2 schema violation, bad range,
-unreadable or unwritable path, or a degenerate first layer to normalize,
-3 dimension mismatch, 4 interlacing violation, 5 activity failure,
-141 output pipe closed by its reader (as ``eval ... | head`` does; 128 +
-SIGPIPE, the code a shell reports for a writer the signal stopped).
+Subcommands: to-spline, synth, eval, verify, normalize.  Exit codes: 0
+success, 1 verification failure, 2 schema violation, bad range, unreadable
+or unwritable path, a degenerate first layer to normalize, or a failed
+allocation, 3 dimension mismatch, 4 interlacing violation, 5 activity
+failure, 141 output pipe closed by its reader (as ``eval ... | head`` does;
+128 + SIGPIPE, as a shell reports a writer the signal stopped).
 """
 
 from __future__ import annotations
@@ -139,10 +139,9 @@ def _cmd_eval(args) -> int:
 def _cmd_verify(args) -> int:
     tol = _tolerances(args)
     # only verify takes --tol-eval: no other subcommand makes an equality verdict
-    if not args.tol_eval > 0:
-        raise ValueError("eval_tol must be strictly positive")
-    if args.tol_eval == np.inf:
-        raise ValueError("eval_tol must be finite")
+    tol_eval = _finite_float(args.tol_eval, "--tol-eval")
+    if tol_eval <= 0:
+        raise ValueError(f"--tol-eval must be positive, got {tol_eval!r}")
     net = network_from_obj(load_json(args.network))
     recomputed = dnn_to_spline(net, tol)
     spline = spline_from_obj(load_json(args.spline)) if args.spline else recomputed
@@ -151,7 +150,7 @@ def _cmd_verify(args) -> int:
     error = equivalence_error(net, spline, grid)
     observed = recomputed.n_knots
     bound = knot_bound(net.widths)
-    ok = error <= args.tol_eval and observed <= bound
+    ok = error <= tol_eval and observed <= bound
     print(f"max relative error: {error:.3e}")
     print(f"knots: observed={observed} bound={bound} {'ok' if observed <= bound else 'EXCEEDED'}")
     return 0 if ok else 1
@@ -253,6 +252,7 @@ _EXIT_CODES = (
     (InterlacingError, 4),
     (ActivityError, 5),
     (ValueError, 2),
+    (MemoryError, 2),
 )
 
 

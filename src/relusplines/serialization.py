@@ -1,14 +1,16 @@
 """JSON and CSV interchange for networks, splines and hierarchies.
 
 Network files: {"widths": [...], "layers": [{"A": [[...]], "b": [...]},
-{"A": ..., "b": ..., "c": ...}, ...]} with row-major matrices; a missing
-"c" on layers past the first means a zero vector.  Spline files:
-{"q1": ..., "q0": ..., "knots": [...], "coeffs": [...]}.  Hierarchy
-files: {"level1": [...], "level2": [[...]], "level3": [[...]]} with
-level3 optional; flat knot files: {"knots": [...]}.  Floats are written
-with shortest round-trip formatting, so load(dump(x)) is bit-identical.
-CSV fields are the same shortest decimals, made a block of rows at a
-time by the numpy kernel in ``_shortest`` rather than by ``repr``.
+{"A": ..., "b": ..., "c": ...}, ...]} with non-negative integer widths
+and row-major matrices; a missing "c" on layers past the first means a
+zero vector.  Spline files: {"q1": ..., "q0": ..., "knots": [...],
+"coeffs": [...]}.  Hierarchy files: {"level1": [...], "level2": [[...]],
+"level3": [[...]]} with level3 optional; flat knot files: {"knots":
+[...]}.  A matrix with no rows is written [], its column count implied
+by the widths or the level below.  Floats are written with shortest
+round-trip formatting, so load(dump(x)) is bit-identical.  CSV fields
+are the same shortest decimals, made a block of rows at a time by the
+numpy kernel in ``_shortest`` rather than by ``repr``.
 """
 
 from __future__ import annotations
@@ -63,13 +65,14 @@ def _vector(obj, field: str) -> np.ndarray:
     return np.array([_number(v, f"{field}[{i}]") for i, v in enumerate(obj)])
 
 
-def _matrix(obj, field: str) -> np.ndarray:
+def _matrix(obj, field: str, columns: int) -> np.ndarray:
+    """A list of equal-length rows; [] is zero rows of ``columns`` entries."""
     if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
         raise SchemaError(f"{field} must be a list of rows")
     rows = [_vector(r, f"{field}[{i}]") for i, r in enumerate(obj)]
     if rows and any(r.shape != rows[0].shape for r in rows):
         raise SchemaError(f"{field} rows have unequal lengths")
-    return np.array(rows) if rows else np.empty((0, 0))
+    return np.array(rows) if rows else np.empty((0, columns))
 
 
 def _require_keys(obj, required, optional, what: str):
@@ -92,12 +95,11 @@ def network_to_obj(net: ReluNetwork) -> dict:
 
 def network_from_obj(obj) -> ReluNetwork:
     _require_keys(obj, ("widths", "layers"), (), "network")
-    widths_raw = obj["widths"]
-    if not isinstance(widths_raw, list) or not all(
-        isinstance(w, int) and not isinstance(w, bool) for w in widths_raw
+    widths = obj["widths"]
+    if not isinstance(widths, list) or not all(
+        isinstance(w, int) and not isinstance(w, bool) and w >= 0 for w in widths
     ):
-        raise SchemaError("widths must be a list of integers")
-    widths = [int(w) for w in widths_raw]
+        raise SchemaError("widths must be a list of non-negative integers")
     layers_raw = obj["layers"]
     if not isinstance(layers_raw, list):
         raise SchemaError("layers must be a list")
@@ -108,28 +110,19 @@ def network_from_obj(obj) -> ReluNetwork:
     layers = []
     for i, layer_obj in enumerate(layers_raw):
         field = f"layers[{i}]"
-        if i == 0:
-            _require_keys(layer_obj, ("A", "b"), (), field)
-        else:
-            _require_keys(layer_obj, ("A", "b"), ("c",), field)
-        a = _matrix(layer_obj["A"], f"{field}.A")
+        _require_keys(layer_obj, ("A", "b"), ("c",) if i else (), field)
+        a = _matrix(layer_obj["A"], f"{field}.A", widths[i])
         b = _vector(layer_obj["b"], f"{field}.b")
         expected = (widths[i + 1], widths[i])
-        if a.size == 0:
-            a = a.reshape(expected) if 0 in expected else a
         if a.shape != expected:
             raise DimensionMismatchError(
                 f"{field}.A has shape {a.shape}, widths require {expected}"
             )
-        if i == 0:
-            layers.append(Layer(a, b))
+        if "c" in layer_obj:
+            c = _vector(layer_obj["c"], f"{field}.c")
         else:
-            c = (
-                _vector(layer_obj["c"], f"{field}.c")
-                if "c" in layer_obj
-                else np.zeros(widths[i + 1])
-            )
-            layers.append(Layer(a, b, c))
+            c = np.zeros(widths[i + 1]) if i else None
+        layers.append(Layer(a, b, c))
     return ReluNetwork(tuple(layers))
 
 
@@ -163,9 +156,7 @@ def hierarchy_from_obj(obj) -> KnotHierarchy:
     _require_keys(obj, ("level1", "level2"), ("level3",), "hierarchy")
     levels = [_vector(obj["level1"], "level1")]
     for field in [key for key in ("level2", "level3") if key in obj]:
-        # [] is an empty level: one column more than the level below has rows
-        level = _matrix(obj[field], field)
-        levels.append(level.reshape(0, len(levels[-1]) + 1) if level.shape == (0, 0) else level)
+        levels.append(_matrix(obj[field], field, len(levels[-1]) + 1))
     return KnotHierarchy(*levels)
 
 

@@ -154,9 +154,9 @@ def synth_two_hidden(
     c_out, b_out = _finite_float(c_out, "c_out"), _finite_float(b_out, "b_out")
     if h.level3 is not None:
         raise ValueError("two-hidden synthesis takes a two-level hierarchy")
-    alternating = np.where(np.arange(1, h.n2 + 1) % 2 == 0, 1.0, -1.0)
-    row = _per_unit(a3, alternating, h.n2, "a3")
-    net = ReluNetwork((*_two_hidden_layers(h), Layer(row.reshape(1, h.n2), [b_out], [c_out])))
+    first, second = _two_hidden_layers(h)
+    row = _per_unit(a3, -second.c, h.n2, "a3")
+    net = ReluNetwork((first, second, Layer(row.reshape(1, h.n2), [b_out], [c_out])))
     return _checked(net, _bundle_after(net.layers[:-1], tol), prescribed_knots(h), tol)
 
 
@@ -339,19 +339,19 @@ def synth_three_hidden(
         warnings.warn("rng has no effect and will be removed", DeprecationWarning, stacklevel=2)
     if h.level3 is None:
         raise ValueError("three-hidden synthesis needs a three-level hierarchy")
-    n2, n3 = h.n2, h.n3
+    n3 = h.n3
     eps = _per_unit(eps, None, n3, "eps")
     if eps is not None and np.any(np.abs(eps) != 1):
         raise ValueError("eps entries must be +-1")
     a4 = _per_unit(a4, None, n3, "a4")
 
+    first, second = _two_hidden_layers(h)
     walls = h.level2[:, 0]
     a3 = np.diff(_slope_rows(np.ones(n3), walls, h.level3), axis=1)
-    even = np.arange(1, n2 + 1) % 2 == 0
-    c3 = 1.0 + a3[:, even].sum(axis=1)
-    b3 = -h.level3[:, 0] - a3[:, even] @ walls[even]
+    negative = second.c < 0
+    c3 = 1.0 + a3[:, negative].sum(axis=1)
+    b3 = -h.level3[:, 0] - a3[:, negative] @ walls[negative]
 
-    first, second = _two_hidden_layers(h)
     bundle3 = _bundle_after((first, second, Layer(a3, b3, c3)), tol)
     wanted = prescribed_knots(h)
     if eps is None:

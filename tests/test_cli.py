@@ -91,6 +91,20 @@ class TestEval:
         assert (code, out) == (2, "")
         assert err == f"error: {flag} must be finite, got {value}\n"
 
+    def test_allocation_failure_is_an_error_line(self, tmp_path, monkeypatch, capsys):
+        # numpy's error for a sample count too large to allocate; raised
+        # here instead of allocated, as a lazy allocation could succeed
+        message = "Unable to allocate 7.28 TiB for an array with shape (1000000000000,)"
+
+        def failing(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli.np, "linspace", failing)
+        path = self.spline_file(tmp_path)
+        code, out, err = run(capsys, "eval", path, "--from", "0", "--to", "1",
+                             "--samples", "1000000000000")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_tolerance_flags_rejected(self, tmp_path):
         # evaluation uses no tolerances, so the flags are unknown arguments
         path = self.spline_file(tmp_path)
@@ -470,6 +484,22 @@ class TestSynth:
         assert not out_path.exists()
 
     @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--arch", "3,x"], "--arch must be a comma-separated list of ints, got '3,x'"),
+            (["--arch", "3,2", "--no-source", "--seeds", "1,x"],
+             "--seeds must be a comma-separated list of floats, got '1,x'"),
+        ],
+    )
+    def test_non_number_list_entry_rejected(self, tmp_path, capsys, flags, message):
+        out_path = tmp_path / "net.json"
+        code, out, err = run(capsys, "synth", FIXTURES / "nine_flat_knots.json", *flags,
+                             "-o", out_path)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: {message}"]
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize(
         "knots,flags", [([], ["--arch=1,-1", "--no-source"]), ([1.0, 2.0, 3.0], ["--arch=1,-1"])]
     )
     def test_negative_width_rejected(self, tmp_path, capsys, knots, flags):
@@ -514,6 +544,7 @@ class TestExitCodes:
             (ValueError("bad value"), 2),
             (NotADirectoryError(20, "Not a directory", "afile/out.json"), 2),
             (PermissionError(13, "Permission denied", "locked.json"), 2),
+            (MemoryError("Unable to allocate 7.28 TiB for an array"), 2),
         ],
     )
     def test_documented_code(self, monkeypatch, capsys, error, code):
@@ -604,13 +635,12 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "value,reason",
-        [("0", "strictly positive"), ("-1", "strictly positive"), ("nan", "strictly positive"),
-         ("inf", "finite")],
+        [("0", "positive"), ("-1", "positive"), ("nan", "finite"), ("inf", "finite")],
     )
     def test_tol_eval_must_be_positive_and_finite(self, capsys, value, reason):
         code, out, err = run(capsys, "verify", MAX_NET, MAX_SPLINE, "--tol-eval", value)
         assert (code, out) == (2, "")
-        assert err == f"error: eval_tol must be {reason}\n"
+        assert err == f"error: --tol-eval must be {reason}, got {float(value)!r}\n"
 
 
 class TestNormalize:

@@ -176,6 +176,24 @@ def test_one_module_checks_finiteness():
     assert sites == {"core.py"}
 
 
+def test_no_reader_reshapes():
+    # _matrix gives a [] matrix its column count, so no *_from_obj reader
+    # reshapes what it reads
+    readers, reshaped = [], []
+    tree = ast.parse((ROOT / "src" / "relusplines" / "serialization.py").read_text())
+    for func in tree.body:
+        if isinstance(func, ast.FunctionDef) and func.name.endswith("_from_obj"):
+            readers.append(func.name)
+            reshaped += [
+                f"{func.name}:{node.lineno}"
+                for node in ast.walk(func)
+                if isinstance(node, ast.Call)
+                and "reshape" in _loaded_names(node.func, attributes=True)
+            ]
+    assert len(readers) == 4
+    assert reshaped == []
+
+
 # bench/selftest.py reads synth.dnn_to_spline to check that tracing wraps and
 # restores every binding; no synth code calls it
 UNREAD_IMPORTS = ["synth.py:dnn_to_spline"]

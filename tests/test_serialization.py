@@ -60,6 +60,22 @@ class TestNetworkSchema:
             net = random_network(rng)
             assert_networks_equal(rs.network_from_obj(rs.network_to_obj(net)), net)
 
+    @pytest.mark.parametrize(
+        "widths", [(1, 0, 1), (1, 0, 0, 1), (1, 2, 0, 1), (1, 0, 3, 1), (1, 3, 2, 0, 1)]
+    )
+    def test_zero_width_round_trip_through_json_text(self, widths):
+        # a matrix with no rows is written [] and read back with the
+        # layer's input width as its column count
+        rng = np.random.default_rng(len(widths))
+        layers = [rs.Layer(rng.uniform(-2, 2, (widths[1], 1)), rng.uniform(-2, 2, widths[1]))]
+        for n_in, n_out in zip(widths[1:], widths[2:]):
+            shapes = ((n_out, n_in), n_out, n_out)
+            layers.append(rs.Layer(*(rng.uniform(-2, 2, shape) for shape in shapes)))
+        net = rs.ReluNetwork(tuple(layers))
+        back = rs.network_from_obj(json.loads(json.dumps(rs.network_to_obj(net))))
+        assert_networks_equal(back, net)
+        assert [layer.A.shape for layer in back.layers] == [layer.A.shape for layer in net.layers]
+
     def test_missing_c_defaults_to_zero(self):
         obj = {
             "widths": [1, 2, 1],
@@ -94,10 +110,31 @@ class TestNetworkSchema:
         with pytest.raises(rs.SchemaError, match="widths"):
             rs.network_from_obj(obj)
 
+    def test_widths_must_be_non_negative(self):
+        obj = {
+            "widths": [1, -1, 1],
+            "layers": [{"A": [], "b": []}, {"A": [[]], "b": [0.0]}],
+        }
+        with pytest.raises(rs.SchemaError, match="widths must be a list of non-negative"):
+            rs.network_from_obj(obj)
+
     def test_matrix_shape_checked_against_widths(self):
         obj = rs.network_to_obj(net_max_knots())
         obj["layers"][1]["A"] = [[1.0, 2.0]]
         with pytest.raises(rs.DimensionMismatchError, match=r"layers\[1\]\.A"):
+            rs.network_from_obj(obj)
+
+    def test_empty_matrix_has_no_rows(self):
+        # a matrix with a row and no columns is written [[]], not []
+        obj = {
+            "widths": [1, 2, 0, 1],
+            "layers": [
+                {"A": [[1.0], [2.0]], "b": [0.0, 1.0]},
+                {"A": [], "b": []},
+                {"A": [], "b": [0.5]},
+            ],
+        }
+        with pytest.raises(rs.DimensionMismatchError, match=r"layers\[2\]\.A has shape \(0, 0\)"):
             rs.network_from_obj(obj)
 
     def test_unknown_field_named(self):
