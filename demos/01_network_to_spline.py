@@ -33,9 +33,9 @@ for x, coeff in rs.active_knots(spline):
 
 # The architecture admits at most prod(width + 1) - 1 knots; this network
 # was picked to reach that budget exactly.
-reportcard = rs.audit_bound(net)
-print(f"\nknot budget: observed {reportcard.observed} of {reportcard.bound}"
-      f" possible -> {'tight' if reportcard.observed == reportcard.bound else 'slack'}")
+bound = rs.knot_bound(net.widths)
+print(f"\nknot budget: observed {spline.n_knots} of {bound}"
+      f" possible -> {'tight' if spline.n_knots == bound else 'slack'}")
 
 # Sample both forms on a grid that straddles every linear piece.
 grid = rs.probe_grid(spline.knots, margin=2.0, per_interval=3)

@@ -5,8 +5,8 @@ Networks here map R to R, feed the raw input into every layer through
 continuous piecewise-linear splines with finitely many knots.  The package
 converts in both directions in closed form, normalizes network scales,
 synthesizes networks whose splines break exactly at prescribed knots, and
-audits knot counts against an upper bound for the architecture, which
-is attained with one and two hidden layers.
+bounds the knot count an architecture admits, a bound attained with one
+and two hidden layers.
 """
 
 from . import analysis, core, evaluate, normalize, serialization, synth, transfer

@@ -1,8 +1,6 @@
-"""Breakpoint counting, the width-product bound, and closed-form coefficients."""
+"""Breakpoint counting and closed-form coefficients."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,14 +9,11 @@ from .core import (
     CplSpline,
     DimensionMismatchError,
     KnotHierarchy,
-    ReluNetwork,
     Tolerances,
     _frozen_array,
-    knot_bound,
 )
-from .transfer import dnn_to_spline
 
-__all__ = ["active_knots", "audit_bound", "BoundReport", "coeffs_from_knots"]
+__all__ = ["active_knots", "coeffs_from_knots"]
 
 
 def active_knots(spline: CplSpline, tol: Tolerances = DEFAULT_TOL) -> list[tuple[float, float]]:
@@ -28,22 +23,6 @@ def active_knots(spline: CplSpline, tol: Tolerances = DEFAULT_TOL) -> list[tuple
     # by knot, then coefficient; both sorts are stable, so ties keep their order
     order = np.lexsort((coeffs, knots))
     return list(zip(knots[order].tolist(), coeffs[order].tolist()))
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Plain record of an observed knot count against ``knot_bound``, an upper bound."""
-
-    observed: int
-    bound: int
-    ok: bool
-
-
-def audit_bound(net: ReluNetwork, tol: Tolerances = DEFAULT_TOL) -> BoundReport:
-    """Count the network's active knots (its canonical spline's knots) against the bound."""
-    observed = dnn_to_spline(net, tol).n_knots
-    bound = knot_bound(net.widths)
-    return BoundReport(observed, bound, observed <= bound)
 
 
 def coeffs_from_knots(h: KnotHierarchy, a3, c_signs) -> tuple[np.ndarray, np.ndarray]:

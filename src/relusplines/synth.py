@@ -14,22 +14,22 @@ prescribed knot active, handing the spline to ``dnn_to_spline``, or raises
 ActivityError listing the missing knots sorted by reason.  A prescribed
 knot is active when a spline knot lies in its own window, within
 ACTIVITY_TOL and strictly within half the distance to the nearest other
-prescribed knot, so no spline knot realizes two.  A knot no unit
-of the last hidden layer keeps is one no final row can activate; any other
-missing knot is cancelled by the final row the build used.
+prescribed knot, so no spline knot realizes two.  A unit keeps a knot
+when relu of the unit has a hinge in the knot's window (``_keeps``, by
+the layer step's one rule); a missing knot no unit of the last hidden
+layer keeps is one no final row can activate, and any other is cancelled
+by the final row the build used.  The three-hidden build's sign covers
+apply the same rule to its layer-3 bundle and that bundle negated.
 
 Every step works on whole bundles.  The slope recursion runs over
 intervals for all units at once.  Every build converts its hidden layers
 once, with ``dnn_to_spline``'s own loop (the knotless layer-1 bundle, then
 one ``layer_transfer`` step per later hidden layer), and hands ``_checked``
-the last hidden bundle.  The three-hidden build picks its signs from
-relu's hinges at the lower-level knots, read off its layer-3 bundle and
-that bundle negated by the layer step's own rule (``_relu_hinges``);
-flipping the rows by eps gives the returned network's bundle bit for bit.
-The output row enters linearly, so one step of that bundle through the
-final ``Layer`` (``dnn_to_spline``'s last step) gives the network's spline
-bit for bit; on a miss one identity step of the same bundle sorts the
-missing knots, and nothing is converted twice.
+the last hidden bundle; in the three-hidden build, flipping its rows by
+eps gives the returned network's bundle bit for bit.  The output row
+enters linearly, so one step of that bundle through the final ``Layer``
+(``dnn_to_spline``'s last step) gives the network's spline bit for bit;
+a miss reads the same bundle's hinges and takes no further step.
 
 Index convention: unit/knot positions in error messages and subsets (for
 example ``redundancy_residual``'s ``index_set``) are 0-based.
@@ -103,10 +103,10 @@ def _checked(
     """``net`` handed its spline, or ActivityError sorting the knots it misses.
 
     ``hidden``, the bundle of ``net``'s last hidden layer, steps through
-    the final layer (``dnn_to_spline``'s last step: its spline bit for bit)
-    and, on a miss, the identity (relu of each unit): a missing knot with
-    no column in its window there is kept by no unit, so no final row
-    helps; any other is cancelled by this row.
+    the final layer (``dnn_to_spline``'s last step: its spline bit for
+    bit).  A missing knot that ``_keeps`` finds kept by no unit of
+    ``hidden`` cannot be helped by any final row; any other is cancelled
+    by this row.
     """
     last = net.layers[-1]
     spline = layer_transfer(hidden, last, tol).member(0)
@@ -115,9 +115,8 @@ def _checked(
     if not missed.any():
         return _hand_over(net, spline, tol)
     missing = wanted[missed]
-    n, unit = last.in_width, ("second", "third")[len(net.layers) - 3]
-    kept = layer_transfer(hidden, Layer(np.eye(n), np.zeros(n), np.zeros(n)), tol).knots
-    unkept = _nearest_knot(kept, missing)[1] > windows[missed]
+    unit = ("second", "third")[len(net.layers) - 3]
+    unkept = ~_keeps(hidden, missing, windows[missed], tol).any(axis=0)
     raise ActivityError(
         f"prescribed knots stayed inactive, kept by no {unit}-layer unit: "
         f"{missing[unkept].tolist()}, cancelled by this final row: {missing[~unkept].tolist()}",
@@ -299,6 +298,26 @@ def _activity_windows(prescribed: np.ndarray) -> np.ndarray:
     return np.minimum(np.nextafter(halves, -np.inf), ACTIVITY_TOL)
 
 
+def _keeps(
+    bundle: SplineBundle, targets: np.ndarray, windows: np.ndarray, tol: Tolerances
+) -> np.ndarray:
+    """keeps[r, i]: relu of member r has a hinge in sorted target i's window.
+
+    A hinge is a knot where relu keeps a coefficient above zero_tol, or a
+    zero crossing: the layer step's own hinge set (``_relu_hinges``).  The
+    windows are disjoint, so a hinge can lie only in its nearest target's.
+    """
+    with np.errstate(all="ignore"):
+        kept, members, cross_x = _relu_hinges(bundle, tol)[2:5]
+    rows, cols = np.nonzero(np.abs(kept) > tol.zero_tol)
+    rows = np.concatenate((rows, members))
+    nearest, distance = _nearest_knot(targets, np.concatenate((bundle.knots[cols], cross_x)))
+    inside = distance <= windows[nearest]
+    keeps = np.zeros((bundle.width, targets.shape[0]), dtype=bool)
+    keeps[rows[inside], nearest[inside]] = True
+    return keeps
+
+
 def _missing_prescribed(
     spline: CplSpline, prescribed: np.ndarray, windows: np.ndarray
 ) -> np.ndarray:
@@ -322,17 +341,16 @@ def synth_three_hidden(
     zeros at level3 row r, seen as one zero per interval of the first
     level-2 column; its sign eps_r comes from ``eps`` (n3 entries of +-1)
     or the greedy pass over the lower-level knots, where a sign covers a
-    knot when relu of the signed unit keeps a hinge in the knot's activity
-    window by the layer step's own rule; the activity check reports what
-    stays uncovered.  The final row is ``a4`` (n3 entries) or -eps (all
-    positive parts add up with one sign); ``c_out`` and ``b_out`` are the
-    final layer's source weight and bias.  Knot k's output coefficient is
-    row . G[:, k], G's member r being relu(unit r), so one attempt
-    decides: the build returns a network with every prescribed knot
-    active, or raises ActivityError that sorts the missing knots into
-    those kept by no third-layer unit (no column of G: no row helps) and
-    those cancelled by this row (another ``a4`` can keep them).  ``rng``
-    has no effect.
+    knot when relu of the signed unit has a hinge in the knot's activity
+    window (``_keeps``); the activity check reports what stays uncovered.
+    The final row is ``a4`` (n3 entries) or -eps (all positive parts add
+    up with one sign); ``c_out`` and ``b_out`` are the final layer's
+    source weight and bias.  The row enters the spline linearly, so one
+    attempt decides: the build returns a network with every prescribed
+    knot active, or raises ActivityError that sorts the missing knots
+    into those kept by no third-layer unit (no row helps) and those
+    cancelled by this row (another ``a4`` can keep them).  ``rng`` has no
+    effect.
     """
     c_out, b_out = _finite_float(c_out, "c_out"), _finite_float(b_out, "b_out")
     if rng is not None:
@@ -357,14 +375,9 @@ def synth_three_hidden(
     if eps is None:
         # rows n3 + r are unit r negated exactly: what the layer step sees for eps_r = -1
         rows = (np.concatenate((v, -v)) for v in (bundle3.q1s, bundle3.q0s, bundle3.coeff_matrix))
-        with np.errstate(all="ignore"):
-            kept = _relu_hinges(SplineBundle._computed(bundle3.knots, *rows), tol)[3]
-        # a sign covers a lower-level knot when relu keeps the knot found in its window
         targets = np.sort(np.concatenate((h.level1, h.level2.ravel())))
-        nearer, distance = _nearest_knot(bundle3.knots, targets)
-        hit = distance <= _activity_windows(wanted)[np.searchsorted(wanted, targets)]
-        covers = np.zeros((2 * n3, hit.size), dtype=bool)
-        covers[:, hit] = np.abs(kept[:, nearer[hit]]) > tol.zero_tol
+        windows = _activity_windows(wanted)[np.searchsorted(wanted, targets)]
+        covers = _keeps(SplineBundle._computed(bundle3.knots, *rows), targets, windows, tol)
         eps = _greedy_signs(covers[:n3], covers[n3:])[0]
 
     # eps flips rows exactly: this is dnn_to_spline's layer-3 bundle bit for bit

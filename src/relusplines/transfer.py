@@ -27,8 +27,9 @@ ValueError is all the caller sees of it.
 Sign decisions use tol.zero_tol.  A unit value at a knot counts as zero
 when |f(x)| <= zero_tol * (1 + |mu x|), which keeps the test meaningful
 when mu x and eta cancel; slopes count as zero at |mu| <= zero_tol.
-The classes and relu's hinges at the knots come from ``_relu_hinges``,
-which the three-hidden build's sign selection reads as well.
+Relu's hinges, kept at the knots and added at the crossings, are decided
+once, in ``_relu_hinges``; synthesis reads the same hinge set for its sign
+covers and its miss report.
 """
 
 from __future__ import annotations
@@ -78,15 +79,16 @@ def sigma_compose(f: CplSpline, tol: Tolerances = DEFAULT_TOL) -> CplSpline:
 
 
 def _relu_hinges(bundle: SplineBundle, tol: Tolerances):
-    """(mu, eta, ends, kept): every member's piecewise form, classes and relu hinges.
+    """(mu, eta, kept, members, cross_x, weights): piecewise form and relu's hinges.
 
     Member j has slope mu[j, v] and intercept eta[j, v] on interval v
-    (interval 0 lies left of every knot).  ends[j] is its -1/0/+1 class at
-    each knot, from the piece left of it, between the signs of the tails at
-    -inf and +inf (the outer slopes', negated on the left); the zero band
-    scales with |mu x| so that cancellation does not flip signs.
-    kept[j, k] is relu(f_j)'s hinge coefficient at knot k.  Callers
-    silence float warnings.
+    (interval 0 lies left of every knot).  relu(f_j) has hinge coefficient
+    kept[j, k] at knot k, and hinge i of weight weights[i] = |mu| at the
+    zero crossing cross_x[i] of member members[i].  Each member is classed
+    -1/0/+1 at each knot, from the piece left of it, between the signs of
+    its tails at -inf and +inf (the outer slopes', negated on the left);
+    the zero band scales with |mu x| so that cancellation does not flip
+    signs.  Callers silence float warnings.
     """
     knots, coeffs = bundle.knots, bundle.coeff_matrix
     q1, q0 = bundle.q1s, bundle.q0s
@@ -111,7 +113,13 @@ def _relu_hinges(bundle: SplineBundle, tol: Tolerances):
     # vanishes at the knot keeps the positive parts of the slopes either side
     split = np.maximum(mu[:, 1:], 0.0) + np.maximum(-mu[:, :-1], 0.0)
     kept = np.where(classes > 0, coeffs, np.where(classes == 0, split, 0.0))
-    return mu, eta, ends, kept
+
+    # a piece crosses zero inside its interval exactly when the classes at
+    # its two ends are strictly opposite, which rules out double counting
+    # next to a knot that already classified as zero
+    members, pieces = np.nonzero((np.abs(mu) > tol.zero_tol) & (ends[:, :-1] * ends[:, 1:] == -1))
+    slopes = mu[members, pieces]
+    return mu, eta, kept, members, -eta[members, pieces] / slopes, np.abs(slopes)
 
 
 def layer_transfer(
@@ -133,16 +141,9 @@ def layer_transfer(
 
     # an overflow surfaces as the ValueError of the bundle's finiteness scan
     with np.errstate(all="ignore"):
-        mu, eta, ends, kept = _relu_hinges(bundle, tol)
+        kept, members, cross_x, weights = _relu_hinges(bundle, tol)[2:]
         knots, q1, q0 = bundle.knots, bundle.q1s, bundle.q0s
         zero_tol = tol.zero_tol
-
-        # a piece crosses zero inside its interval exactly when the classes at
-        # its two ends are strictly opposite, which rules out double counting
-        # next to a knot that already classified as zero
-        members, pieces = np.nonzero((np.abs(mu) > zero_tol) & (ends[:, :-1] * ends[:, 1:] == -1))
-        slopes = mu[members, pieces]
-        cross_x = -eta[members, pieces] / slopes
 
         # relu(f_j) left of every knot: f_j itself if falling, relu(q0) if flat
         falling = q1 < -zero_tol
@@ -150,7 +151,7 @@ def layer_transfer(
         tail_q0 = np.where(falling, q0, np.where(np.abs(q1) <= zero_tol, np.maximum(q0, 0.0), 0.0))
 
         coords = np.concatenate((knots, cross_x))
-        columns = np.concatenate((A @ kept, A[:, members] * np.abs(slopes)), axis=1)
+        columns = np.concatenate((A @ kept, A[:, members] * weights), axis=1)
         merged_x, merged_cols = _merge_columns(coords, knots.shape[0], columns, tol)
         return SplineBundle._computed(merged_x, c + A @ tail_q1, b + A @ tail_q0, merged_cols)
 

@@ -55,14 +55,14 @@ class TestActiveKnots:
 
 class TestAuditBound:
     def test_reference_is_tight(self):
-        assert rs.audit_bound(net_max_knots()) == rs.BoundReport(15, 15, True)
+        net = net_max_knots()
+        assert rs.dnn_to_spline(net).n_knots == rs.knot_bound(net.widths) == 15
 
     def test_random_networks_within_bound(self):
         rng = np.random.default_rng(89)
         for _ in range(50):
-            report = rs.audit_bound(random_network(rng))
-            assert report.ok
-            assert report.observed <= report.bound
+            net = random_network(rng)
+            assert rs.dnn_to_spline(net).n_knots <= rs.knot_bound(net.widths)
 
 
 class TestCoeffsFromKnots:

@@ -253,7 +253,7 @@ class TestKnotBound:
 def layer_step_form(s: rs.CplSpline):
     """The layer step's slopes and intercepts of ``s``, a one-member bundle."""
     bundle = rs.SplineBundle(s.knots, [s.q1], [s.q0], s.coeffs.reshape(1, -1))
-    mu, eta, _, _ = _relu_hinges(bundle, rs.DEFAULT_TOL)
+    mu, eta, *_ = _relu_hinges(bundle, rs.DEFAULT_TOL)
     return mu[0], eta[0]
 
 

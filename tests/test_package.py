@@ -165,6 +165,33 @@ def test_one_function_reads_activity_tol():
     assert sites == ["synth.py:_activity_windows"]
 
 
+def _callers(name: str) -> list:
+    """``module:function`` of every function in the source that calls ``name``."""
+    sites = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(sub, ast.Call) and name in _loaded_names(sub.func, attributes=True)
+                for sub in ast.walk(node)
+            ):
+                sites.append(f"{path.stem}:{node.name}")
+    return sites
+
+
+def test_relus_hinges_are_decided_once():
+    # the layer step and synthesis's keep rule read one hinge set, so the
+    # sign covers and the miss report need no step of their own: exactly
+    # two functions call _relu_hinges, and no source builds an identity
+    assert sorted(_callers("_relu_hinges")) == ["synth:_keeps", "transfer:layer_transfer"]
+    eyes = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and "eye" in _loaded_names(node.func, attributes=True)
+    ]
+    assert eyes == []
+
+
 def test_one_module_checks_finiteness():
     # caller input is checked once, by core's value types and _frozen_array,
     # so no other module in the source calls isfinite

@@ -556,30 +556,23 @@ def reference_covers(bundle: rs.SplineBundle, h: rs.KnotHierarchy, tol=rs.DEFAUL
     """Reference: which sign of each member keeps each lower-level knot of
     ``h`` (the targets), member by member.
 
-    Sign s of member r covers a target when ``sigma_compose(s member)``
-    keeps a knot at the bundle knot nearest the target (the right one of
-    two as near) and that knot lies in the target's one-to-one window:
-    within ACTIVITY_TOL and strictly within half the distance to the
-    nearest other prescribed knot of ``h``, by brute force.  A zero
-    crossing that lands near a target without merging into that knot does
-    not count.
+    Sign s of member r covers a target when ``sigma_compose(s member)`` has
+    a knot in the target's one-to-one window: within ACTIVITY_TOL and
+    strictly within half the distance to the nearest other prescribed knot
+    of ``h``, by brute force.
     """
     targets = np.sort(np.concatenate((h.level1, h.level2.ravel())))
-    covers = np.zeros((2, bundle.width, targets.shape[0]), dtype=bool)
-    if bundle.knots.size == 0:
-        return covers[0], covers[1]
-    index, distance = brute_force_nearest(bundle.knots, targets)
-    nearest = bundle.knots[index]
     apart = np.abs(targets[:, None] - rs.prescribed_knots(h)[None, :])
     apart[apart == 0] = np.inf  # the target itself
-    inside = (distance <= rs.ACTIVITY_TOL) & (distance < np.min(apart, axis=1) / 2)
+    half = np.min(apart, axis=1)[:, None] / 2
+    covers = np.zeros((2, bundle.width, targets.shape[0]), dtype=bool)
     for r in range(bundle.width):
         member = bundle.member(r)
         for s, sign in enumerate((1.0, -1.0)):
             signed = rs.CplSpline(sign * member.q1, sign * member.q0, member.knots,
                                   sign * member.coeffs)
-            kept = rs.sigma_compose(signed, tol).knots
-            covers[s, r] = inside & np.isin(nearest, kept)
+            distance = np.abs(targets[:, None] - rs.sigma_compose(signed, tol).knots[None, :])
+            covers[s, r] = ((distance <= rs.ACTIVITY_TOL) & (distance < half)).any(axis=1)
     return covers[0], covers[1]
 
 
@@ -660,13 +653,13 @@ class TestThreeHiddenSignCovers:
         # some knots are kept by neither sign of any unit
         assert partial > 0
 
-    @pytest.mark.parametrize("span", [2e-9, 1e-8, 3e-8])
+    @pytest.mark.parametrize("span", [1e-9, 2e-9, 1e-8, 3e-8])
     def test_covers_use_the_one_to_one_windows(self, monkeypatch, span):
         # evenly spread knots, most closer than 2 ACTIVITY_TOL: a bundle
         # knot in a neighbour's window does not cover this target, as in
         # the check.  At span 1e-9, steep units cross zero within merge_tol
-        # of a knot yet beyond relu's zero band there, and the covers miss
-        # that crossing (the open crossing half of the sign covers)
+        # of a knot yet beyond relu's zero band there, and that crossing
+        # covers the target
         passes = recorded_passes(monkeypatch)
         for n1, n2, n3 in itertools.product(range(1, 5), repeat=3):
             count = n1 + n2 * (n1 + 1) + n3 * (n2 + 1)
@@ -675,6 +668,29 @@ class TestThreeHiddenSignCovers:
             want_plus, want_minus = reference_covers(reference_layer3(h)[1], h)
             np.testing.assert_array_equal(covers_plus, want_plus)
             np.testing.assert_array_equal(covers_minus, want_minus)
+
+    def test_crossing_beside_a_dropped_knot_covers(self, monkeypatch):
+        # build 220 of the seed-211 sweep: unit 3 is negative at the bundle
+        # knot on a level-1 target, so relu keeps no hinge there, but it
+        # crosses zero 8.6e-10 to the right, inside the target's window
+        passes = recorded_passes(monkeypatch)
+        rng = np.random.default_rng(211)
+        for _ in range(221):
+            n1, n2, n3 = (int(v) for v in rng.integers(1, 7, 3))
+            h = random_three_level(rng, n1, n2, n3)
+        assert (n1, n2, n3) == (1, 5, 4) and h.level1.tolist() == [8.170182984697853]
+        targets = np.sort(np.concatenate((h.level1, h.level2.ravel())))
+        i = int(np.searchsorted(targets, h.level1[0]))
+        bundle3 = reference_layer3(h)[1]
+        k = int(np.searchsorted(bundle3.knots, h.level1[0]))
+        assert bundle3.knots[k] == h.level1[0]
+        kept, members, cross_x, weights = transfer._relu_hinges(bundle3, rs.DEFAULT_TOL)[2:]
+        assert kept[3, k] == 0.0
+        (c,) = np.flatnonzero((members == 3) & (np.abs(cross_x - h.level1[0]) < 1e-9))
+        assert 8.5e-10 < cross_x[c] - h.level1[0] < 8.7e-10 and round(weights[c], 2) == 95.65
+        covers_plus, _ = recorded_covers(h, passes)
+        want_plus, _ = reference_covers(bundle3, h)
+        assert covers_plus[3, i] and want_plus[3, i]
 
     def test_knotless_layer_three_covers_nothing(self, monkeypatch):
         # with no second-layer unit, layer 3 is affine and relu keeps no
@@ -786,6 +802,25 @@ class TestThreeHiddenMatchesConversionLoop:
         assert isinstance(result, tuple) and len(checks) == 1
 
 
+def recorded_hinge_reads(monkeypatch) -> list:
+    """Every bundle ``_relu_hinges`` reads from here on, in the step and in synthesis."""
+    reads = []
+    hinges = transfer._relu_hinges
+
+    def recording(bundle, tol):
+        reads.append(bundle)
+        return hinges(bundle, tol)
+
+    monkeypatch.setattr(transfer, "_relu_hinges", recording)
+    monkeypatch.setattr(synth, "_relu_hinges", recording)
+    return reads
+
+
+def last_bundle_reads(reads: list) -> int:
+    """How often the bundle read last had its hinges read."""
+    return sum(bundle is reads[-1] for bundle in reads)
+
+
 def transfer_steps(monkeypatch, build, *args, **opts):
     """Each layer_transfer step's (members in, members out), and the error raised."""
     calls = []
@@ -812,26 +847,29 @@ def transfer_steps(monkeypatch, build, *args, **opts):
 
 class TestThreeHiddenCallCounts:
     @pytest.mark.parametrize(
-        "opts,steps",
+        "opts,reads",
         [
             (None, 1),
             ({"eps": np.array([1.0, 1.0])}, 2),
             ({"a4": np.array([1e-12, 1e-12])}, 2),
         ],
     )
-    def test_one_transfer_per_attempt_and_no_conversion(self, monkeypatch, opts, steps):
+    def test_one_transfer_per_attempt_and_no_conversion(self, monkeypatch, opts, reads):
         h = fourteen_hierarchy()
+        hinge_reads = recorded_hinge_reads(monkeypatch)
         calls, err = transfer_steps(monkeypatch, rs.synth_three_hidden, h, **(opts or {}))
-        # layers 2 and 3 (two members in, two out), the final row once, and
-        # on a miss one step through the identity for G
-        assert calls == [(2, 2), (2, 2), (2, 1), (2, 2)][: 2 + steps]
-        assert (err is None) == (steps == 1)
+        # layers 2 and 3 (two members in, two out) and the final row once; a
+        # miss takes no step after it, and its report reads the hinges of
+        # the last hidden bundle a second time
+        assert calls == [(2, 2), (2, 2), (2, 1)]
+        assert last_bundle_reads(hinge_reads) == reads
+        assert (err is None) == (reads == 1)
 
     def test_even_eight_cubed_decides_once(self, monkeypatch):
         # every failure of the random and evenly spread sweeps had a knot
         # that no third-layer unit keeps, so no other final row would help
         calls, err = transfer_steps(monkeypatch, rs.synth_three_hidden, even_three_level(8, 8, 8))
-        assert calls == [(8, 8), (8, 8), (8, 1), (8, 8)]
+        assert calls == [(8, 8), (8, 8), (8, 1)]
         assert len(err.inactive) == 3
         assert str(err).endswith(
             f"kept by no third-layer unit: {err.inactive}, cancelled by this final row: []"
@@ -839,14 +877,14 @@ class TestThreeHiddenCallCounts:
 
     def test_single_second_layer_unit_raises_before_any_step(self, monkeypatch):
         # one second-layer unit is negative at every second level-1 knot, so
-        # the conversion loses those and the one identity step sorts them:
-        # kept by no third-layer unit, whatever the final row
+        # the conversion loses those and relu's hinge set sorts them, with no
+        # further step: kept by no third-layer unit, whatever the final row
         rng = np.random.default_rng(139)
         for n1, n3 in ((2, 1), (3, 2), (4, 3), (5, 4), (6, 1)):
             h = random_three_level(rng, n1, 1, n3)
             calls, err = transfer_steps(monkeypatch, rs.synth_three_hidden, h)
             monkeypatch.undo()
-            assert calls == [(n1, 1), (1, n3), (n3, 1), (n3, n3)]
+            assert calls == [(n1, 1), (1, n3), (n3, 1)]
             assert set(h.level1[1::2].tolist()) <= set(err.inactive)
             net = unchecked(monkeypatch, rs.synth_three_hidden, h)
             assert err.inactive == fresh_misses(net, rs.prescribed_knots(h))
@@ -856,31 +894,35 @@ class TestThreeHiddenCallCounts:
 
 
 class TestTwoHiddenCallCounts:
-    """A two-hidden build converts layers 1 and 2 once, then steps the final row,
-    and on a miss the identity, from that same bundle."""
+    """A two-hidden build converts layers 1 and 2 once, then steps the final row;
+    a miss reads that same bundle's hinges again and takes no step."""
 
     @pytest.mark.parametrize(
-        "build,args,steps",
+        "build,args,steps,reads",
         [
-            (rs.synth_two_hidden, (max15_hierarchy(),), [(3, 3), (3, 1)]),
-            (rs.synth_two_hidden_no_source, (NINE_KNOTS, 3, 2), [(3, 2), (2, 1)]),
+            (rs.synth_two_hidden, (max15_hierarchy(),), [(3, 3), (3, 1)], 1),
+            (rs.synth_two_hidden_no_source, (NINE_KNOTS, 3, 2), [(3, 2), (2, 1)], 1),
             (
                 rs.synth_two_hidden,
                 (rs.hierarchy_from_flat(np.linspace(-10.0, 10.0, 120), 10, 10),),
-                [(10, 10), (10, 1), (10, 10)],
+                [(10, 10), (10, 1)],
+                2,
             ),
             (
                 rs.synth_two_hidden_no_source,
                 (np.linspace(-10.0, 10.0, 72), 8, 8),
-                [(8, 8), (8, 1), (8, 8)],
+                [(8, 8), (8, 1)],
+                2,
             ),
         ],
         ids=["max15", "nine", "two-10x10-even", "no-source-8x8-even"],
     )
-    def test_one_conversion_per_build(self, monkeypatch, build, args, steps):
+    def test_one_conversion_per_build(self, monkeypatch, build, args, steps, reads):
+        hinge_reads = recorded_hinge_reads(monkeypatch)
         calls, err = transfer_steps(monkeypatch, build, *args)
         assert calls == steps
-        assert (err is None) == (len(steps) == 2)
+        assert last_bundle_reads(hinge_reads) == reads
+        assert (err is None) == (reads == 1)
 
 
 NO_UNIT_BUILDS = {
@@ -897,7 +939,8 @@ NO_UNIT_BUILDS = {
 @pytest.mark.parametrize("build", sorted(NO_UNIT_BUILDS))
 def test_no_second_layer_unit_raises_before_any_step(monkeypatch, build, n1):
     # with n2 = 0 no unit sees a level-1 knot: the conversion loses every one,
-    # and the identity step on an empty (or knotless) last bundle keeps none
+    # and relu of an empty (or knotless) last bundle has no hinge near one;
+    # the miss takes no step after the final row
     level1 = np.arange(1.0, n1 + 1.0)
     with pytest.raises(rs.ActivityError) as info:
         NO_UNIT_BUILDS[build](level1, n1)
