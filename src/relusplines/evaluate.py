@@ -12,7 +12,11 @@ of hinges, which can be far larger and cancel.  Because both
 representations are continuous piecewise-linear, two of them agree
 everywhere as soon as they agree on every knot, one interior point per
 interval and one point beyond each outermost knot; ``probe_grid``
-produces exactly such a grid.
+produces exactly such a grid from known knots.  A network's knots need
+not be known: ``certified_grid`` adds the zero crossings of its hidden
+units to a grid until the network is affine on every interval and on
+each tail, so a spline's certified probe grid decides its equality with
+a network without converting the network.
 """
 
 from __future__ import annotations
@@ -21,9 +25,9 @@ import operator
 
 import numpy as np
 
-from .core import CplSpline, ReluNetwork, _frozen_array
+from .core import DEFAULT_TOL, CplSpline, ReluNetwork, Tolerances, _frozen_array
 
-__all__ = ["eval_network", "eval_spline", "probe_grid", "equivalence_error"]
+__all__ = ["eval_network", "eval_spline", "probe_grid", "certified_grid", "equivalence_error"]
 
 
 def _as_points(t) -> tuple[np.ndarray, bool]:
@@ -87,6 +91,106 @@ def probe_grid(knots, margin: float = 1.0, per_interval: int = 1) -> np.ndarray:
     interior = (left[:, None] + np.diff(knots)[:, None] * fractions[None, :]).ravel()
     flanks = [knots[0] - margin, knots[-1] + margin]
     return np.unique(np.concatenate((knots, interior, flanks)))
+
+
+def certified_grid(net: ReluNetwork, points, tol: Tolerances = DEFAULT_TOL):
+    """(grid, rounds): the points plus hidden units' zero crossings, until the
+    network is affine on every grid interval and on each tail beyond the grid.
+
+    Each round is one forward pass on the grid.  A hidden unit's value counts
+    as zero within the layer step's band, zero_tol * (1 + scale), where scale
+    sums the magnitudes of the terms that make up the value.  In each interval
+    the lowest layer with a unit of strictly opposite signs at the two ends
+    gives the round's points: every lower unit keeps its sign there, so each
+    such unit is affine on the interval and its crossing is exact by linear
+    interpolation.  The tails do the same with each unit's one-sided slope
+    far out, carried through the pass: a unit that is steeper than zero_tol
+    there and whose sign at the outer grid point is not its sign far out
+    adds its crossing and a new outer point beyond it, so that a bend at
+    the old outer point comes to lie between two grid points.  A crossing
+    within merge_tol of a grid point, or of the crossing before it, is that
+    point.  A unit within the band passes nothing to the next layer.  The
+    rounds stop when one adds nothing; in exact arithmetic each round lets
+    one more layer keep its signs, so rounds <= hidden layers, and a round
+    past that raises ValueError.  In floating point a crossing the band
+    hides in a lower layer can leave a higher layer's interpolation short
+    of its crossing, which then takes one round more.
+
+    Two continuous piecewise-linear functions that are affine on the same
+    grid intervals and tails agree everywhere once they agree on the grid,
+    so the grid of a spline's knots certified here decides the network's
+    equality with it without converting the network.  What the band hides:
+    a unit whose value at a grid point lies within the band counts as zero
+    there, so a crossing that close to the point is read as the point,
+    much as the layer step splits a hinge at a knot inside the same band.
+    The pass holds a width x points state per layer, as ``eval_network``.
+    The points are checked as ``eval_network``'s; fewer than two distinct
+    points raise ValueError.
+    """
+    grid = np.unique(_as_points(points)[0])
+    if grid.size < 2:
+        raise ValueError("certified_grid needs at least two distinct points")
+    hidden = len(net.layers) - 1
+    for rounds in range(hidden + 1):
+        found = _crossings(net, grid, tol)
+        if found.size == 0:
+            return grid, rounds
+        grid = np.union1d(grid, found)
+    raise ValueError(f"crossings still found after {hidden} rounds, one per hidden layer")
+
+
+def _crossings(net: ReluNetwork, grid: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """One round of ``certified_grid``: the new points, sorted."""
+    zero_tol = tol.zero_tol
+    lo, hi = grid[:-1], grid[1:]
+    settled = np.zeros(lo.size, dtype=bool)  # intervals a lower layer already split
+    tails_settled = [False, False]
+    first = net.layers[0]
+    z = first.A @ grid[None, :] + first.b[:, None]
+    scale = np.abs(first.A) @ np.abs(grid)[None, :] + np.abs(first.b)[:, None]
+    # one-sided slopes far left (row 0) and far right (row 1) of each unit
+    tails = np.repeat(first.A.T, 2, axis=0)
+    found = [np.empty(0)]
+    for layer in net.layers[1:]:
+        signs = np.where(np.abs(z) <= zero_tol * (1.0 + scale), 0.0, np.sign(z))
+        flips = (signs[:, :-1] * signs[:, 1:] == -1) & ~settled
+        units, cells = np.nonzero(flips)
+        left, right = z[units, cells], z[units, cells + 1]
+        found.append(lo[cells] + (hi[cells] - lo[cells]) * (left / (left - right)))
+        settled |= flips.any(axis=0)
+
+        for side, (end, inner, outward) in enumerate(((0, 1, -1.0), (-1, -2, 1.0))):
+            slopes = tails[side]
+            # far out, a unit steeper than zero_tol has the sign of outward * slope
+            bent = (np.abs(slopes) > zero_tol) & (signs[:, end] != outward * np.sign(slopes))
+            if tails_settled[side] or not bent.any():
+                continue
+            tails_settled[side] = True
+            reach = -outward * z[bent, end] / slopes[bent]
+            beyond = reach[reach > 0]
+            last = beyond.max(initial=0.0)
+            spacing = abs(grid[end] - grid[inner])
+            found.append(grid[end] + outward * np.append(beyond, last + max(last, spacing)))
+
+        # a unit within the band passes nothing on, as its sign says, so
+        # its rounding does not move the crossings of the layers above
+        h = np.where(signs > 0, z, 0.0)
+        z = layer.A @ h + layer.c[:, None] * grid + layer.b[:, None]
+        scale = np.abs(layer.A) @ h + np.abs(layer.c)[:, None] * np.abs(grid) + np.abs(layer.b)[:, None]
+        # relu passes a tail's slope where the unit grows outward, as the layer step's tails
+        active = np.stack((np.where(tails[0] < -zero_tol, tails[0], 0.0),
+                           np.where(tails[1] > zero_tol, tails[1], 0.0)))
+        tails = active @ layer.A.T + layer.c
+    return _apart(np.unique(np.concatenate(found)), grid, tol.merge_tol)
+
+
+def _apart(points: np.ndarray, grid: np.ndarray, merge_tol: float) -> np.ndarray:
+    """Sorted points more than merge_tol from every grid point and from the kept point before."""
+    at = np.searchsorted(grid, points)
+    below = grid[np.maximum(at - 1, 0)]
+    above = grid[np.minimum(at, grid.size - 1)]
+    points = points[np.minimum(np.abs(points - below), np.abs(above - points)) > merge_tol]
+    return points[np.diff(points, prepend=-np.inf) > merge_tol]
 
 
 def equivalence_error(net: ReluNetwork, spline: CplSpline, grid) -> float:

@@ -13,13 +13,14 @@ from that spline alone, in ``_checked``: it returns the network with every
 prescribed knot active, handing the spline to ``dnn_to_spline``, or raises
 ActivityError listing the missing knots sorted by reason.  A prescribed
 knot is active when a spline knot lies in its own window, within
-ACTIVITY_TOL and strictly within half the distance to the nearest other
-prescribed knot, so no spline knot realizes two.  A unit keeps a knot
-when relu of the unit has a hinge in the knot's window (``_keeps``, by
-the layer step's one rule); a missing knot no unit of the last hidden
-layer keeps is one no final row can activate, and any other is cancelled
-by the final row the build used.  The three-hidden build's sign covers
-apply the same rule to its layer-3 bundle and that bundle negated.
+ACTIVITY_TOL (or 4096 ulps of the knot, where wider) and strictly within
+half the distance to the nearest other prescribed knot, so no spline knot
+realizes two.  A unit keeps a knot when relu of the unit has a hinge in
+the knot's window (``_keeps``, by the layer step's one rule); a missing
+knot no unit of the last hidden layer keeps is one no final row can
+activate, and any other is cancelled by the final row the build used.
+The three-hidden build's sign covers apply the same rule to its layer-3
+bundle and that bundle negated.
 
 Every step works on whole bundles.  The slope recursion runs over
 intervals for all units at once.  Every build converts its hidden layers
@@ -289,13 +290,15 @@ def _nearest_knot(knots: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, n
 def _activity_windows(prescribed: np.ndarray) -> np.ndarray:
     """How near a knot must lie to realize each sorted prescribed knot.
 
-    ACTIVITY_TOL, capped strictly below half the distance d to the nearest
-    other prescribed knot (the largest float below d/2), so no knot lies in
-    two windows and each prescribed knot needs its own.
+    ACTIVITY_TOL or 4096 ulps of the knot, whichever is wider, capped
+    strictly below half the distance d to the nearest other prescribed knot
+    (the largest float below d/2), so no knot lies in two windows and each
+    prescribed knot needs its own.
     """
     gaps = np.concatenate(([np.inf], np.diff(prescribed), [np.inf]))
     halves = 0.5 * np.minimum(gaps[:-1], gaps[1:])
-    return np.minimum(np.nextafter(halves, -np.inf), ACTIVITY_TOL)
+    reach = np.maximum(ACTIVITY_TOL, 4096 * np.spacing(np.abs(prescribed)))
+    return np.minimum(np.nextafter(halves, -np.inf), reach)
 
 
 def _keeps(

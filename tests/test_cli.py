@@ -610,6 +610,54 @@ class TestVerify:
         assert out.startswith("max relative error: ")
         assert "knots: observed=15 bound=15 ok" in out
 
+    def test_reports_the_certified_grid(self, capsys):
+        # the 15 knots' probe grid already splits every unit's sign change
+        code, out, _ = run(capsys, "verify", MAX_NET, MAX_SPLINE)
+        assert code == 0
+        assert out.splitlines()[2] == "certified grid: 59 points after 0 rounds"
+
+    def test_spline_file_is_judged_without_converting(self, monkeypatch, capsys):
+        _, expected, _ = run(capsys, "verify", MAX_NET, MAX_SPLINE)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("verify converted the network")
+
+        monkeypatch.setattr(transfer, "layer_transfer", refused)
+        code, out, _ = run(capsys, "verify", MAX_NET, MAX_SPLINE)
+        assert (code, out) == (0, expected)
+        assert out.splitlines()[:2] == [
+            "max relative error: 7.105e-16",
+            "knots: observed=15 bound=15 ok",
+        ]
+
+    def test_network_alone_converts_once(self, monkeypatch, capsys):
+        calls = []
+        real = cli.dnn_to_spline
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].widths)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "dnn_to_spline", counting)
+        code, out, _ = run(capsys, "verify", MAX_NET)
+        assert code == 0 and calls == [(1, 3, 3, 1)]
+        assert out.splitlines()[1:] == [
+            "knots: observed=15 bound=15 ok",
+            "certified grid: 59 points after 0 rounds",
+        ]
+
+    def test_missing_knot_at_a_flank_fails(self, tmp_path, capsys):
+        # relu(t) - relu(t - 2) against t - relu(t - 2): the file's probe
+        # grid {0, 2, 4} has the network's lost hinge at its flank, where
+        # both agree; the certificate adds a point beyond it
+        net_path, spline_path = tmp_path / "net.json", tmp_path / "spline.json"
+        net = rs.ReluNetwork.shallow([1.0, 1.0], [0.0, -2.0], [1.0, -1.0])
+        rs.dump_json(net_path, rs.network_to_obj(net))
+        rs.dump_json(spline_path, rs.spline_to_obj(rs.CplSpline(1.0, 0.0, [2.0], [-1.0])))
+        code, out, _ = run(capsys, "verify", net_path, spline_path)
+        assert code == 1
+        assert out.splitlines()[2] == "certified grid: 4 points after 1 rounds"
+
     def test_perturbed_spline_fails(self, tmp_path, capsys):
         obj = rs.load_json(MAX_SPLINE)
         obj["q0"] += 1.0

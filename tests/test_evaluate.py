@@ -199,3 +199,142 @@ class TestEquivalenceError:
         assert rs.equivalence_error(net_max_knots(), s, 0.0) == 0.0
         shifted = rs.CplSpline(s.q1, s.q0 + 1.0, s.knots, s.coeffs)
         assert rs.equivalence_error(net_max_knots(), shifted, 0.0) == pytest.approx(1.0 / 1.2)
+
+
+def normal_network(rng: np.random.Generator) -> rs.ReluNetwork:
+    """Depth 2-5, hidden widths 1-8, all parameters standard normal."""
+    depth = int(rng.integers(2, 6))
+    widths = [1] + [int(rng.integers(1, 9)) for _ in range(depth - 1)] + [1]
+    layers = [rs.Layer(rng.normal(size=(widths[1], 1)), rng.normal(size=widths[1]))]
+    for i in range(2, depth + 1):
+        shape = (widths[i], widths[i - 1])
+        layers.append(rs.Layer(rng.normal(size=shape), rng.normal(size=widths[i]),
+                               rng.normal(size=widths[i])))
+    return rs.ReluNetwork(tuple(layers))
+
+
+def spline_grid(spline: rs.CplSpline) -> np.ndarray:
+    return rs.probe_grid(spline.knots, margin=2.0, per_interval=3)
+
+
+class TestCertifiedGrid:
+    def test_random_networks_agree_with_their_conversion(self):
+        # within the round bound, from the converted knots and from none:
+        # the certified grid then holds every knot of the conversion
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            net = normal_network(rng)
+            spline = rs.dnn_to_spline(net)
+            hidden = net.depth - 1
+            grid, rounds = rs.certified_grid(net, spline_grid(spline))
+            assert rounds <= hidden
+            assert rs.equivalence_error(net, spline, grid) <= 1e-11
+            grid, rounds = rs.certified_grid(net, rs.probe_grid([]))
+            assert rounds <= hidden
+            assert rs.equivalence_error(net, spline, grid) <= 1e-11
+            if spline.n_knots:
+                nearest = np.min(np.abs(spline.knots[:, None] - grid[None, :]), axis=1)
+                assert np.max(nearest) <= 1e-9
+
+    def test_deleted_knot_is_caught(self):
+        # a spline missing one knot of the conversion fails on the grid
+        # certified from its own knots alone
+        rng = np.random.default_rng(23)
+        planted = 0
+        for _ in range(200):
+            net = normal_network(rng)
+            spline = rs.dnn_to_spline(net)
+            if spline.n_knots == 0:
+                continue
+            k = int(rng.integers(spline.n_knots))
+            bad = rs.CplSpline(spline.q1, spline.q0, np.delete(spline.knots, k),
+                               np.delete(spline.coeffs, k))
+            grid, _ = rs.certified_grid(net, spline_grid(bad))
+            assert rs.equivalence_error(net, bad, grid) > 1e-8
+            planted += 1
+        assert planted > 150
+
+    def test_sawtooth_from_no_knots(self):
+        # each round settles one more of the eight hidden layers
+        depth = 8
+        grid, rounds = rs.certified_grid(sawtooth_network(depth), rs.probe_grid([]))
+        assert rounds == depth
+        assert np.isin(np.arange(2**depth + 1) / 2**depth, grid).all()
+        np.testing.assert_array_equal(grid[[0, -1]], [-1.0, 2.0])
+
+    def test_fixtures_need_no_round(self):
+        for net in (net_max_knots(), net_nine_knots()):
+            spline = rs.dnn_to_spline(net)
+            grid, rounds = rs.certified_grid(net, spline_grid(spline))
+            assert rounds == 0 and grid.tolist() == spline_grid(spline).tolist()
+
+    def test_width_zero_hidden_layer(self):
+        net = rs.spline_to_shallow(rs.CplSpline(2.0, -1.0, [], []))
+        assert net.widths == (1, 0, 1)
+        grid, rounds = rs.certified_grid(net, [1.0, -1.0])
+        assert (grid.tolist(), rounds) == ([-1.0, 1.0], 0)
+        deep = rs.ReluNetwork((
+            rs.Layer([[1.0]], [0.0]),
+            rs.Layer(np.zeros((0, 1)), [], np.zeros(0)),
+            rs.Layer(np.zeros((1, 0)), [0.5], [3.0]),
+        ))
+        grid, rounds = rs.certified_grid(deep, [-1.0, 1.0])
+        assert (grid.tolist(), rounds) == ([-1.0, 0.0, 1.0], 1)
+
+    @pytest.mark.parametrize("sign,wrong", [
+        (1.0, rs.CplSpline(1.0, 0.0, [2.0], [-1.0])),
+        (-1.0, rs.CplSpline(0.0, 2.0, [-2.0], [-1.0])),
+    ])
+    def test_crossing_at_a_flank_point(self, sign, wrong):
+        # relu(t) - relu(t - 2) or its mirror image: the unit that vanishes
+        # at the outer grid point bends there, so a point beyond it joins;
+        # the spline that drops that hinge agrees on the old grid only
+        net = rs.ReluNetwork.shallow([sign, sign], [0.0, -2.0], [1.0, -1.0])
+        points = sign * np.array([0.0, 2.0, 4.0])
+        grid, rounds = rs.certified_grid(net, points)
+        assert rounds == 1
+        assert grid.tolist() == sorted((sign * np.array([-2.0, 0.0, 2.0, 4.0])).tolist())
+        assert rs.equivalence_error(net, wrong, points) == 0.0
+        assert rs.equivalence_error(net, wrong, grid) > 0.5
+
+    def test_crossing_beyond_the_grid(self):
+        # relu(t - 5) on [0, 1]: the crossing 4 past the grid joins, and a
+        # point 4 past the crossing
+        net = rs.ReluNetwork.shallow([1.0], [-5.0], [1.0])
+        grid, rounds = rs.certified_grid(net, [0.0, 1.0])
+        assert (grid.tolist(), rounds) == ([0.0, 1.0, 5.0, 9.0], 1)
+
+    def test_crossings_within_merge_tol_are_grid_points(self):
+        # relu(1e4 t) is 5e-9 at 5e-13, beyond the zero band there: its
+        # crossing at 0 is within merge_tol (1e-12) of that point, and is
+        # that point; 2e-12 away it joins the grid
+        net = rs.ReluNetwork.shallow([1e4], [0.0], [1.0])
+        grid, rounds = rs.certified_grid(net, [-1.0, 5e-13, 1.0])
+        assert (grid.tolist(), rounds) == ([-1.0, 5e-13, 1.0], 0)
+        grid, rounds = rs.certified_grid(net, [-1.0, 2e-12, 1.0])
+        assert rounds == 1 and grid[1] == pytest.approx(0.0, abs=1e-15)
+        # two crossings 1e-13 apart are one point
+        net = rs.ReluNetwork.shallow([1.0, 1.0], [-0.5, -0.5 - 1e-13], [1.0, 1.0])
+        grid, rounds = rs.certified_grid(net, [0.0, 1.0])
+        assert (grid.tolist(), rounds) == ([0.0, 0.5, 1.0], 1)
+
+    def test_a_round_past_the_bound_raises(self, monkeypatch):
+        calls = []
+
+        def endless(net, grid, tol):
+            calls.append(grid.size)
+            return np.array([grid[-1] + 1.0])
+
+        monkeypatch.setattr(rs.evaluate, "_crossings", endless)
+        with pytest.raises(ValueError, match="^crossings still found after 3 rounds"):
+            rs.certified_grid(sawtooth_network(3), [0.0, 1.0])
+        assert calls == [2, 3, 4, 5]
+
+    def test_points_are_checked(self):
+        net = net_max_knots()
+        with pytest.raises(ValueError, match="at least two distinct points"):
+            rs.certified_grid(net, [1.0, 1.0])
+        with pytest.raises(ValueError, match="^evaluation points contains non-finite entries$"):
+            rs.certified_grid(net, [0.0, np.nan])
+        with pytest.raises(rs.DimensionMismatchError, match="^evaluation points must be"):
+            rs.certified_grid(net, np.zeros((2, 2)))

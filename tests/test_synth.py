@@ -459,14 +459,15 @@ class TestHierarchyFromFlat:
 
 def brute_force_missing(spline: rs.CplSpline, prescribed: np.ndarray) -> np.ndarray:
     """Prescribed knots no active knot realizes one to one: none lies within
-    ACTIVITY_TOL of it and strictly within half its distance to the nearest
-    other prescribed knot."""
+    ACTIVITY_TOL or 4096 ulps of it, whichever is wider, and strictly within
+    half its distance to the nearest other prescribed knot."""
     active = spline.knots[np.abs(spline.coeffs) > rs.DEFAULT_TOL.zero_tol]
     apart = np.abs(prescribed[:, None] - prescribed[None, :])
     np.fill_diagonal(apart, np.inf)
     half = np.min(apart, axis=1, initial=np.inf)[:, None] / 2
+    reach = np.maximum(rs.ACTIVITY_TOL, 4096 * np.spacing(np.abs(prescribed)))[:, None]
     gaps = np.abs(prescribed[:, None] - active[None, :])
-    return prescribed[~((gaps <= rs.ACTIVITY_TOL) & (gaps < half)).any(axis=1)]
+    return prescribed[~((gaps <= reach) & (gaps < half)).any(axis=1)]
 
 
 def missing_knots(spline: rs.CplSpline, prescribed: np.ndarray) -> np.ndarray:
@@ -1289,6 +1290,38 @@ def test_scaled_builds_keep_every_knot_or_raise(monkeypatch):
                 assert brute_force_missing(rs.dnn_to_spline(net), wanted).size == 0
                 outcomes.add("returns")
     assert outcomes == {"raises", "returns"}
+
+
+def alternating_three_level(x0: float, n: int) -> rs.KnotHierarchy:
+    """Evenly spread knots on [x0, x0 + 20], every other column of levels
+    2 and 3 in reverse unit order, which keeps column 0 valid."""
+    count = n + 2 * n * (n + 1)
+    h = rs.hierarchy_from_flat(np.linspace(x0, x0 + 20.0, count), n, n, n)
+    level2, level3 = h.level2.copy(), h.level3.copy()
+    level2[:, 1::2] = level2[::-1, 1::2]
+    level3[:, 1::2] = level3[::-1, 1::2]
+    return rs.KnotHierarchy(h.level1, level2, level3)
+
+
+def test_offset_build_keeps_every_knot_within_its_ulps():
+    # at 1e6 one ulp is 1.2e-10, and the build's knots lie tens of ulps
+    # from the prescribed ones: 1e-9 alone would miss some, the window of
+    # 4096 ulps realizes them all
+    h = alternating_three_level(1e6, 16)
+    wanted = rs.prescribed_knots(h)
+    spline = rs.dnn_to_spline(rs.synth_three_hidden(h))
+    assert brute_force_missing(spline, wanted).size == 0
+    active = spline.knots[np.abs(spline.coeffs) > rs.DEFAULT_TOL.zero_tol]
+    nearest = np.min(np.abs(wanted[:, None] - active[None, :]), axis=1)
+    assert np.max(nearest) > rs.ACTIVITY_TOL
+
+
+def test_windows_below_2048_are_absolute():
+    # 4096 ulps stay below ACTIVITY_TOL for |x| < 2048, so builds there keep their bits
+    knots = np.array([-2047.9, -1.0, 0.0, 3.0, 1024.0, 2047.9])
+    np.testing.assert_array_equal(synth._activity_windows(knots), rs.ACTIVITY_TOL)
+    wide = synth._activity_windows(np.array([2048.0, 1e6]))
+    np.testing.assert_array_equal(wide, 4096 * np.spacing(np.array([2048.0, 1e6])))
 
 
 def test_zero_weights_and_one_sign_seeds_reach_the_check(monkeypatch):
