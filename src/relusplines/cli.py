@@ -26,7 +26,7 @@ from .core import (
     _finite_float,
     knot_bound,
 )
-from .evaluate import certified_grid, equivalence_error, eval_network, eval_spline, probe_grid
+from .evaluate import _certify, equivalence_error, eval_network, eval_spline, probe_grid
 from .normalize import positive_scale_normalize
 from .serialization import (
     SchemaError,
@@ -147,14 +147,17 @@ def _cmd_verify(args) -> int:
     # the network's own crossings join the spline's knots, so the verdict
     # does not rest on a conversion of the network
     probes = probe_grid(np.unique(spline.knots), margin=2.0, per_interval=3)
-    grid, rounds = certified_grid(net, probes, tol)
+    grid, rounds, settled = _certify(net, probes, tol)
     error = equivalence_error(net, spline, grid)
     observed = spline.n_knots
     bound = knot_bound(net.widths)
-    ok = error <= tol_eval and observed <= bound
+    ok = settled and error <= tol_eval and observed <= bound
     print(f"max relative error: {error:.3e}")
     print(f"knots: observed={observed} bound={bound} {'ok' if observed <= bound else 'EXCEEDED'}")
-    print(f"certified grid: {grid.size} points after {rounds} rounds")
+    if settled:
+        print(f"certified grid: {grid.size} points after {rounds} rounds")
+    else:
+        print(f"grid not certified: crossings still found after {rounds} rounds ({grid.size} points)")
     return 0 if ok else 1
 
 

@@ -151,6 +151,27 @@ class Tolerances:
 
 DEFAULT_TOL = Tolerances()
 
+
+def _band_signs(values, scale, zero_tol: float) -> np.ndarray:
+    """-1, 0 or +1 for each value; 0 within the zero band zero_tol * (1 + scale).
+
+    ``scale`` is the magnitude of the terms the value was summed from, so
+    the band follows their rounding.  The layer step, which sums a unit's
+    per-interval form mu x + eta at a knot, passes |mu x|; the certificate
+    in ``evaluate``, which sums a forward pass, passes the magnitudes of
+    that pass's terms.  The two bands differ as the two sums do.
+    """
+    return np.where(np.abs(values) <= zero_tol * (1.0 + scale), 0.0, np.sign(values))
+
+
+def _grows_outward(slopes, outward, zero_tol: float) -> np.ndarray:
+    """Where relu passes a tail's slope on: the unit grows outward steeper than zero_tol.
+
+    ``outward`` is -1 on the left tail and +1 on the right one.
+    """
+    return outward * slopes > zero_tol
+
+
 # distance within which a knot realizes a prescribed knot x: ACTIVITY_TOL,
 # or 4096 ulps of x where that is wider (|x| >= 2048).  The knots of correct
 # builds far from 0 missed 1e-9 by at most 95 ulps (32^3 knots evenly on

@@ -22,10 +22,19 @@ a network without converting the network.
 from __future__ import annotations
 
 import operator
+from itertools import islice
 
 import numpy as np
 
-from .core import DEFAULT_TOL, CplSpline, ReluNetwork, Tolerances, _frozen_array
+from .core import (
+    DEFAULT_TOL,
+    CplSpline,
+    ReluNetwork,
+    Tolerances,
+    _band_signs,
+    _frozen_array,
+    _grows_outward,
+)
 
 __all__ = ["eval_network", "eval_spline", "probe_grid", "certified_grid", "equivalence_error"]
 
@@ -97,100 +106,176 @@ def certified_grid(net: ReluNetwork, points, tol: Tolerances = DEFAULT_TOL):
     """(grid, rounds): the points plus hidden units' zero crossings, until the
     network is affine on every grid interval and on each tail beyond the grid.
 
-    Each round is one forward pass on the grid.  A hidden unit's value counts
-    as zero within the layer step's band, zero_tol * (1 + scale), where scale
-    sums the magnitudes of the terms that make up the value.  In each interval
-    the lowest layer with a unit of strictly opposite signs at the two ends
-    gives the round's points: every lower unit keeps its sign there, so each
-    such unit is affine on the interval and its crossing is exact by linear
-    interpolation.  The tails do the same with each unit's one-sided slope
-    far out, carried through the pass: a unit that is steeper than zero_tol
-    there and whose sign at the outer grid point is not its sign far out
-    adds its crossing and a new outer point beyond it, so that a bend at
-    the old outer point comes to lie between two grid points.  A crossing
-    within merge_tol of a grid point, or of the crossing before it, is that
-    point.  A unit within the band passes nothing to the next layer.  The
-    rounds stop when one adds nothing; in exact arithmetic each round lets
-    one more layer keep its signs, so rounds <= hidden layers, and a round
-    past that raises ValueError.  In floating point a crossing the band
-    hides in a lower layer can leave a higher layer's interpolation short
-    of its crossing, which then takes one round more.
+    Each round is one forward pass on the grid.  A hidden unit's sign counts
+    as zero within the band zero_tol * (1 + scale) of ``core._band_signs``,
+    scale summing the magnitudes of the pass's terms that make up its value
+    (the layer step takes its scale from the spline form, so the two bands
+    differ).  In each interval the lowest layer with a unit of strictly
+    opposite signs at the two ends gives the round's points: every lower
+    unit keeps its sign there, so each such unit is affine on the interval
+    and linear interpolation finds its crossing.  The interpolation runs
+    from the nearer end and, where the unit is still outside the band at the
+    point found, repeats on the part of the bracket where the sign changes
+    (regula falsi with the Illinois rule, at most ``_POLISH_STEPS`` times
+    more), so that rounding over a wide interval does not leave a crossing
+    for the next round.  The tails do the same with each unit's one-sided
+    slope far out, carried through the pass under relu's tail rule,
+    ``core._grows_outward``: a unit steeper than zero_tol there whose sign
+    at the outer grid point is not its sign far out adds its crossing and a
+    new outer point beyond it, so that a bend at the old outer point comes
+    to lie between two grid points.  Points merge as the layer step merges
+    knots: a chain of points each within merge_tol of the one before is one
+    point, the grid point in it if it has one.  A crossing that merges into
+    a grid point is that point, and leaves its interval to the layers above.
+
+    The rounds stop when one adds nothing.  Each round lets one more layer
+    keep its signs, so in exact arithmetic rounds <= hidden layers, and a
+    round past that raises ValueError.  In floating point it can happen
+    where the forward pass's rounding near a crossing exceeds the band: 1 of
+    3000 networks of 2 to 6 hidden layers with weights normal x
+    10^U(-3, 3), starting from ``probe_grid([])``.
 
     Two continuous piecewise-linear functions that are affine on the same
     grid intervals and tails agree everywhere once they agree on the grid,
     so the grid of a spline's knots certified here decides the network's
     equality with it without converting the network.  What the band hides:
-    a unit whose value at a grid point lies within the band counts as zero
+    a unit whose value at a grid point lies within the band has sign 0
     there, so a crossing that close to the point is read as the point,
-    much as the layer step splits a hinge at a knot inside the same band.
+    much as the layer step splits a hinge at a knot inside its own band.
     The pass holds a width x points state per layer, as ``eval_network``.
     The points are checked as ``eval_network``'s; fewer than two distinct
     points raise ValueError.
     """
+    grid, rounds, settled = _certify(net, points, tol)
+    if not settled:
+        raise ValueError(f"crossings still found after {rounds} rounds, one per hidden layer")
+    return grid, rounds
+
+
+def _certify(net: ReluNetwork, points, tol: Tolerances):
+    """(grid, rounds, settled): ``certified_grid``, or its grid after one
+    round per hidden layer with settled False where crossings remain."""
     grid = np.unique(_as_points(points)[0])
     if grid.size < 2:
         raise ValueError("certified_grid needs at least two distinct points")
     hidden = len(net.layers) - 1
     for rounds in range(hidden + 1):
         found = _crossings(net, grid, tol)
-        if found.size == 0:
-            return grid, rounds
+        if found.size == 0 or rounds == hidden:
+            return grid, rounds, found.size == 0
         grid = np.union1d(grid, found)
-    raise ValueError(f"crossings still found after {hidden} rounds, one per hidden layer")
+
+
+# interpolations per crossing after the first: one mends the rounding of a
+# wide bracket, the Illinois rule needs a few where a lower hinge bends it
+_POLISH_STEPS = 8
+
+
+def _hidden_layers(net: ReluNetwork, points: np.ndarray, zero_tol: float):
+    """(next layer, z, signs) per hidden layer: its pre-activations on the
+    points and their classes under the zero band.  Each unit passes relu of
+    its value on; the band decides signs only."""
+    first = net.layers[0]
+    z = first.A @ points[None, :] + first.b[:, None]
+    scale = np.abs(first.A) @ np.abs(points)[None, :] + np.abs(first.b)[:, None]
+    for layer in net.layers[1:]:
+        signs = _band_signs(z, scale, zero_tol)
+        yield layer, z, signs
+        h = np.maximum(z, 0.0)
+        z = layer.A @ h + layer.c[:, None] * points + layer.b[:, None]
+        scale = np.abs(layer.A) @ h + np.abs(layer.c)[:, None] * np.abs(points) + np.abs(layer.b)[:, None]
 
 
 def _crossings(net: ReluNetwork, grid: np.ndarray, tol: Tolerances) -> np.ndarray:
     """One round of ``certified_grid``: the new points, sorted."""
     zero_tol = tol.zero_tol
-    lo, hi = grid[:-1], grid[1:]
-    settled = np.zeros(lo.size, dtype=bool)  # intervals a lower layer already split
+    settled = np.zeros(grid.size - 1, dtype=bool)  # intervals a lower layer split
     tails_settled = [False, False]
-    first = net.layers[0]
-    z = first.A @ grid[None, :] + first.b[:, None]
-    scale = np.abs(first.A) @ np.abs(grid)[None, :] + np.abs(first.b)[:, None]
     # one-sided slopes far left (row 0) and far right (row 1) of each unit
-    tails = np.repeat(first.A.T, 2, axis=0)
+    tails = np.repeat(net.layers[0].A.T, 2, axis=0)
+    outwards = np.array([[-1.0], [1.0]])
     found = [np.empty(0)]
-    for layer in net.layers[1:]:
-        signs = np.where(np.abs(z) <= zero_tol * (1.0 + scale), 0.0, np.sign(z))
-        flips = (signs[:, :-1] * signs[:, 1:] == -1) & ~settled
-        units, cells = np.nonzero(flips)
-        left, right = z[units, cells], z[units, cells + 1]
-        found.append(lo[cells] + (hi[cells] - lo[cells]) * (left / (left - right)))
-        settled |= flips.any(axis=0)
+    for k, (layer, z, signs) in enumerate(_hidden_layers(net, grid, zero_tol)):
+        units, cells = np.nonzero((signs[:, :-1] * signs[:, 1:] == -1) & ~settled)
+        crossings = _polished(net, k, units, grid[cells], z[units, cells],
+                              grid[cells + 1], z[units, cells + 1], tol)
 
-        for side, (end, inner, outward) in enumerate(((0, 1, -1.0), (-1, -2, 1.0))):
-            slopes = tails[side]
+        beyond = [np.empty(0), np.empty(0)]
+        for side, (end, inner) in enumerate(((0, 1), (-1, -2))):
+            slopes, outward = tails[side], outwards[side, 0]
             # far out, a unit steeper than zero_tol has the sign of outward * slope
             bent = (np.abs(slopes) > zero_tol) & (signs[:, end] != outward * np.sign(slopes))
             if tails_settled[side] or not bent.any():
                 continue
-            tails_settled[side] = True
             reach = -outward * z[bent, end] / slopes[bent]
-            beyond = reach[reach > 0]
-            last = beyond.max(initial=0.0)
+            reach = reach[reach > 0]
+            last = reach.max(initial=0.0)
             spacing = abs(grid[end] - grid[inner])
-            found.append(grid[end] + outward * np.append(beyond, last + max(last, spacing)))
+            beyond[side] = grid[end] + outward * np.append(reach, last + max(last, spacing))
 
-        # a unit within the band passes nothing on, as its sign says, so
-        # its rounding does not move the crossings of the layers above
-        h = np.where(signs > 0, z, 0.0)
-        z = layer.A @ h + layer.c[:, None] * grid + layer.b[:, None]
-        scale = np.abs(layer.A) @ h + np.abs(layer.c)[:, None] * np.abs(grid) + np.abs(layer.b)[:, None]
-        # relu passes a tail's slope where the unit grows outward, as the layer step's tails
-        active = np.stack((np.where(tails[0] < -zero_tol, tails[0], 0.0),
-                           np.where(tails[1] > zero_tol, tails[1], 0.0)))
-        tails = active @ layer.A.T + layer.c
-    return _apart(np.unique(np.concatenate(found)), grid, tol.merge_tol)
+        # only a point that joins the grid settles its interval or tail
+        new, joined = _merged(np.concatenate([crossings] + beyond), grid, tol.merge_tol)
+        joined = np.split(joined, np.cumsum([cells.size, beyond[0].size]))
+        settled[cells[joined[0]]] = True
+        tails_settled = [done or part.any() for done, part in zip(tails_settled, joined[1:])]
+        found.append(new)
+        tails = np.where(_grows_outward(tails, outwards, zero_tol), tails, 0.0) @ layer.A.T + layer.c
+    return np.sort(np.concatenate(found))
 
 
-def _apart(points: np.ndarray, grid: np.ndarray, merge_tol: float) -> np.ndarray:
-    """Sorted points more than merge_tol from every grid point and from the kept point before."""
-    at = np.searchsorted(grid, points)
-    below = grid[np.maximum(at - 1, 0)]
-    above = grid[np.minimum(at, grid.size - 1)]
-    points = points[np.minimum(np.abs(points - below), np.abs(above - points)) > merge_tol]
-    return points[np.diff(points, prepend=-np.inf) > merge_tol]
+def _interpolated(a, za, b, zb):
+    """Zero of the line through (a, za) and (b, zb), from the end nearer to it."""
+    return np.where(np.abs(za) <= np.abs(zb),
+                    a + (b - a) * (za / (za - zb)), b + (b - a) * (zb / (za - zb)))
+
+
+def _polished(net: ReluNetwork, k: int, units, a, za, b, zb, tol: Tolerances) -> np.ndarray:
+    """Crossings of the given units of hidden layer k, each bracketed by
+    a < b where its values za, zb have strictly opposite signs."""
+    a, za, b, zb = (np.array(ends, dtype=float) for ends in (a, za, b, zb))
+    x = _interpolated(a, za, b, zb)
+    kept = np.zeros(x.size)  # the end the last step kept: -1 for a, +1 for b
+    todo = np.arange(x.size)
+    for _ in range(_POLISH_STEPS):
+        todo = todo[b[todo] - a[todo] > tol.merge_tol]
+        if todo.size == 0:
+            break
+        _, z, signs = next(islice(_hidden_layers(net, x[todo], tol.zero_tol), k, None))
+        columns = np.arange(todo.size)
+        at, side = z[units[todo], columns], signs[units[todo], columns] * np.sign(za[todo])
+        # the crossing lies beyond x from the end whose sign x shares
+        to_a, to_b = todo[side > 0], todo[side < 0]
+        a[to_a], za[to_a] = x[to_a], at[side > 0]
+        b[to_b], zb[to_b] = x[to_b], at[side < 0]
+        # an end kept twice running counts half (the Illinois rule), so the
+        # flat side of a bent unit does not hold the point at the other end
+        zb[to_a[kept[to_a] > 0]] *= 0.5
+        za[to_b[kept[to_b] < 0]] *= 0.5
+        kept[to_a], kept[to_b] = 1.0, -1.0
+        todo = todo[side != 0]
+        x[todo] = _interpolated(a[todo], za[todo], b[todo], zb[todo])
+    return x
+
+
+def _merged(points: np.ndarray, grid: np.ndarray, merge_tol: float):
+    """(new, joined): the points merged into the grid as the layer step merges knots.
+
+    A chain of points each within merge_tol of the one before is one point:
+    its grid point if it has one, else its smallest point.  ``new`` holds the
+    latter, sorted; joined[i] is False where points[i] merged into the grid.
+    """
+    if points.size == 0:
+        return points, np.zeros(0, dtype=bool)
+    coords = np.concatenate((grid, points))
+    order = np.argsort(coords, kind="stable")
+    ordered = coords[order]
+    first = np.diff(ordered, prepend=-np.inf) > merge_tol
+    chain = np.cumsum(first) - 1
+    on_grid = np.zeros(chain[-1] + 1, dtype=bool)
+    on_grid[chain[order < grid.size]] = True
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    return ordered[first & ~on_grid[chain]], ~on_grid[chain[position[grid.size:]]]
 
 
 def equivalence_error(net: ReluNetwork, spline: CplSpline, grid) -> float:

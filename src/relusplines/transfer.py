@@ -26,7 +26,9 @@ ValueError is all the caller sees of it.
 
 Sign decisions use tol.zero_tol.  A unit value at a knot counts as zero
 when |f(x)| <= zero_tol * (1 + |mu x|), which keeps the test meaningful
-when mu x and eta cancel; slopes count as zero at |mu| <= zero_tol.
+when mu x and eta cancel; slopes count as zero at |mu| <= zero_tol.  The
+band and relu's rule for the left tail are core's ``_band_signs`` and
+``_grows_outward``, which the certificate in ``evaluate`` also uses.
 Relu's hinges, kept at the knots and added at the crossings, are decided
 once, in ``_relu_hinges``; synthesis reads the same hinge set for its sign
 covers and its miss report.
@@ -44,6 +46,8 @@ from .core import (
     ReluNetwork,
     SplineBundle,
     Tolerances,
+    _band_signs,
+    _grows_outward,
     _merge_columns,
     _wrap,
 )
@@ -104,8 +108,7 @@ def _relu_hinges(bundle: SplineBundle, tol: Tolerances):
     values = scaled + eta[:, :-1]
     ends = np.empty((m, n + 2))
     ends[:, 0] = -np.sign(q1)
-    zero = np.abs(values) <= tol.zero_tol * (1.0 + np.abs(scaled))
-    ends[:, 1:-1] = np.where(zero, 0.0, np.sign(values))
+    ends[:, 1:-1] = _band_signs(values, np.abs(scaled), tol.zero_tol)
     ends[:, -1] = np.sign(mu[:, -1])
     classes = ends[:, 1:-1]
 
@@ -146,7 +149,7 @@ def layer_transfer(
         zero_tol = tol.zero_tol
 
         # relu(f_j) left of every knot: f_j itself if falling, relu(q0) if flat
-        falling = q1 < -zero_tol
+        falling = _grows_outward(q1, -1.0, zero_tol)
         tail_q1 = np.where(falling, q1, 0.0)
         tail_q0 = np.where(falling, q0, np.where(np.abs(q1) <= zero_tol, np.maximum(q0, 0.0), 0.0))
 

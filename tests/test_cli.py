@@ -658,6 +658,33 @@ class TestVerify:
         assert code == 1
         assert out.splitlines()[2] == "certified grid: 4 points after 1 rounds"
 
+    def test_hinge_beside_a_merged_crossing_fails(self, tmp_path, capsys):
+        # relu(relu(-t) - 1) against a spline with its one knot at 5e-13: the
+        # layer-1 crossing at 0 merges into that knot, and the certificate
+        # still finds the layer-2 hinge at -1 that the spline lacks
+        net_path, spline_path = tmp_path / "net.json", tmp_path / "spline.json"
+        net = rs.ReluNetwork((
+            rs.Layer([[1e4], [-1.0]], [0.0, 0.0]),
+            rs.Layer([[0.0, 1.0]], [-1.0], [0.0]),
+            rs.Layer([[1.0]], [0.0], [0.0]),
+        ))
+        rs.dump_json(net_path, rs.network_to_obj(net))
+        rs.dump_json(spline_path, rs.spline_to_obj(rs.CplSpline(-0.5, 2.5e-13, [5e-13], [0.5])))
+        code, out, _ = run(capsys, "verify", net_path, spline_path)
+        assert code == 1
+        assert out.splitlines()[2] == "certified grid: 4 points after 1 rounds"
+
+    def test_unsettled_grid_fails_with_its_own_line(self, monkeypatch, capsys):
+        # a certificate that still finds crossings after one round per
+        # hidden layer is no verdict of equality: exit 1, not a schema error
+        _, expected, _ = run(capsys, "verify", MAX_NET, MAX_SPLINE)
+        monkeypatch.setattr(rs.evaluate, "_crossings", lambda net, grid, tol: grid[-1:] + 1.0)
+        code, out, err = run(capsys, "verify", MAX_NET, MAX_SPLINE)
+        assert (code, err) == (1, "")
+        assert out.splitlines() == expected.splitlines()[:2] + [
+            "grid not certified: crossings still found after 2 rounds (61 points)"
+        ]
+
     def test_perturbed_spline_fails(self, tmp_path, capsys):
         obj = rs.load_json(MAX_SPLINE)
         obj["q0"] += 1.0

@@ -213,6 +213,20 @@ def normal_network(rng: np.random.Generator) -> rs.ReluNetwork:
     return rs.ReluNetwork(tuple(layers))
 
 
+def wide_range_network(rng: np.random.Generator) -> rs.ReluNetwork:
+    """2-6 hidden layers of widths 1-8, each parameter normal x 10^U(-3, 3)."""
+    hidden = int(rng.integers(2, 7))
+    widths = [1] + [int(rng.integers(1, 9)) for _ in range(hidden)] + [1]
+
+    def draw(*shape):
+        return rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, shape)
+
+    layers = [rs.Layer(draw(widths[1], 1), draw(widths[1]))]
+    for i in range(2, hidden + 2):
+        layers.append(rs.Layer(draw(widths[i], widths[i - 1]), draw(widths[i]), draw(widths[i])))
+    return rs.ReluNetwork(tuple(layers))
+
+
 def spline_grid(spline: rs.CplSpline) -> np.ndarray:
     return rs.probe_grid(spline.knots, margin=2.0, per_interval=3)
 
@@ -317,6 +331,45 @@ class TestCertifiedGrid:
         net = rs.ReluNetwork.shallow([1.0, 1.0], [-0.5, -0.5 - 1e-13], [1.0, 1.0])
         grid, rounds = rs.certified_grid(net, [0.0, 1.0])
         assert (grid.tolist(), rounds) == ([0.0, 0.5, 1.0], 1)
+
+    def test_two_crossings_chained_into_a_grid_point_are_that_point(self):
+        # steep units crossing 0.9e-12 and 1.8e-12 past the grid point 0,
+        # outside the band there: the second is more than merge_tol from 0,
+        # but within merge_tol of the first
+        net = rs.ReluNetwork.shallow([1e4, 1e4], [-0.9e-8, -1.8e-8], [1.0, 1.0])
+        grid, rounds = rs.certified_grid(net, [-1.0, 0.0, 1.0])
+        assert (grid.tolist(), rounds) == ([-1.0, 0.0, 1.0], 0)
+
+    def test_merged_crossing_leaves_its_interval_to_the_layers_above(self):
+        # relu(relu(-t) - 1) bends at -1.  On the grid {k - 2, k, k + 2},
+        # k = 5e-13, unit relu(1e4 t) changes sign in [k - 2, k] at 0, which
+        # merges into k; layer 2 still changes sign there and adds -1, so
+        # the spline with its one knot at k fails
+        net = rs.ReluNetwork((
+            rs.Layer([[1e4], [-1.0]], [0.0, 0.0]),
+            rs.Layer([[0.0, 1.0]], [-1.0], [0.0]),
+            rs.Layer([[1.0]], [0.0], [0.0]),
+        ))
+        k = 5e-13
+        wrong = rs.CplSpline(-0.5, 0.5 * k, [k], [0.5])
+        grid, rounds = rs.certified_grid(net, spline_grid(wrong))
+        assert rounds == 1 and grid.size == 4
+        assert grid[1] == pytest.approx(-1.0, abs=1e-12)
+        assert rs.equivalence_error(net, wrong, spline_grid(wrong)) < 1e-12
+        assert rs.equivalence_error(net, wrong, grid) > 0.4
+
+    @pytest.mark.parametrize("index", [113, 274, 465, 615])
+    def test_wide_weights_settle_within_the_bound(self, index):
+        # each of these once took a round past the bound from no knots,
+        # because a crossing came out short: interpolated over a wide bracket
+        # (274) or from its farther end (465), polished by plain regula falsi
+        # across a bend (615), or pushed by a unit inside the band that
+        # passed nothing on (113)
+        rng = np.random.default_rng(9)
+        for _ in range(index + 1):
+            net = wide_range_network(rng)
+        grid, rounds = rs.certified_grid(net, rs.probe_grid([]))
+        assert rounds <= net.depth - 1
 
     def test_a_round_past_the_bound_raises(self, monkeypatch):
         calls = []

@@ -192,6 +192,13 @@ def test_relus_hinges_are_decided_once():
     assert eyes == []
 
 
+def test_zero_band_and_tail_rule_are_stated_once():
+    # the layer step and the certificate read a value's sign under the zero
+    # band, and pass a tail's slope through relu, by the same core helpers
+    assert sorted(_callers("_band_signs")) == ["evaluate:_hidden_layers", "transfer:_relu_hinges"]
+    assert sorted(_callers("_grows_outward")) == ["evaluate:_crossings", "transfer:layer_transfer"]
+
+
 def test_one_module_checks_finiteness():
     # caller input is checked once, by core's value types and _frozen_array,
     # so no other module in the source calls isfinite
