@@ -41,7 +41,7 @@ print(f"\nknot budget: observed {spline.n_knots} of {bound}"
 # certificate adds any zero crossing of a hidden unit the spline's knots
 # missed, so the network is affine between grid points and beyond them,
 # and agreement on the grid means agreement everywhere.
-grid, _ = rs.certified_grid(net, rs.probe_grid(spline.knots, margin=2.0, per_interval=3))
+grid, _ = rs.certified_grid(net, rs.probe_grid(spline.knots))
 gap = rs.equivalence_error(net, spline, grid)
 print(f"max relative gap between network and spline on {grid.size} points: {gap:.2e}")
 

@@ -31,9 +31,7 @@ print("left tail flattens: q1 %g -> %g, q0 %g -> %g"
       % (zigzag.q1, clipped.q1, zigzag.q0, clipped.q0))
 
 # The composed spline agrees with pointwise clipping everywhere.
-grid = rs.probe_grid(
-    np.unique(np.concatenate((zigzag.knots, clipped.knots))), per_interval=4
-)
+grid = rs.probe_grid(np.unique(np.concatenate((zigzag.knots, clipped.knots))))
 deviation = np.max(np.abs(rs.eval_spline(clipped, grid)
                           - np.maximum(0.0, rs.eval_spline(zigzag, grid))))
 print(f"max |sigma_compose(s) - max(0, s)| on the grid: {deviation:.2e}")

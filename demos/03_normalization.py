@@ -34,7 +34,7 @@ rescaled = rs.ReluNetwork(
     )
 )
 
-grid = rs.probe_grid(rs.dnn_to_spline(base).knots, margin=2.0, per_interval=3)
+grid = rs.probe_grid(rs.dnn_to_spline(base).knots)
 print("hand-rescaled copy agrees with the original:",
       np.allclose(rs.eval_network(base, grid), rs.eval_network(rescaled, grid)))
 

@@ -146,7 +146,7 @@ def _cmd_verify(args) -> int:
     spline = spline_from_obj(load_json(args.spline)) if args.spline else dnn_to_spline(net, tol)
     # the network's own crossings join the spline's knots, so the verdict
     # does not rest on a conversion of the network
-    probes = probe_grid(np.unique(spline.knots), margin=2.0, per_interval=3)
+    probes = probe_grid(np.unique(spline.knots))
     grid, rounds, settled = _certify(net, probes, tol)
     error = equivalence_error(net, spline, grid)
     observed = spline.n_knots
@@ -228,6 +228,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: building takes far longer than parsing
+_PARSER = _build_parser()
+
+
 def _fuse_signed_values(argv: list[str]) -> list[str]:
     """Glue ``--seeds -1,1`` into ``--seeds=-1,1``, and ``--from``/``--to`` alike.
 
@@ -263,7 +267,7 @@ _EXIT_CODES = (
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _build_parser().parse_args(_fuse_signed_values(argv))
+    args = _PARSER.parse_args(_fuse_signed_values(argv))
     try:
         return args.func(args)
     except BrokenPipeError:

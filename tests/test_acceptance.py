@@ -117,11 +117,11 @@ class TestAcceptance:
         for _ in range(1000):
             net = random_network(rng)
             spline = rs.dnn_to_spline(net)
-            grid = rs.probe_grid(spline.knots, margin=5.0, per_interval=3)
+            grid, _ = rs.certified_grid(net, rs.probe_grid(spline.knots))
             worst = max(worst, rs.equivalence_error(net, spline, grid))
             bound_ok = bound_ok and len(active_pairs(spline)) <= rs.knot_bound(net.widths)
         elapsed = time.perf_counter() - start
-        report(4, "1000 random networks agree with their splines on the probe grid",
+        report(4, "1000 random networks agree with their splines on the certified grid",
                worst <= 1e-8 and elapsed < 10.0,
                f"max error {worst:.2e}, {elapsed:.2f} s")
         report(5, "knot count stays within the architecture bound in all 1000 trials",
@@ -133,9 +133,7 @@ class TestAcceptance:
         for _ in range(500):
             s = random_canonical_spline(rng)
             out = rs.sigma_compose(s)
-            grid = rs.probe_grid(
-                np.unique(np.concatenate((s.knots, out.knots))), margin=2.0, per_interval=3
-            )
+            grid = rs.probe_grid(np.unique(np.concatenate((s.knots, out.knots))))
             worst = max(
                 worst,
                 float(np.max(np.abs(rs.eval_spline(out, grid)
@@ -155,7 +153,7 @@ class TestAcceptance:
             except rs.DegenerateFirstLayerError:
                 continue
             checked += 1
-            grid = rs.probe_grid(rs.dnn_to_spline(net).knots, margin=5.0, per_interval=3)
+            grid = rs.probe_grid(rs.dnn_to_spline(net).knots)
             f = rs.eval_network(net, grid)
             g = rs.eval_network(normalized, grid)
             ok = ok and bool(np.all(np.abs(f - g) <= 1e-9 * (1.0 + np.abs(f))))

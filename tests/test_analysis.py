@@ -53,7 +53,7 @@ class TestActiveKnots:
             assert all(type(x) is float and type(c) is float for x, c in got)
 
 
-class TestAuditBound:
+class TestConversionWithinKnotBound:
     def test_reference_is_tight(self):
         net = net_max_knots()
         assert rs.dnn_to_spline(net).n_knots == rs.knot_bound(net.widths) == 15

@@ -548,10 +548,11 @@ class TestExitCodes:
         ],
     )
     def test_documented_code(self, monkeypatch, capsys, error, code):
-        def failing(args):
+        def failing(path):
             raise error
 
-        monkeypatch.setattr(cli, "_cmd_to_spline", failing)
+        # the first call to-spline makes on its input
+        monkeypatch.setattr(cli, "load_json", failing)
         got, out, err = run(capsys, "to-spline", MAX_NET, "-o", "unused.json")
         assert got == code
         assert (out, err) == ("", f"error: {error}\n")
@@ -605,10 +606,18 @@ class TestVerify:
             assert code == 0, spline_path.name
 
     def test_reports_error_and_bound(self, capsys):
-        code, out, _ = run(capsys, "verify", MAX_NET, MAX_SPLINE)
-        assert code == 0
-        assert out.startswith("max relative error: ")
-        assert "knots: observed=15 bound=15 ok" in out
+        reports = {
+            "max_knots": ("7.105e-16", "observed=15 bound=15 ok", "59 points after 0 rounds"),
+            "nine_knots": ("0.000e+00", "observed=9 bound=11 ok", "35 points after 0 rounds"),
+            "three_hidden": ("4.731e-15", "observed=15 bound=26 ok", "59 points after 0 rounds"),
+        }
+        for name, (error, knots, grid) in reports.items():
+            code, out, _ = run(capsys, "verify", FIXTURES / f"{name}_network.json",
+                               FIXTURES / f"{name}_spline.json")
+            assert code == 0, name
+            assert out.splitlines() == [
+                f"max relative error: {error}", f"knots: {knots}", f"certified grid: {grid}"
+            ], name
 
     def test_reports_the_certified_grid(self, capsys):
         # the 15 knots' probe grid already splits every unit's sign change

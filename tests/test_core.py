@@ -158,7 +158,7 @@ class TestCanonicalize:
         )
         raw = rs.CplSpline(0.5, -0.25, knots, coeffs)
         out = rs.canonicalize(raw)
-        grid = rs.probe_grid(np.unique(knots), margin=1.0, per_interval=1)
+        grid = rs.probe_grid(np.unique(knots))
         before = rs.eval_spline(raw, grid)
         after = rs.eval_spline(out, grid)
         budget = rs.DEFAULT_TOL.zero_tol * (1.0 + float(np.sum(np.abs(coeffs))))

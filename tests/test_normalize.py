@@ -28,7 +28,7 @@ class TestPositiveScaleNormalize:
     def test_function_preserved_on_reference(self):
         original = net_max_knots()
         net = rs.positive_scale_normalize(original)
-        grid = rs.probe_grid(MAX15_KNOTS, margin=4.0, per_interval=2)
+        grid = rs.probe_grid(MAX15_KNOTS)
         fa = rs.eval_network(original, grid)
         fb = rs.eval_network(net, grid)
         assert np.max(np.abs(fa - fb) / (1.0 + np.abs(fa))) < 1e-12
@@ -80,7 +80,7 @@ class TestPositiveScaleNormalize:
             for layer in out.layers[1:-1]:
                 assert set(np.unique(layer.c)) <= {-1.0, 0.0, 1.0}
             s = rs.dnn_to_spline(net)
-            grid = rs.probe_grid(s.knots, margin=5.0, per_interval=3)
+            grid = rs.probe_grid(s.knots)
             fa = rs.eval_network(net, grid)
             fb = rs.eval_network(out, grid)
             assert np.max(np.abs(fa - fb) / (1.0 + np.abs(fa))) <= 1e-9
@@ -126,7 +126,7 @@ class TestFirstLayerRewrite:
             knots = -rewritten.layers[0].b
             np.testing.assert_array_equal(knots, np.sort(hinges))
             assert np.all(np.diff(knots) > 0)
-            grid = rs.probe_grid(knots, margin=4.0, per_interval=2)
+            grid = rs.probe_grid(knots)
             fa = rs.eval_network(net, grid)
             fb = rs.eval_network(rewritten, grid)
             assert np.max(np.abs(fa - fb) / (1.0 + np.abs(fa))) < 1e-9

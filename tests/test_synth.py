@@ -51,7 +51,7 @@ def assert_prescribed_active(net: rs.ReluNetwork, h: rs.KnotHierarchy, atol=1e-9
     assert np.max(gaps) <= atol
 
 
-class TestSlopesFromKnots:
+class TestSlopeRows:
     def test_reference_rows(self):
         # unit rows of the 15-knot example, scaled to unit starting slope
         mu = synth._slope_rows(np.array([1.0, 1.0, -1.0]), MAX15_LEVEL1, MAX15_LEVEL2)

@@ -49,7 +49,7 @@ def net_three_hidden() -> rs.ReluNetwork:
     )
 
 
-class TestShallowToSpline:
+class TestOneHiddenLayer:
     """dnn_to_spline on one-hidden-layer networks."""
 
     def test_positive_slopes(self):
@@ -116,7 +116,7 @@ def hinge_shallow_to_spline(c2, b2, a1, a2, b1, tol=rs.DEFAULT_TOL):
     return rs.canonicalize(rs.CplSpline(q1, q0, knots, coeffs), tol)
 
 
-class TestShallowToSplineMatchesHinges:
+class TestOneHiddenLayerMatchesHinges:
     """dnn_to_spline on one-hidden-layer networks against the hinge reference."""
 
     def test_random_units_bit_for_bit(self):
@@ -207,11 +207,7 @@ class TestSigmaCompose:
         for _ in range(100):
             f = random_canonical_spline(rng, max_knots=12)
             out = rs.sigma_compose(f)
-            grid = rs.probe_grid(
-                np.unique(np.concatenate((f.knots, out.knots))) if f.n_knots + out.n_knots else [],
-                margin=3.0,
-                per_interval=2,
-            )
+            grid = rs.probe_grid(np.unique(np.concatenate((f.knots, out.knots))))
             target = np.maximum(rs.eval_spline(f, grid), 0.0)
             np.testing.assert_allclose(rs.eval_spline(out, grid), target, atol=1e-10)
 
@@ -232,7 +228,7 @@ class TestPositiveScaleNormalize:
     def test_function_preserved(self):
         original = net_max_knots()
         rewritten = rs.positive_scale_normalize(original)
-        grid = rs.probe_grid(MAX15_KNOTS, margin=3.0, per_interval=2)
+        grid = rs.probe_grid(MAX15_KNOTS)
         err = np.abs(rs.eval_network(original, grid) - rs.eval_network(rewritten, grid))
         assert np.max(err) < 1e-12
         assert_splines_match(rs.dnn_to_spline(rewritten), rs.dnn_to_spline(original), tol=1e-12)
@@ -419,7 +415,7 @@ class TestDnnToSpline:
             net = random_network(rng)
             s = rs.dnn_to_spline(net)
             assert s.is_canonical()
-            grid = rs.probe_grid(s.knots, margin=5.0, per_interval=3)
+            grid, _ = rs.certified_grid(net, rs.probe_grid(s.knots))
             assert rs.equivalence_error(net, s, grid) <= 1e-8
             assert s.n_knots <= rs.knot_bound(net.widths)
 
@@ -436,7 +432,6 @@ class TestDnnToSpline:
         rng = np.random.default_rng(47)
         for a1, b1 in first_layers:
             n1 = len(a1)
-            hinges = [-b / a for a, b in zip(a1, b1) if a != 0.0]
             for _ in range(10):
                 n2 = int(rng.integers(1, 4))
                 net = rs.ReluNetwork(
@@ -450,8 +445,7 @@ class TestDnnToSpline:
                 )
                 s = rs.dnn_to_spline(net)
                 assert s.is_canonical()
-                grid = rs.probe_grid(np.unique(np.concatenate((s.knots, hinges))),
-                                     margin=5.0, per_interval=3)
+                grid, _ = rs.certified_grid(net, rs.probe_grid(s.knots))
                 assert rs.equivalence_error(net, s, grid) <= 1e-8
                 assert s.n_knots <= rs.knot_bound(net.widths)
 
@@ -730,9 +724,7 @@ class TestZeroWidthHiddenLayer:
             net = zero_width_network(rng, widths)
             s = rs.dnn_to_spline(net)
             assert s.is_canonical()
-            hinges = -net.layers[0].b / net.layers[0].A[:, 0]
-            grid = rs.probe_grid(np.unique(np.concatenate((s.knots, hinges))),
-                                 margin=5.0, per_interval=3)
+            grid, _ = rs.certified_grid(net, rs.probe_grid(s.knots))
             assert rs.equivalence_error(net, s, grid) <= 1e-8
 
     def test_last_layer_affine_part(self):
