@@ -16,6 +16,11 @@ Conventions:
   requires finite data of matching length, so raw (unsorted, duplicated)
   hinge collections can be carried into :func:`canonicalize`, the one-row
   case of ``_merge_columns``, which is the knot merge of every conversion.
+* Which breakpoints are one knot is decided by one rule, ``_merge_groups``:
+  sorted, a group continues while the gap is <= merge_tol, and sits at its
+  first original knot.  The layer step's ``_merge_columns``, canonical
+  form (``canonicalize``, ``CplSpline.is_canonical``), the certificate's
+  merge in ``evaluate`` and normalization's coinciding hinges all use it.
 * Hinges that would sit at -inf (flat inputs produce no breakpoint) are
   never materialized; every stored knot is finite.
 * All arithmetic is float64.  Instances are frozen and their arrays are
@@ -31,7 +36,8 @@ Conventions:
   bundle holds the checked first layer's arrays, and each layer step's
   bundle gets one finiteness scan (``SplineBundle._computed``, array by
   array, with no copy of the bundle), so an overflow still raises
-  ValueError.
+  ValueError.  The certificate in ``evaluate`` scans its forward passes
+  and crossings the same way; ``_check_finite`` is the one scan.
 * The instance dict holds the fields, and on a network a synthesis build
   returned one private entry more (``transfer._hand_over``): the checked
   spline and its ``Tolerances``, which ``dnn_to_spline`` returns.  It is
@@ -99,10 +105,15 @@ def _frozen_array(values, *, ndim: int, name: str) -> np.ndarray:
     arr = np.array(values, dtype=float)
     if arr.ndim != ndim:
         raise DimensionMismatchError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite entries")
+    _check_finite(arr, name)
     arr.setflags(write=False)
     return arr
+
+
+def _check_finite(arr: np.ndarray, name: str):
+    """Raise ValueError unless every entry of ``arr`` is finite."""
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} contains non-finite entries")
 
 
 def _wrap(cls, **fields):
@@ -296,9 +307,10 @@ class CplSpline:
         return self.knots.shape[0]
 
     def is_canonical(self, tol: Tolerances = DEFAULT_TOL) -> bool:
-        gaps_ok = bool(np.all(np.diff(self.knots) > tol.merge_tol))
-        active = bool(np.all(np.abs(self.coeffs) > tol.zero_tol))
-        return gaps_ok and active
+        """True when :func:`canonicalize` returns the same knots and coefficients."""
+        merged = canonicalize(self, tol)
+        same = np.array_equal(merged.knots, self.knots)
+        return same and np.array_equal(merged.coeffs, self.coeffs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,8 +353,7 @@ class SplineBundle:
         """
         arrays = {"bundle knots": knots, "q1s": q1s, "q0s": q0s, "coeff_matrix": coeff_matrix}
         for name, arr in arrays.items():
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} contains non-finite entries")
+            _check_finite(arr, name)
         return _wrap(cls, knots=knots, q1s=q1s, q0s=q0s, coeff_matrix=coeff_matrix)
 
     @property
@@ -434,41 +445,52 @@ class KnotHierarchy:
         return 0 if self.level3 is None else self.level3.shape[0]
 
 
+def _merge_groups(coords: np.ndarray, n_old: int, merge_tol: float):
+    """(order, first, at): the one rule that says which coordinates are one knot.
+
+    ``order`` sorts ``coords`` stably.  In that order a group continues while
+    the gap to the previous coordinate is <= merge_tol, so a chain of close
+    coordinates is one group however far apart its ends are, and a NaN gap
+    (two equal infinite coordinates) starts a new one.  ``first`` holds
+    each group's first sorted position; ``at`` its coordinate, the group's
+    first original (index below ``n_old``) in sorted order, else its
+    smallest.  Callers silence float warnings.
+    """
+    order = np.argsort(coords, kind="stable")
+    ordered = coords[order]
+    n = ordered.shape[0]
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = ~(ordered[1:] - ordered[:-1] <= merge_tol)
+    first = np.flatnonzero(starts)
+    if first.shape[0] == n:  # nothing merges: each coordinate is its group's
+        return order, first, ordered
+    earliest = np.minimum.reduceat(np.where(order < n_old, np.arange(n), n), first)
+    return order, first, ordered[np.where(earliest < n, earliest, first)]
+
+
 def _merge_columns(coords, n_old: int, columns, tol: Tolerances):
-    """Merge knot columns within merge_tol; original knots win the coordinate.
+    """Merge knot columns by ``_merge_groups``; original knots win the coordinate.
 
     ``coords`` is a float array, not necessarily sorted; its first ``n_old``
-    entries are original knots.  A merged group sits at its first original
-    knot in sorted order, else at its smallest coordinate, with its columns
-    summed; groups whose column is entirely <= zero_tol in magnitude are dropped.
-    The knots come back strictly increasing and more than merge_tol apart,
-    each column with an entry above zero_tol: one row is a canonical spline.
-    A bundle without members (no rows) has no knots.
+    entries are original knots.  Each group of ``_merge_groups`` is one knot
+    at the group's coordinate, with its columns summed; groups whose column
+    is entirely <= zero_tol in magnitude are dropped.  The knots come back
+    strictly increasing and more than merge_tol apart, each column with an
+    entry above zero_tol: one row is a canonical spline.  A bundle without
+    members (no rows) has no knots.
     """
     if columns.shape[0] == 0:
         return np.empty(0), np.empty((0, 0))
-    order = np.argsort(coords, kind="stable")
-    coords = coords[order]
+    order, first, at = _merge_groups(coords, n_old, tol.merge_tol)
     columns = columns[:, order]
     out_x: list[float] = []
     out_cols: list[np.ndarray] = []
-    n = coords.shape[0]
-    i = 0
-    while i < n:
-        j = i + 1
-        while j < n and coords[j] - coords[j - 1] <= tol.merge_tol:
-            j += 1
-        if j == i + 1:
-            column = columns[:, i]
-            coord = coords[i]
-        else:
-            column = columns[:, i:j].sum(axis=1)
-            old = np.flatnonzero(order[i:j] < n_old)
-            coord = coords[i + old[0]] if old.size else coords[i]
+    stops = first[1:].tolist() + [order.shape[0]]
+    for i, j, coord in zip(first.tolist(), stops, at.tolist()):
+        column = columns[:, i] if j == i + 1 else columns[:, i:j].sum(axis=1)
         if np.max(np.abs(column)) > tol.zero_tol:
-            out_x.append(float(coord))
+            out_x.append(coord)
             out_cols.append(column)
-        i = j
     if not out_x:
         return np.empty(0), np.empty((columns.shape[0], 0))
     # one C-ordered copy, not column_stack's Python call per column

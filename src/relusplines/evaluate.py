@@ -31,8 +31,10 @@ from .core import (
     ReluNetwork,
     Tolerances,
     _band_signs,
+    _check_finite,
     _frozen_array,
     _grows_outward,
+    _merge_groups,
 )
 
 __all__ = ["eval_network", "eval_spline", "probe_grid", "certified_grid", "equivalence_error"]
@@ -114,9 +116,10 @@ def certified_grid(net: ReluNetwork, points, tol: Tolerances = DEFAULT_TOL):
     at the outer grid point is not its sign far out adds its crossing and a
     new outer point beyond it, so that a bend at the old outer point comes
     to lie between two grid points.  Points merge as the layer step merges
-    knots: a chain of points each within merge_tol of the one before is one
-    point, the grid point in it if it has one.  A crossing that merges into
-    a grid point is that point, and leaves its interval to the layers above.
+    knots, by ``core._merge_groups`` with the grid points as the originals:
+    a chain of points each within merge_tol of the one before is one point,
+    the grid point in it if it has one.  A crossing that merges into a grid
+    point is that point, and leaves its interval to the layers above.
 
     The rounds stop when one adds nothing.  Each round lets one more layer
     keep its signs, so in exact arithmetic rounds <= hidden layers, and a
@@ -135,7 +138,9 @@ def certified_grid(net: ReluNetwork, points, tol: Tolerances = DEFAULT_TOL):
     much as the layer step splits a hinge at a knot inside its own band.
     The pass holds a width x points state per layer, as ``eval_network``.
     The points are checked as ``eval_network``'s; fewer than two distinct
-    points raise ValueError.
+    points raise ValueError.  So does an overflow, as in the layer step: the
+    passes run under ``np.errstate(all="ignore")``, and a hidden value, an
+    output on the grid or a crossing that is not finite raises.
     """
     grid, rounds, settled = _certify(net, points, tol)
     if not settled:
@@ -150,11 +155,13 @@ def _certify(net: ReluNetwork, points, tol: Tolerances):
     if grid.size < 2:
         raise ValueError("certified_grid needs at least two distinct points")
     hidden = len(net.layers) - 1
-    for rounds in range(hidden + 1):
-        found = _crossings(net, grid, tol)
-        if found.size == 0 or rounds == hidden:
-            return grid, rounds, found.size == 0
-        grid = np.union1d(grid, found)
+    # an overflow surfaces as the ValueError of a finiteness check in the pass
+    with np.errstate(all="ignore"):
+        for rounds in range(hidden + 1):
+            found = _crossings(net, grid, tol)
+            if found.size == 0 or rounds == hidden:
+                return grid, rounds, found.size == 0
+            grid = np.union1d(grid, found)
 
 
 # interpolations per crossing after the first: one mends the rounding of a
@@ -165,16 +172,20 @@ _POLISH_STEPS = 8
 def _hidden_layers(net: ReluNetwork, points: np.ndarray, zero_tol: float):
     """(next layer, z, signs) per hidden layer: its pre-activations on the
     points and their classes under the zero band.  Each unit passes relu of
-    its value on; the band decides signs only."""
+    its value on; the band decides signs only.  A hidden value that is not
+    finite raises ValueError, and so does the network's output once the
+    pass runs past the last hidden layer."""
     first = net.layers[0]
     z = first.A @ points[None, :] + first.b[:, None]
     scale = np.abs(first.A) @ np.abs(points)[None, :] + np.abs(first.b)[:, None]
     for layer in net.layers[1:]:
+        _check_finite(z, "hidden layer")
         signs = _band_signs(z, scale, zero_tol)
         yield layer, z, signs
         h = np.maximum(z, 0.0)
         z = layer.A @ h + layer.c[:, None] * points + layer.b[:, None]
         scale = np.abs(layer.A) @ h + np.abs(layer.c)[:, None] * np.abs(points) + np.abs(layer.b)[:, None]
+    _check_finite(z, "network output")
 
 
 def _crossings(net: ReluNetwork, grid: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -204,8 +215,10 @@ def _crossings(net: ReluNetwork, grid: np.ndarray, tol: Tolerances) -> np.ndarra
             spacing = abs(grid[end] - grid[inner])
             beyond[side] = grid[end] + outward * np.append(reach, last + max(last, spacing))
 
+        points = np.concatenate([crossings] + beyond)
+        _check_finite(points, "crossing set")
         # only a point that joins the grid settles its interval or tail
-        new, joined = _merged(np.concatenate([crossings] + beyond), grid, tol.merge_tol)
+        new, joined = _merged(points, grid, tol.merge_tol)
         joined = np.split(joined, np.cumsum([cells.size, beyond[0].size]))
         settled[cells[joined[0]]] = True
         tails_settled = [done or part.any() for done, part in zip(tails_settled, joined[1:])]
@@ -249,28 +262,30 @@ def _polished(net: ReluNetwork, k: int, units, a, za, b, zb, tol: Tolerances) ->
 
 
 def _merged(points: np.ndarray, grid: np.ndarray, merge_tol: float):
-    """(new, joined): the points merged into the grid as the layer step merges knots.
+    """(new, joined): the points merged into the grid by ``core._merge_groups``.
 
-    A chain of points each within merge_tol of the one before is one point:
-    its grid point if it has one, else its smallest point.  ``new`` holds the
+    The grid points are the originals, so a group with a grid point is that
+    point, and any other group its smallest point.  ``new`` holds the
     latter, sorted; joined[i] is False where points[i] merged into the grid.
     """
     if points.size == 0:
         return points, np.zeros(0, dtype=bool)
-    coords = np.concatenate((grid, points))
-    order = np.argsort(coords, kind="stable")
-    ordered = coords[order]
-    first = np.diff(ordered, prepend=-np.inf) > merge_tol
-    chain = np.cumsum(first) - 1
-    on_grid = np.zeros(chain[-1] + 1, dtype=bool)
-    on_grid[chain[order < grid.size]] = True
-    position = np.empty_like(order)
-    position[order] = np.arange(order.size)
-    return ordered[first & ~on_grid[chain]], ~on_grid[chain[position[grid.size:]]]
+    order, first, at = _merge_groups(np.concatenate((grid, points)), grid.size, merge_tol)
+    group = np.empty_like(order)
+    group[order] = np.repeat(np.arange(first.size), np.diff(first, append=order.size))
+    on_grid = np.zeros(first.size, dtype=bool)
+    on_grid[group[:grid.size]] = True
+    return at[~on_grid], ~on_grid[group[grid.size:]]
 
 
 def equivalence_error(net: ReluNetwork, spline: CplSpline, grid) -> float:
-    """max over the grid of |network - spline| / (1 + |network|), 0 on an empty grid."""
-    f = eval_network(net, grid)
-    s = eval_spline(spline, grid)
+    """max over the grid of |network - spline| / (1 + |network|), 0 on an empty grid.
+
+    A value of either on the grid that is not finite raises ValueError.
+    """
+    with np.errstate(all="ignore"):
+        f = eval_network(net, grid)
+        s = eval_spline(spline, grid)
+    _check_finite(f, "network evaluation")
+    _check_finite(s, "spline evaluation")
     return float(np.max(np.abs(f - s) / (1.0 + np.abs(f)), initial=0.0))

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DEFAULT_TOL, DegenerateFirstLayerError, Layer, ReluNetwork, Tolerances
+from .core import (DEFAULT_TOL, DegenerateFirstLayerError, Layer, ReluNetwork, Tolerances,
+                   _merge_groups)
 
 __all__ = ["positive_scale_normalize", "is_normalized"]
 
@@ -28,8 +29,10 @@ def positive_scale_normalize(net: ReluNetwork, tol: Tolerances = DEFAULT_TOL) ->
     Layer 1 becomes A1 = 1, b1 = -knots with the hinges sorted; then layer
     l is divided by D = diag(|c_l|) (entries within zero_tol of zero keep
     scale 1) and layer l + 1 is multiplied by D on the right.  Dead units or
-    coinciding hinges raise DegenerateFirstLayerError, and an overflow
-    raises the ValueError of the ``Layer`` check.
+    coinciding hinges (hinges ``core._merge_groups`` joins, as it joins
+    knots) raise DegenerateFirstLayerError with one unit per group as the
+    effective width, and an overflow raises the ValueError of the ``Layer``
+    check.
     """
     first, second = net.layers[:2]
     a1 = first.A[:, 0]
@@ -39,14 +42,13 @@ def positive_scale_normalize(net: ReluNetwork, tol: Tolerances = DEFAULT_TOL) ->
     with np.errstate(all="ignore"):
         live = np.abs(a1) > tol.zero_tol
         hinges = -first.b[live] / a1[live]
-        order = np.argsort(hinges, kind="stable")
+        # hinges the merge joins coincide; one unit is left per group
+        order, groups, _ = _merge_groups(hinges, 0, tol.merge_tol)
         knots = hinges[order]
         layers = [Layer(np.ones((knots.shape[0], 1)), -knots)]
-        distinct = np.diff(knots) > tol.merge_tol
-        if knots.shape[0] < n1 or not np.all(distinct):
+        if groups.shape[0] < n1:
             problem = "dead units" if knots.shape[0] < n1 else "coinciding hinges"
-            # units left after dropping dead ones and collapsing shared hinges
-            width = 1 + int(np.sum(distinct)) if knots.size else 0
+            width = groups.shape[0]
             raise DegenerateFirstLayerError(
                 f"first layer has {problem}; effective width {width} of {n1}", width
             )

@@ -402,6 +402,9 @@ def hierarchy_from_flat(knots, n1: int, n2: int, n3: int | None = None) -> KnotH
     """
     expected = n1 + n2 * (n1 + 1) + (0 if n3 is None else n3 * (n2 + 1))
     ks = _flat_knots(knots, expected, (n1, n2) if n3 is None else (n1, n2, n3))
+    if n1 < 1:
+        # as KnotHierarchy would, but before the blocks below are cut
+        raise InterlacingError("level1 needs at least one knot")
     level3, body = None, ks
     if n3 is not None:
         # row j: level-3 column j, then level-2 knot j (level-1 knot 0 after the last)

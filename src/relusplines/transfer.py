@@ -15,6 +15,9 @@ closed form; no sampling or fitting is involved.
 Every step merges its knots once, with ``core._merge_columns``, and the
 merge in the last step already yields the canonical spline.
 ``canonicalize`` is the same merge on one row, for raw hinge collections.
+The merge groups knots by ``core._merge_groups``, the one rule that the
+certificate in ``evaluate`` and normalization's coinciding hinges also
+follow.
 
 Input from callers is checked once, by the value types: the network, or
 ``layer_transfer``'s bundle and ``Layer``, which the step takes as they

@@ -86,6 +86,21 @@ def fourteen_hierarchy() -> rs.KnotHierarchy:
     return rs.hierarchy_from_flat(FOURTEEN_KNOTS, 2, 2, 2)
 
 
+def overflow_network(kind: str) -> rs.ReluNetwork:
+    """A finite network whose conversion overflows in the named bundle array."""
+    if kind == "bundle knots":
+        # the first layer's hinge -1e300 / 1e-9 is -inf
+        return rs.ReluNetwork((rs.Layer([[1e-9]], [1e300]), rs.Layer([[1.0]], [0.0], [0.0])))
+    first = rs.Layer([[1.0], [1.0]], [0.0, -1.0])
+    last = rs.Layer([[1e200, 1e200]], [0.0], [0.0])
+    big = {
+        "coeff_matrix": rs.Layer([[1e200, -1e200], [1e200, 1e200]], [0.0, 0.0], [0.0, 0.0]),
+        "q1s": rs.Layer([[1.0, 1.0], [1.0, 1.0]], [0.0, 0.0], [-1e308, -1e308]),
+        "q0s": rs.Layer([[1.0, 1.0], [1.0, 1.0]], [1e308, 1e308], [0.0, 0.0]),
+    }
+    return rs.ReluNetwork((first, big[kind], last))
+
+
 def sawtooth_network(depth: int) -> rs.ReluNetwork:
     """Width-2 network computing the tent map T(z) = 2 relu(z) - 4 relu(z - 1/2)
     composed ``depth`` times: 2^depth + 1 knots at j / 2^depth, zero outside [0, 1]."""

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import relusplines as rs
 from relusplines import cli, synth, transfer
 from relusplines.cli import main
 
-from helpers import reference_csv
+from helpers import overflow_network, reference_csv
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 MAX_NET = str(FIXTURES / "max_knots_network.json")
@@ -371,6 +372,14 @@ class TestSynth:
         assert err.startswith("error: prescribed knots stayed inactive")
         assert not (tmp_path / "net.json").exists()
 
+    @pytest.mark.parametrize("arch", ["0,2", "0,2,1"])
+    def test_empty_first_level(self, tmp_path, capsys, arch):
+        five = tmp_path / "five.json"
+        rs.dump_json(five, {"knots": [1.0, 2.0, 3.0, 4.0, 5.0][: 2 if arch == "0,2" else 5]})
+        code, out, err = run(capsys, "synth", five, "--arch", arch, "-o", tmp_path / "net.json")
+        assert (code, out) == (4, "")
+        assert err == "error: level1 needs at least one knot\n"
+
     def test_no_source_empty_first_level(self, tmp_path, capsys):
         empty = tmp_path / "empty.json"
         rs.dump_json(empty, {"knots": []})
@@ -716,6 +725,35 @@ class TestVerify:
         assert run(capsys, "verify", net_path)[0] == 0
         assert run(capsys, "verify", net_path, spline_path)[0] == 1
         assert run(capsys, "verify", net_path, spline_path, "--tol-eval", "1e-6")[0] == 0
+
+    @pytest.mark.parametrize("kind,message", [
+        ("coeff_matrix", "network output"),
+        # -1e308 t is 2e308 at the knotless grid's -2
+        ("q1s", "hidden layer"),
+        ("q0s", "network output"),
+        ("bundle knots", "crossing set"),
+        ("far hinge", "crossing set"),
+    ])
+    def test_overflow_is_an_error(self, tmp_path, capsys, kind, message):
+        # a finite network whose forward pass or tail crossing overflows
+        # against a knotless spline: one error line, no numpy warning
+        if kind == "far hinge":
+            net = rs.ReluNetwork.shallow([1.0000001e-10], [-1e300], [1.0])
+        else:
+            net = overflow_network(kind)
+        net_path, spline_path = tmp_path / "net.json", tmp_path / "spline.json"
+        rs.dump_json(net_path, rs.network_to_obj(net))
+        rs.dump_json(spline_path, rs.spline_to_obj(rs.CplSpline(0.0, 0.0, [], [])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "verify", net_path, spline_path)
+            assert (code, out) == (2, "")
+            assert err == f"error: {message} contains non-finite entries\n"
+            # the network alone fails in its conversion
+            code, out, err = run(capsys, "verify", net_path)
+            assert (code, out) == (2, "")
+            converted = "bundle knots" if kind == "far hinge" else kind
+            assert err == f"error: {converted} contains non-finite entries\n"
 
     @pytest.mark.parametrize(
         "value,reason",

@@ -102,6 +102,34 @@ class TestCplSpline:
         assert not rs.CplSpline(0.0, 0.0, [0.0], [1e-12]).is_canonical()
 
 
+class TestMergeGroups:
+    def test_a_chain_is_one_group(self):
+        coords = np.array([3.0, 1.0 + 1.2e-12, 1.0, 1.0 + 0.6e-12])
+        order, first, at = rs.core._merge_groups(coords, 0, 1e-12)
+        assert order.tolist() == [2, 3, 1, 0]
+        assert first.tolist() == [0, 3] and at.tolist() == [1.0, 3.0]
+
+    def test_first_original_sets_the_coordinate(self):
+        # sorted: 0 (new), 5e-13 (original 1), 1e-12 (original 0), 2 (new)
+        coords = np.array([1e-12, 5e-13, 0.0, 2.0])
+        for n_old, where in ((2, 5e-13), (1, 1e-12), (0, 0.0)):
+            _, first, at = rs.core._merge_groups(coords, n_old, 1e-12)
+            assert first.tolist() == [0, 3] and at.tolist() == [where, 2.0]
+
+    def test_equal_infinite_coordinates_stay_apart(self):
+        # the gap between two equal infinities is NaN, which is no merge
+        coords = np.array([np.inf, 0.0, -np.inf, np.inf, -np.inf])
+        with np.errstate(invalid="ignore"):
+            order, first, at = rs.core._merge_groups(coords, 5, 1e-12)
+        assert order.tolist() == [2, 4, 1, 0, 3]
+        assert first.tolist() == [0, 1, 2, 3, 4]
+        assert at.tolist() == [-np.inf, -np.inf, 0.0, np.inf, np.inf]
+
+    def test_no_coordinates(self):
+        order, first, at = rs.core._merge_groups(np.empty(0), 0, 1e-12)
+        assert order.size == first.size == at.size == 0
+
+
 class TestCanonicalize:
     def test_cancelling_duplicates_vanish(self):
         s = rs.canonicalize(rs.CplSpline(0.0, 0.0, [1.0, 1.0], [2.0, -2.0]))

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import relusplines as rs
 from helpers import (
     net_max_knots,
     net_nine_knots,
+    overflow_network,
     random_canonical_spline,
     sawtooth_closed_form,
     sawtooth_network,
@@ -179,6 +181,26 @@ class TestEquivalenceError:
         for grid in (rs.probe_grid(s.knots).reshape(-1, 1), np.zeros((0, 2))):
             with pytest.raises(rs.DimensionMismatchError, match="^evaluation points must be"):
                 rs.equivalence_error(net_max_knots(), s, grid)
+
+    @pytest.mark.parametrize("kind", ["coeff_matrix", "q1s", "q0s"])
+    def test_overflowing_network_fails_loudly(self, kind):
+        zero = rs.CplSpline(0.0, 0.0, [], [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^network evaluation contains non-finite"):
+                rs.equivalence_error(overflow_network(kind), zero, [-1.0, 0.0, 1.0])
+            # a scalar point too, one where the output overflows
+            point = -1.0 if kind == "q1s" else 1.0
+            with pytest.raises(ValueError, match="^network evaluation contains non-finite"):
+                rs.equivalence_error(overflow_network(kind), zero, point)
+
+    def test_overflowing_spline_fails_loudly(self):
+        # the hinge sum 1e308 t + 1e308 relu(t) is 2e308 at t = 1
+        s = rs.CplSpline(1e308, 0.0, [0.0], [1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^spline evaluation contains non-finite"):
+                rs.equivalence_error(net_max_knots(), s, [-1.0, 0.0, 1.0])
 
     def test_scalar_point(self):
         s = rs.dnn_to_spline(net_max_knots())
@@ -381,6 +403,41 @@ class TestCertifiedGrid:
         with pytest.raises(ValueError, match="^crossings still found after 3 rounds"):
             rs.certified_grid(sawtooth_network(3), [0.0, 1.0])
         assert calls == [2, 3, 4, 5]
+
+    @pytest.mark.parametrize("kind,message", [
+        ("coeff_matrix", "network output"),
+        ("q1s", "network output"),
+        ("q0s", "network output"),
+        # the hinge at -1e309 lies beyond every double, so its crossing does
+        ("bundle knots", "crossing set"),
+    ])
+    def test_overflow_fails_loudly(self, kind, message):
+        # every layer is finite; the pass overflows on its way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{message} contains non-finite entries$"):
+                rs.certified_grid(overflow_network(kind), [-1.0, 0.0, 1.0])
+
+    def test_crossing_past_every_double_fails_loudly(self):
+        # the right tail crosses near 1e310, which overflows to +inf; the
+        # certificate used to return it as a grid point
+        net = rs.ReluNetwork.shallow([1.0000001e-10], [-1e300], [1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^crossing set contains non-finite entries$"):
+                rs.certified_grid(net, [-1.0, 0.0, 1.0])
+
+    def test_overflowing_hidden_value_fails_loudly(self):
+        # the second hidden layer reaches 1e400 at t = 1
+        net = rs.ReluNetwork((
+            rs.Layer([[1e200]], [0.0]),
+            rs.Layer([[1e200]], [0.0], [0.0]),
+            rs.Layer([[1.0]], [0.0], [0.0]),
+        ))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^hidden layer contains non-finite entries$"):
+                rs.certified_grid(net, [-1.0, 0.0, 1.0])
 
     def test_points_are_checked(self):
         net = net_max_knots()

@@ -153,6 +153,20 @@ class TestFirstLayerRewrite:
             rs.positive_scale_normalize(net)
         assert info.value.effective_width == 1
 
+    def test_chained_hinges_raise(self):
+        # 1, 1 + 0.6e-12 and 1 + 1.2e-12 are one chain under merge_tol = 1e-12
+        # although its ends are farther apart: one unit is left of the three
+        hinges = [1.0, 1.0 + 0.6e-12, 1.0 + 1.2e-12, 3.0]
+        assert hinges[2] - hinges[0] > rs.DEFAULT_TOL.merge_tol
+        net = rs.ReluNetwork.shallow(np.ones(4), -np.array(hinges), np.ones(4))
+        message = "^first layer has coinciding hinges; effective width 2 of 4$"
+        with pytest.raises(rs.DegenerateFirstLayerError, match=message) as info:
+            rs.positive_scale_normalize(net)
+        assert info.value.effective_width == 2
+        # canonical form merges the same chain
+        assert not rs.CplSpline(0.0, 0.0, hinges, np.ones(4)).is_canonical()
+        assert rs.CplSpline(0.0, 0.0, hinges[::2], np.ones(2)).is_canonical()
+
 
 def rescaled(net: rs.ReluNetwork, exponents) -> rs.ReluNetwork:
     """Hidden unit u of layer l times 2^k: row u of A_l, b_l and c_l multiplied,

@@ -199,6 +199,38 @@ def test_zero_band_and_tail_rule_are_stated_once():
     assert sorted(_callers("_grows_outward")) == ["evaluate:_crossings", "transfer:layer_transfer"]
 
 
+def _functions(tree: ast.Module):
+    """(name, node) of every top-level function and method, methods as Class.name."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef):
+                    yield f"{node.name}.{sub.name}", sub
+        elif isinstance(node, ast.FunctionDef):
+            yield node.name, node
+
+
+def test_one_rule_merges_knots():
+    # the layer step, canonical form, the certificate and normalization all
+    # merge by core._merge_groups, so no other function compares a distance
+    # with merge_tol; the certificate's bracket stop is not a merge
+    assert sorted(_callers("_merge_groups")) == [
+        "core:_merge_columns", "evaluate:_merged", "normalize:positive_scale_normalize"
+    ]
+    compared = [
+        f"{path.stem}:{name}"
+        for path in SOURCES
+        for name, func in _functions(ast.parse(path.read_text()))
+        if any(
+            isinstance(node, ast.Compare) and "merge_tol" in _loaded_names(node, attributes=True)
+            for node in ast.walk(func)
+        )
+    ]
+    assert sorted(compared) == [
+        "core:Tolerances.__post_init__", "core:_merge_groups", "evaluate:_polished"
+    ]
+
+
 def test_one_module_checks_finiteness():
     # caller input is checked once, by core's value types and _frozen_array,
     # so no other module in the source calls isfinite

@@ -456,6 +456,16 @@ class TestHierarchyFromFlat:
         h = rs.hierarchy_from_flat([1.0], 1, 0)
         assert h.level1.tolist() == [1.0] and h.level2.shape == (0, 2)
 
+    @pytest.mark.parametrize("knots,widths", [
+        ([1.0, 2.0], (0, 2)),
+        ([1.0, 2.0, 3.0, 4.0, 5.0], (0, 2, 1)),
+        ([], (0, 0, 0)),
+    ])
+    def test_empty_first_level_rejected(self, knots, widths):
+        # three levels too, before the flat list is cut into blocks
+        with pytest.raises(rs.InterlacingError, match="^level1 needs at least one knot$"):
+            rs.hierarchy_from_flat(knots, *widths)
+
 
 def brute_force_missing(spline: rs.CplSpline, prescribed: np.ndarray) -> np.ndarray:
     """Prescribed knots no active knot realizes one to one: none lies within

@@ -30,6 +30,7 @@ from helpers import (
     assert_splines_match,
     net_max_knots,
     net_nine_knots,
+    overflow_network,
     piecewise_form,
     random_canonical_spline,
     random_network,
@@ -448,21 +449,6 @@ class TestDnnToSpline:
                 grid, _ = rs.certified_grid(net, rs.probe_grid(s.knots))
                 assert rs.equivalence_error(net, s, grid) <= 1e-8
                 assert s.n_knots <= rs.knot_bound(net.widths)
-
-
-def overflow_network(kind: str) -> rs.ReluNetwork:
-    """A finite network whose conversion overflows in the named bundle array."""
-    if kind == "bundle knots":
-        # the first layer's hinge -1e300 / 1e-9 is -inf
-        return rs.ReluNetwork((rs.Layer([[1e-9]], [1e300]), rs.Layer([[1.0]], [0.0], [0.0])))
-    first = rs.Layer([[1.0], [1.0]], [0.0, -1.0])
-    last = rs.Layer([[1e200, 1e200]], [0.0], [0.0])
-    big = {
-        "coeff_matrix": rs.Layer([[1e200, -1e200], [1e200, 1e200]], [0.0, 0.0], [0.0, 0.0]),
-        "q1s": rs.Layer([[1.0, 1.0], [1.0, 1.0]], [0.0, 0.0], [-1e308, -1e308]),
-        "q0s": rs.Layer([[1.0, 1.0], [1.0, 1.0]], [1e308, 1e308], [0.0, 0.0]),
-    }
-    return rs.ReluNetwork((first, big[kind], last))
 
 
 class TestComputedBundlesCheckedOnce:
